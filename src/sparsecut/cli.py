@@ -9,7 +9,6 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import IO, Sequence
 
@@ -26,17 +25,6 @@ from .partition import (
 from .spectral import certify_lower_bound
 from .walk import WalkSchedule, run_walk
 from .curve import build_curve
-
-WORKERS_ENV = "SPARSECUT_WORKERS"
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _emit(out: IO[str], pairs: Sequence[tuple[str, object]]) -> None:
     for key, value in pairs:
@@ -145,7 +133,7 @@ def _cmd_global(args, out: IO[str]) -> int:
     params = GlobalParams(
         k=args.k, epsilon=args.epsilon, horizon_override=args.horizon
     )
-    outcome = global_sparsest_cut(g, params, workers=args.workers)
+    outcome = global_sparsest_cut(g, params)
     _write_members(args.members_out, outcome.best)
     _emit(
         out,
@@ -163,9 +151,7 @@ def _cmd_global(args, out: IO[str]) -> int:
 
 def _cmd_global_tight(args, out: IO[str]) -> int:
     g = load_edge_list(args.graph)
-    outcome = global_sparsest_cut_tight_volume(
-        g, args.k, args.epsilon, workers=args.workers
-    )
+    outcome = global_sparsest_cut_tight_volume(g, args.k, args.epsilon)
     _write_members(args.members_out, outcome.best)
     from .partition import tight_volume_exponent
 
@@ -289,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--members-out", default=None)
     p.set_defaults(func=_cmd_global)
 
@@ -297,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--members-out", default=None)
     p.set_defaults(func=_cmd_global_tight)
 

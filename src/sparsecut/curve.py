@@ -1,13 +1,14 @@
 """Concave mass-vs-volume curves of walk distributions and their bounds.
 
-For a distribution p, order vertices by p(v)/d(v) descending (ties by
-ascending id) and plot cumulative mass against cumulative volume. The
-resulting piecewise-linear curve is concave; its corner ("extreme") points
-are the prefixes of the ordering and the prefixes themselves are the level
-sets that sweep cuts inspect. Two bounds are runnable here: the one-step
-chord average at extreme points, and the decaying envelope
-x/l + sqrt(x) * (1 - phi1^2/8)^t that holds while every inspected level set
-has conductance at least phi1.
+For a distribution p, order the vertices that carry mass by p(v)/d(v)
+descending (ties by ascending id) and plot cumulative mass against
+cumulative volume, running flat from the end of the support to the total
+volume. The resulting piecewise-linear curve is concave; its corner
+("extreme") points are the prefixes of the ordering and the prefixes
+themselves are the level sets that sweep cuts inspect. Two bounds are
+runnable here: the one-step chord average at extreme points, and the
+decaying envelope x/l + sqrt(x) * (1 - phi1^2/8)^t that holds while every
+inspected level set has conductance at least phi1.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ class LSCurve:
     """Piecewise-linear concave curve of cumulative mass over volume.
 
     ``x`` and ``y`` list the extreme points, starting at (0, 0) with x
-    strictly increasing up to the total volume. ``vertex_order`` holds the
-    vertices that generate the prefixes (the full degree-normalized order
-    for dense distributions, the ordered support for sparse ones, where the
-    curve simply runs flat after the support). ``prefix_sizes[i]`` is the
+    strictly increasing up to the total volume. ``vertex_order`` is the
+    support (the vertices carrying mass) ordered by p(v)/d(v) descending,
+    ties by ascending id; its prefixes are the level sets, and after them
+    the curve runs flat to the total volume. ``prefix_sizes[i]`` is the
     number of ordered vertices consumed at extreme point i.
     """
 
@@ -74,45 +75,28 @@ def envelope_value(env: Envelope, x: float) -> float:
     return x / env.cap + math.sqrt(x) * (1.0 - env.phi1**2 / 8.0) ** env.steps
 
 
-def _ordered_support(g: Graph, support: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    deg = g.degrees[support]
-    if np.any((deg == 0) & (mass > 0)):
-        raise ValueError("mass on a zero-degree vertex has no volume ordering")
-    ratio = mass / deg
-    return support[np.lexsort((support, -ratio))]
-
-
 def build_curve(g: Graph, p: np.ndarray | SparseDistribution) -> LSCurve:
-    """Curve of a distribution; accepts dense arrays or sparse walk states."""
-    two_m = g.total_volume
-    if isinstance(p, SparseDistribution):
-        order = _ordered_support(g, p.support, p.mass)
-        dense_lookup = np.zeros(g.vertex_count, dtype=np.float64)
-        dense_lookup[p.support] = p.mass
-        xs = np.concatenate(([0], np.cumsum(g.degrees[order])))
-        ys = np.concatenate(([0.0], np.cumsum(dense_lookup[order])))
-        sizes = np.arange(order.size + 1, dtype=np.int64)
-        total_mass = float(ys[-1])
-        if xs[-1] < two_m:
-            xs = np.append(xs, two_m)
-            ys = np.append(ys, total_mass)
-            sizes = np.append(sizes, order.size)
-        return LSCurve(xs, ys, order, sizes, two_m, total_mass)
-    dense = np.asarray(p, dtype=np.float64)
-    if dense.shape != (g.vertex_count,):
-        raise ValueError("distribution length does not match vertex count")
-    if np.any((g.degrees == 0) & (dense > 0)):
+    """Curve of a distribution over its support; dense arrays are sparsified."""
+    if not isinstance(p, SparseDistribution):
+        dense = np.asarray(p, dtype=np.float64)
+        if dense.shape != (g.vertex_count,):
+            raise ValueError("distribution length does not match vertex count")
+        p = SparseDistribution.from_dense(dense)
+    deg = g.degrees[p.support]
+    if np.any(deg == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
-    ratio = np.divide(
-        dense, g.degrees, out=np.zeros_like(dense), where=g.degrees > 0
-    )
-    order = np.lexsort((np.arange(g.vertex_count), -ratio))
-    xs = np.concatenate(([0], np.cumsum(g.degrees[order])))
-    ys = np.concatenate(([0.0], np.cumsum(dense[order])))
-    sizes = np.arange(g.vertex_count + 1, dtype=np.int64)
-    # zero-degree vertices add no volume; keep the first point of each x
-    keep = np.concatenate(([True], np.diff(xs) > 0))
-    return LSCurve(xs[keep], ys[keep], order, sizes[keep], two_m, float(ys[-1]))
+    rank = np.lexsort((p.support, -(p.mass / deg)))
+    order = p.support[rank]
+    xs = np.concatenate(([0], np.cumsum(deg[rank])))
+    ys = np.concatenate(([0.0], np.cumsum(p.mass[rank])))
+    sizes = np.arange(order.size + 1, dtype=np.int64)
+    two_m = g.total_volume
+    total_mass = float(ys[-1])
+    if xs[-1] < two_m:
+        xs = np.append(xs, two_m)
+        ys = np.append(ys, total_mass)
+        sizes = np.append(sizes, order.size)
+    return LSCurve(xs, ys, order, sizes, two_m, total_mass)
 
 
 def evaluate(curve: LSCurve, x: float) -> float:

@@ -1,9 +1,9 @@
 """Compressed-adjacency undirected graphs and exact cut metrics.
 
 The graph is simple (no self-loops, no parallel edges) and immutable after
-construction, so it is safe to share across workers. Conductance of a vertex
-set S is boundary(S) / volume(S); the exact integer pair is kept on every
-Cut so comparisons can be done in rational arithmetic.
+construction. Conductance of a vertex set S is boundary(S) / volume(S); the
+exact integer pair is kept on every Cut so comparisons can be done in
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -195,6 +195,18 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
                 sink.write(f"{int(u)} {v}\n")
 
 
+def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
+    """Concatenated neighbor lists of the given vertices, in vertex order."""
+    deg = g.degrees[vertices]
+    total = int(deg.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.zeros(vertices.size, dtype=np.int64)
+    np.cumsum(deg[:-1], out=offsets[1:])
+    pos = np.arange(total, dtype=np.int64) - np.repeat(offsets, deg)
+    return g.indices[np.repeat(g.indptr[vertices], deg) + pos]
+
+
 def _member_mask(g: Graph, members: Iterable[int]) -> np.ndarray:
     arr = np.unique(np.asarray(list(members), dtype=np.int64))
     if arr.size == 0:
@@ -213,12 +225,8 @@ def cut_of(g: Graph, members: Iterable[int]) -> Cut:
     volume = int(g.degrees[sel].sum())
     if volume == 0:
         raise ValueError("vertex set has zero volume; conductance undefined")
-    inside = mask[g.indices]
     # for v in S, boundary edges are neighbors outside S; each counted once
-    boundary = 0
-    for v in sel:
-        row = inside[g.indptr[v] : g.indptr[v + 1]]
-        boundary += int(row.size - row.sum())
+    boundary = int(np.count_nonzero(~mask[_gather_rows(g, sel)]))
     return Cut(
         members=tuple(int(v) for v in sel),
         volume=volume,
@@ -244,13 +252,7 @@ def prefix_cut_profile(g: Graph, order: Sequence[int]) -> tuple[np.ndarray, np.n
     rank = np.full(g.vertex_count, s, dtype=np.int64)  # s = never joins
     rank[order] = np.arange(s, dtype=np.int64)
     deg = g.degrees[order]
-    total = int(deg.sum())
-    # flatten the adjacency rows of the ordered vertices
-    row_start = np.repeat(g.indptr[order], deg)
-    offsets = np.zeros(s, dtype=np.int64)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(offsets, deg)
-    targets = g.indices[row_start + pos]
+    targets = _gather_rows(g, order)
     src_rank = np.repeat(rank[order], deg)
     tgt_rank = rank[targets]
     # an edge is cut for prefix sizes in [src_rank+1, min(tgt_rank, s)];

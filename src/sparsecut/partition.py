@@ -5,13 +5,12 @@ conductance level set under a volume cap of k^(1+eps); the local driver runs
 one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
 and reports not-found when nothing beats the acceptance threshold
 8*sqrt(phi/eps). All tie-breaking is total, so identical inputs always
-return the identical outcome, including under parallel seed fan-out.
+return the identical outcome.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -242,69 +241,30 @@ def _candidate_key(outcome: SweepOutcome, seed: int):
     return (c.exact, c.volume, outcome.origin.step, outcome.origin.prefix, seed)
 
 
-def _global_seed_block(
-    g: Graph, seeds: Sequence[int], horizon: int, cap: float
-) -> tuple[tuple | None, Cut | None, Origin | None, int]:
-    """Best candidate over a block of start vertices (worker task)."""
-    schedule = WalkSchedule(horizon=horizon, truncation=0.0)
-    best_key = None
-    best_cut = None
-    best_origin = None
-    work = 0
-    for seed in seeds:
-        trace = run_walk(g, seed, schedule)
-        outcome = sweep(g, trace, cap)
-        work += outcome.work
-        if not outcome.found:
-            continue
-        key = _candidate_key(outcome, seed)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_cut = outcome.best
-            best_origin = replace(outcome.origin, seed=seed)
-    return best_key, best_cut, best_origin, work
-
-
-def global_sparsest_cut(
-    g: Graph, params: GlobalParams, *, workers: int = 1
-) -> SweepOutcome:
+def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     """Exact-walk sweep from every start vertex under cap k^(1+eps).
 
     Whenever some set of volume at most k has conductance phi_k below the
     (effective) exponent, the winner satisfies
     conductance <= 4 * sqrt(phi_k / eps); the volume cap holds always.
-    The per-seed reduction is order-insensitive, so worker count does not
-    change the result.
+    Candidates from different seeds are ranked by (conductance, volume,
+    step, prefix, seed).
     """
     if params.k > g.total_volume:
         raise ValueError("k exceeds the total volume")
-    n = g.vertex_count
-    horizon = params.horizon
+    schedule = WalkSchedule(horizon=params.horizon, truncation=0.0)
     cap = params.volume_cap
-    seeds = list(range(n))
-    if workers <= 1 or n <= 1:
-        blocks = [_global_seed_block(g, seeds, horizon, cap)]
-    else:
-        chunk = max(1, math.ceil(n / workers))
-        parts = [seeds[i : i + chunk] for i in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(
-                pool.map(
-                    _global_seed_block,
-                    [g] * len(parts),
-                    parts,
-                    [horizon] * len(parts),
-                    [cap] * len(parts),
-                )
-            )
-    best_key = None
-    best_cut = None
-    best_origin = None
+    best_key = best_cut = best_origin = None
     work = 0
-    for key, cut, origin, block_work in blocks:
-        work += block_work
-        if key is not None and (best_key is None or key < best_key):
-            best_key, best_cut, best_origin = key, cut, origin
+    for seed in range(g.vertex_count):
+        outcome = sweep(g, run_walk(g, seed, schedule), cap)
+        work += outcome.work
+        if not outcome.found:
+            continue
+        key = _candidate_key(outcome, seed)
+        if best_key is None or key < best_key:
+            best_key, best_cut = key, outcome.best
+            best_origin = replace(outcome.origin, seed=seed)
     return SweepOutcome(best=best_cut, origin=best_origin, work=work)
 
 
@@ -313,9 +273,7 @@ def tight_volume_exponent(k: int, epsilon: float) -> float:
     return epsilon / (2.0 * math.log(k))
 
 
-def global_sparsest_cut_tight_volume(
-    g: Graph, k: int, epsilon: float, *, workers: int = 1
-) -> SweepOutcome:
+def global_sparsest_cut_tight_volume(g: Graph, k: int, epsilon: float) -> SweepOutcome:
     """Volume-tight variant: cap at most (1+eps)*k.
 
     Requires eps > 2 ln k / k and delegates to the main driver with the
@@ -327,7 +285,7 @@ def global_sparsest_cut_tight_volume(
     if epsilon <= 2.0 * math.log(k) / k:
         raise ValueError("epsilon must exceed 2 ln(k)/k")
     params = GlobalParams(k=k, epsilon=tight_volume_exponent(k, epsilon))
-    return global_sparsest_cut(g, params, workers=workers)
+    return global_sparsest_cut(g, params)
 
 
 def local_partition(g: Graph, params: LocalParams) -> SweepOutcome:

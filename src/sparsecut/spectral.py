@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, cut_of
+from .graph import Graph, _gather_rows, _is_connected, cut_of
 from .walk import lazy_step
 
 __all__ = [
@@ -64,32 +64,13 @@ def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, np.ndarray, np.
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
     local = np.full(g.vertex_count, -1, dtype=np.int64)
     local[members] = np.arange(members.size)
-    rows: list[np.ndarray] = []
-    counts = np.zeros(members.size, dtype=np.int64)
-    for i, v in enumerate(members):
-        nb = local[g.neighbors(v)]
-        nb = nb[nb >= 0]
-        rows.append(nb)
-        counts[i] = nb.size
+    nb = local[_gather_rows(g, members)]
+    inside = nb >= 0
+    row_of_arc = np.repeat(np.arange(members.size), g.degrees[members])
+    counts = np.bincount(row_of_arc[inside], minlength=members.size)
     indptr = np.zeros(members.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    return members, indptr, indices
-
-
-def _induced_connected(size: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
-    if size <= 1:
-        return True
-    seen = np.zeros(size, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    return members, indptr, nb[inside]
 
 
 def restricted_eigenpair(
@@ -111,7 +92,7 @@ def restricted_eigenpair(
     if tol <= 0:
         raise ValueError("tol must be positive")
     members, indptr, indices = _restricted_adjacency(g, subset)
-    if not _induced_connected(members.size, indptr, indices):
+    if not _is_connected(members.size, indptr, indices):
         raise ValueError(
             "subset induces a disconnected subgraph; "
             "compute one eigenpair per component instead"
@@ -226,7 +207,7 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     guaranteed at least (1 - conductance(S)/2)^horizon, which is asserted.
     """
     members, indptr, indices = _restricted_adjacency(g, subset)
-    if not _induced_connected(members.size, indptr, indices):
+    if not _is_connected(members.size, indptr, indices):
         raise ValueError("subset induces a disconnected subgraph")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")

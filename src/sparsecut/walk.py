@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _gather_rows
 
 __all__ = [
     "SparseDistribution",
@@ -102,18 +102,6 @@ def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
     if isolated.any():
         out[isolated] += 0.5 * p[isolated]
     return out
-
-
-def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of the given vertices, in vertex order."""
-    deg = g.degrees[vertices]
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.zeros(vertices.size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(offsets, deg)
-    return g.indices[np.repeat(g.indptr[vertices], deg) + pos]
 
 
 def truncated_step(

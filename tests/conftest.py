@@ -11,10 +11,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from sparsecut import barbell, complete, erdos_renyi, path, ring_of_cliques  # noqa: E402
+from sparsecut import (  # noqa: E402
+    Graph,
+    PlantedInstance,
+    barbell,
+    complete,
+    cut_of,
+    erdos_renyi,
+    path,
+    ring_of_cliques,
+)
 
 
-def cli_env(extra=None):
+def cli_env():
     """Environment for a ``python -m sparsecut`` child process.
 
     The child imports what this process imports, whatever its cwd: the
@@ -22,18 +31,31 @@ def cli_env(extra=None):
     entries follow, made absolute against this process's cwd (a relative
     ``PYTHONPATH=src`` would otherwise resolve against the child's
     ``cwd=tmp_path``). Empty entries are dropped, since Python reads them as
-    the cwd. Pool workers of ``--workers``/``SPARSECUT_WORKERS`` > 1 inherit
-    this environment; under the forkserver or spawn start method (the Linux
-    default from Python 3.14 on) they re-import ``sparsecut`` through it, so
-    the absolute entry covers them too. ``extra`` is merged last.
+    the cwd.
     """
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH", "").split(os.pathsep)
     entries = [str(SRC)] + [os.path.abspath(e) for e in inherited if e]
     env["PYTHONPATH"] = os.pathsep.join(entries)
-    if extra:
-        env.update(extra)
     return env
+
+
+def relabel(inst, seed):
+    """The planted instance under a seeded random permutation of vertex ids.
+
+    The generators put the planted set at ids 0..s-1, which is where ties
+    in id order land first; relabelled copies check that a guarantee does
+    not rest on that.
+    """
+    g = inst.graph
+    perm = np.random.default_rng(seed).permutation(g.vertex_count)
+    src = np.repeat(np.arange(g.vertex_count), g.degrees)
+    forward = src < g.indices
+    edges = zip(perm[src[forward]].tolist(), perm[g.indices[forward]].tolist())
+    relabelled = Graph.from_edges(g.vertex_count, edges)
+    planted = cut_of(relabelled, perm[list(inst.planted.members)])
+    assert planted.exact == inst.phi_planted
+    return PlantedInstance(graph=relabelled, planted=planted, phi_planted=planted.exact)
 
 
 @pytest.fixture(scope="session")

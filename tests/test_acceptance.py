@@ -41,7 +41,7 @@ from sparsecut import (
 )
 from sparsecut.spectral import certify_lower_bound
 
-from conftest import cli_env, dense_walk, random_connected_subset
+from conftest import cli_env, dense_walk, random_connected_subset, relabel
 
 
 def report(criterion: int, message: str) -> None:
@@ -211,6 +211,11 @@ def test_criterion_6_global_bicriteria_soundness():
         ring_of_cliques(10, 10),  # n = 100
         ring_of_cliques(12, 10),  # n = 120
         ring_of_cliques(6, 15),   # phi_k < 0.01: the guarantee gate fires
+        # relabelled: the planted set no longer sits at the lowest ids
+        relabel(ring_of_cliques(4, 5), 1),
+        relabel(barbell(7), 1),
+        relabel(ring_of_cliques(8, 8), 1),
+        relabel(barbell(11), 1),  # phi_k = 1/111 < 0.01: the gate fires
     ]
     for inst in planted:
         g = inst.graph
@@ -264,21 +269,23 @@ def test_criterion_7_tight_volume_corollary():
 
 def test_criterion_8_local_recovery():
     started = time.monotonic()
-    inst = ring_of_cliques(10, 10)
-    g = inst.graph
-    k = inst.planted.volume
-    phi = float(inst.phi_planted)
-    for eps in (0.1, 0.2):
-        probe = LocalParams(seed=0, k=k, phi=phi, epsilon=eps)
-        seed = find_local_seed(g, inst.planted.members, probe)
-        params = LocalParams(seed=seed, k=k, phi=phi, epsilon=eps)
-        out = local_partition(g, params)
-        assert out.found, eps
-        assert out.best.conductance <= 8 * math.sqrt(phi / eps), eps
-        assert out.best.volume <= 5 * k ** (1 + eps), eps
+    runs = 0
+    for inst in (ring_of_cliques(10, 10), relabel(ring_of_cliques(10, 10), 1)):
+        g = inst.graph
+        k = inst.planted.volume
+        phi = float(inst.phi_planted)
+        for eps in (0.1, 0.2):
+            probe = LocalParams(seed=0, k=k, phi=phi, epsilon=eps)
+            seed = find_local_seed(g, inst.planted.members, probe)
+            params = LocalParams(seed=seed, k=k, phi=phi, epsilon=eps)
+            out = local_partition(g, params)
+            assert out.found, eps
+            assert out.best.conductance <= 8 * math.sqrt(phi / eps), eps
+            assert out.best.volume <= 5 * k ** (1 + eps), eps
+            runs += 1
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.1f}s"
-    report(8, f"certified-seed local runs recovered cuts in {elapsed:.1f}s")
+    report(8, f"{runs} certified-seed local runs recovered cuts in {elapsed:.1f}s")
 
 
 def test_criterion_9_work_volume_trend():

@@ -8,11 +8,11 @@ from conftest import cli_env
 PYTHON = sys.executable
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd):
     return subprocess.run(
         [PYTHON, "-m", "sparsecut", *args],
         cwd=cwd,
-        env=cli_env(env_extra),
+        env=cli_env(),
         capture_output=True,
         timeout=300,
     )
@@ -182,17 +182,13 @@ def test_output_flag_writes_file(tmp_path, ring_file):
     assert "vertices\t20" in (tmp_path / "rec.txt").read_text()
 
 
-def test_workers_env_default(tmp_path, ring_file):
+def test_global_rejects_workers_flag(tmp_path, ring_file):
     res = run_cli(
-        ["global", "--k", "22", "--epsilon", "0.01", str(ring_file)],
+        ["global", "--workers", "2", "--k", "22", "--epsilon", "0.01", str(ring_file)],
         cwd=tmp_path,
-        env_extra={"SPARSECUT_WORKERS": "2"},
     )
-    assert res.returncode == 0, res.stderr
-    base = run_cli(
-        ["global", "--k", "22", "--epsilon", "0.01", str(ring_file)], cwd=tmp_path
-    )
-    assert res.stdout == base.stdout
+    assert res.returncode == 2
+    assert res.stdout == b""
 
 
 def test_every_subcommand_deterministic(tmp_path, ring_file):

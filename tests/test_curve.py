@@ -38,9 +38,11 @@ def test_point_mass_curve_on_triangle():
     g = complete(3)
     p = np.array([1.0, 0.0, 0.0])
     curve = build_curve(g, p)
-    assert list(curve.x) == [0, 2, 4, 6]
-    assert list(curve.y) == [0.0, 1.0, 1.0, 1.0]
+    # the level sets cover the support only; the curve runs flat after it
+    assert list(curve.x) == [0, 2, 6]
+    assert list(curve.y) == [0.0, 1.0, 1.0]
     assert evaluate(curve, 1) == 0.5
+    assert evaluate(curve, 4) == 1.0
 
 
 def test_curve_endpoints():
@@ -92,6 +94,28 @@ def test_sparse_curve_flat_extension():
     dense = build_curve(g, dist.to_dense())
     for x in curve.x[:-1]:
         assert evaluate(curve, x) == pytest.approx(evaluate(dense, x), abs=1e-12)
+
+
+def test_dense_curve_equals_sparse_curve():
+    from sparsecut.graph import Graph
+
+    rng = np.random.default_rng(11)
+    isolated = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    graphs = [isolated, erdos_renyi(40, 0.15, rng_seed=6), barbell(5).graph]
+    for g in graphs:
+        for _ in range(20):
+            p = rng.random(g.vertex_count) * (rng.random(g.vertex_count) < 0.5)
+            p[g.degrees == 0] = 0.0
+            if rng.random() < 0.5:
+                p[int(rng.integers(g.vertex_count))] = 0.0
+            dense = build_curve(g, p)
+            sparse = build_curve(g, SparseDistribution.from_dense(p))
+            np.testing.assert_array_equal(dense.x, sparse.x)
+            np.testing.assert_array_equal(dense.y, sparse.y)
+            np.testing.assert_array_equal(dense.vertex_order, sparse.vertex_order)
+            np.testing.assert_array_equal(dense.prefix_sizes, sparse.prefix_sizes)
+            assert dense.total_mass == sparse.total_mass
+            assert np.all(p[dense.vertex_order] > 0)
 
 
 def test_curve_rejects_mass_on_isolated_vertex():

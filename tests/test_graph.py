@@ -129,6 +129,13 @@ def test_boundary_symmetry_random_sets():
         except ValueError:
             continue  # zero-volume complement
         assert c1.boundary == c2.boundary
+        # independent recount from edge pairs
+        assert c1.boundary == sum(
+            1
+            for u in range(g.vertex_count)
+            for w in g.neighbors(u)
+            if u < w and (u in s) != (int(w) in s)
+        )
         assert 0.0 <= c1.conductance <= 1.0
 
 
