@@ -6,6 +6,20 @@ one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
 and reports not-found when nothing beats the acceptance threshold
 8*sqrt(phi/eps). All tie-breaking is total, so identical inputs always
 return the identical outcome.
+
+The global driver walks the start vertices in blocks of B rows, one B x n
+array of at most ``BLOCK_ARCS`` arcs a block, and keeps only the current
+block and the winner's members. A step of the block is one bincount over
+the arc targets offset by row * n: each row sums its incoming mass in arc
+order, as ``lazy_step`` does, so every row equals the per-seed walk bit for
+bit. Each step then sweeps each row's top-c prefix, ordered like
+``build_curve`` (mass > 0 first, then p/d descending, then id), where c
+counts the smallest degrees whose sum fits the cap: no longer prefix can
+fit. A prefix's boundary is its volume minus the arcs inside it, and an arc
+is inside every prefix past its later endpoint, so one bincount of the
+later rank of each arc out of a swept vertex gives every boundary. The
+candidates pass through the selection ``sweep`` uses, so the winner, its
+origin and the work equal those of a sweep of every seed's own walk.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import build_curve, evaluate
-from .graph import Cut, Graph, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import WalkSchedule, run_walk
 
@@ -34,6 +48,10 @@ __all__ = [
     "local_partition",
     "find_local_seed",
 ]
+
+# Arcs in one block of the global search: its step and sweep arrays take a
+# few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
+BLOCK_ARCS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,40 +164,18 @@ class SweepOutcome:
         return self.best is not None
 
 
-def _exact_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] * b[1] <= b[0] * a[1]
-
-
-def _exact_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] * b[1] < b[0] * a[1]
-
-
-def _step_best(
-    volumes: np.ndarray, boundaries: np.ndarray, vol_cap: float
-) -> tuple[tuple[int, int], int] | None:
-    """Lowest-conductance prefix under the cap: ((boundary, volume), j)."""
-    within = volumes <= vol_cap
-    if not within.any():
-        return None
-    vols = volumes[within]
-    bnds = boundaries[within]
-    phi = bnds / vols
-    lead = float(phi.min())
-    # floats pick a window of near-minimal prefixes, exact integer
+def _select(boundaries: np.ndarray, volumes: np.ndarray) -> int:
+    """Index of the lowest (conductance, volume, index) candidate."""
+    phi = boundaries / volumes
+    # floats pick a window of near-minimal candidates, exact integer
     # comparison settles the order inside it
-    close = np.flatnonzero(phi <= lead * (1.0 + 1e-12) + 1e-300)
-    best = None
-    for idx in close:
-        cand = (int(bnds[idx]), int(vols[idx]))
-        if best is None:
-            best = (cand, int(idx))
-            continue
-        if _exact_lt(cand, best[0]) or (
-            not _exact_lt(best[0], cand) and cand[1] < best[0][1]
-        ):
-            best = (cand, int(idx))
-    pair, idx = best
-    return pair, idx + 1
+    close = np.flatnonzero(phi <= phi.min() * (1.0 + 1e-12) + 1e-300)
+    window = zip(close.tolist(), boundaries[close].tolist(), volumes[close].tolist())
+    best, bd, vol = next(window)
+    for idx, b, v in window:
+        if b * vol < bd * v or (b * vol == bd * v and v < vol):
+            best, bd, vol = idx, b, v
+    return best
 
 
 def sweep(
@@ -203,31 +199,34 @@ def sweep(
         raise ValueError("trajectory must be nonempty")
     work = int(getattr(trajectory, "total_work", 0))
     best_key: tuple[Fraction, int, int, int] | None = None
+    best_order = None
     step_min: list[tuple[int, int] | None] = []
     trace: list[float] | None = [] if trace_x is not None else None
     for t, dist in enumerate(distributions):
         curve = build_curve(g, dist)
         if trace is not None:
             trace.append(evaluate(curve, trace_x))
-        volumes, boundaries = prefix_cut_profile(g, curve.vertex_order)
-        found = _step_best(volumes, boundaries, vol_cap)
-        if found is None:
+        order = curve.vertex_order
+        # the prefixes that fit the cap; a prefix's profile does not depend
+        # on the vertices after it
+        c = int(np.searchsorted(curve.x[1 : order.size + 1], vol_cap, side="right"))
+        if c == 0:
             step_min.append(None)
             continue
-        (bd, vol), j = found
+        volumes, boundaries = prefix_cut_profile(g, order[:c])
+        j = _select(boundaries, volumes)
+        bd, vol = int(boundaries[j]), int(volumes[j])
         step_min.append((bd, vol))
-        key = (Fraction(bd, vol), vol, t, j)
+        key = (Fraction(bd, vol), vol, t, j + 1)
         if best_key is None or key < best_key:
-            best_key = key
+            best_key, best_order = key, order
     if best_key is None:
         return SweepOutcome(
             best=None, origin=None, work=work, curve_trace=trace, step_min_cut=step_min
         )
     _, _, t, j = best_key
-    order = build_curve(g, distributions[t]).vertex_order
-    best = cut_of(g, order[:j])
     return SweepOutcome(
-        best=best,
+        best=cut_of(g, best_order[:j]),
         origin=Origin(seed=None, step=t, prefix=j),
         work=work,
         curve_trace=trace,
@@ -235,10 +234,43 @@ def sweep(
     )
 
 
-def _candidate_key(outcome: SweepOutcome, seed: int):
-    assert outcome.best is not None and outcome.origin is not None
-    c = outcome.best
-    return (c.exact, c.volume, outcome.origin.step, outcome.origin.prefix, seed)
+def _block_step(
+    rows: np.ndarray, rates: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """``lazy_step`` of every row of a block, bit for bit.
+
+    ``rates`` is rows / degrees, ``sources`` the source vertex of each arc
+    and ``targets`` each row's arc targets offset by row * n. The graph has
+    no zero-degree vertex.
+    """
+    weights = (0.5 * rates)[:, sources].ravel()
+    spread = np.bincount(targets[: weights.size], weights=weights, minlength=rows.size)
+    return 0.5 * rows + spread.reshape(rows.shape)
+
+
+def _block_candidates(
+    g: Graph, rows: np.ndarray, rates: np.ndarray, c: int, cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The prefixes under the cap of each row's first c vertices in curve order.
+
+    Returns (order, row, size, boundaries, volumes): ``order`` is B x c, and
+    candidate i is the prefix of ``size[i]`` vertices of row ``row[i]``,
+    listed by size, then row.
+    """
+    key = np.where(rows > 0, -rates, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")[:, :c]
+    volumes = np.cumsum(g.degrees[order], axis=1)
+    fits = (np.take_along_axis(key, order, axis=1) < np.inf) & (volumes <= cap)
+    pos, row = np.nonzero(fits.T)
+    swept = order[row, pos]
+    rank = np.full(rows.shape, c, dtype=np.int64)  # c: in no candidate
+    rank[row, swept] = pos
+    deg = g.degrees[swept]
+    arc_row = np.repeat(row, deg)
+    last = np.maximum(np.repeat(pos, deg), rank[arc_row, _gather_rows(g, swept)])
+    joined = np.bincount(arc_row * (c + 1) + last, minlength=rows.shape[0] * (c + 1))
+    inside = np.cumsum(joined.reshape(-1, c + 1)[:, :c], axis=1)
+    return order, row, pos + 1, (volumes - inside)[row, pos], volumes[row, pos]
 
 
 def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
@@ -252,20 +284,37 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     """
     if params.k > g.total_volume:
         raise ValueError("k exceeds the total volume")
-    schedule = WalkSchedule(horizon=params.horizon, truncation=0.0)
-    cap = params.volume_cap
-    best_key = best_cut = best_origin = None
+    n, degrees, cap = g.vertex_count, g.degrees, params.volume_cap
+    if np.any(degrees == 0):
+        raise ValueError("mass on a zero-degree vertex has no volume ordering")
+    c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
+    sources = np.repeat(np.arange(n), degrees)
+    block = max(1, min(n, BLOCK_ARCS // g.total_volume))
+    targets = (g.indices + n * np.arange(block)[:, None]).ravel()
+    best_key = best_members = None
     work = 0
-    for seed in range(g.vertex_count):
-        outcome = sweep(g, run_walk(g, seed, schedule), cap)
-        work += outcome.work
-        if not outcome.found:
-            continue
-        key = _candidate_key(outcome, seed)
-        if best_key is None or key < best_key:
-            best_key, best_cut = key, outcome.best
-            best_origin = replace(outcome.origin, seed=seed)
-    return SweepOutcome(best=best_cut, origin=best_origin, work=work)
+    for first in range(0, n, block):
+        b = min(block, n - first)
+        rows = np.zeros((b, n))
+        rows[np.arange(b), first + np.arange(b)] = 1.0
+        for t in range(params.horizon + 1):
+            rates = rows / degrees
+            order, row, size, boundaries, volumes = _block_candidates(g, rows, rates, c, cap)
+            if row.size:
+                pick = _select(boundaries, volumes)
+                bd, vol, i, j = (int(a[pick]) for a in (boundaries, volumes, row, size))
+                key = (Fraction(bd, vol), vol, t, j, first + i)
+                if best_key is None or key < best_key:
+                    best_key, best_members = key, order[i, :j].copy()
+            if t < params.horizon:
+                work += int(np.dot(rows > 0, degrees).sum())
+                rows = _block_step(rows, rates, sources, targets)
+    if best_key is None:
+        return SweepOutcome(best=None, origin=None, work=work)
+    _, _, t, size, seed = best_key
+    return SweepOutcome(
+        best=cut_of(g, best_members), origin=Origin(seed=seed, step=t, prefix=size), work=work
+    )
 
 
 def tight_volume_exponent(k: int, epsilon: float) -> float:

@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from sparsecut import (
     Envelope,

@@ -13,7 +13,6 @@ from sparsecut import (
     erdos_renyi,
     evaluate,
     level_sets,
-    path,
     ring_of_cliques,
     run_walk,
 )

@@ -1,5 +1,4 @@
 import io
-import itertools
 
 import numpy as np
 import pytest

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from sparsecut import (
     GlobalParams,
     LocalParams,
+    Origin,
     WalkSchedule,
     barbell,
+    build_curve,
     complete,
     cut_of,
     erdos_renyi,
@@ -15,17 +19,48 @@ from sparsecut import (
     find_local_seed,
     global_sparsest_cut,
     global_sparsest_cut_tight_volume,
+    lazy_step,
     local_partition,
     ring_of_cliques,
     run_walk,
     sweep,
     tight_volume_exponent,
 )
-from sparsecut.graph import Graph
+from sparsecut import partition
+from sparsecut.graph import Graph, prefix_cut_profile
+
+from conftest import relabel
 
 
 def stationary(g):
     return g.degrees / g.total_volume
+
+
+def two_components():
+    """A triangle beside a K5: the triangle is a zero-conductance cut."""
+    k5 = [(i, j) for i in range(3, 8) for j in range(i + 1, 8)]
+    return Graph.from_edges(8, [(0, 1), (1, 2), (2, 0)] + k5)
+
+
+def per_seed_global(g, params):
+    """Loop reference for global_sparsest_cut: one sweep of each seed's own walk.
+
+    Returns (best, origin, work), the winner taken by (conductance, volume,
+    step, prefix, seed).
+    """
+    schedule = WalkSchedule(params.horizon, 0.0)
+    best_key = best = None
+    work = 0
+    for seed in range(g.vertex_count):
+        out = sweep(g, run_walk(g, seed, schedule), params.volume_cap)
+        work += out.work
+        if out.found:
+            key = (out.best.exact, out.best.volume, out.origin.step, out.origin.prefix, seed)
+            if best_key is None or key < best_key:
+                best_key, best = key, out.best
+    if best_key is None:
+        return None, None, work
+    return best, Origin(seed=best_key[4], step=best_key[2], prefix=best_key[3]), work
 
 
 def test_sweep_of_stationary_matches_degree_order_minimum(barbell3):
@@ -86,7 +121,7 @@ def test_global_params_clamping_and_derived():
 
 
 def test_global_returns_zero_conductance_component():
-    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0)] + [(i, j) for i in range(3, 8) for j in range(i + 1, 8)])
+    g = two_components()
     assert not g.connected
     params = GlobalParams(k=6, epsilon=0.01, horizon_override=5)
     out = global_sparsest_cut(g, params)
@@ -260,3 +295,150 @@ def test_local_work_matches_trace_accounting():
     )
     assert out.work == trace.total_work
     assert out.work <= params.horizon / params.truncation  # vol(support) <= 1/eps'
+
+
+def test_sweep_builds_each_curve_once(monkeypatch, barbell3):
+    calls = []
+
+    def counting(g, p):
+        calls.append(1)
+        return build_curve(g, p)
+
+    monkeypatch.setattr(partition, "build_curve", counting)
+    trace = run_walk(barbell3.graph, 0, WalkSchedule(20, 0.0))
+    out = sweep(barbell3.graph, trace, 7)
+    assert out.found
+    assert len(calls) == len(trace)
+
+
+def test_capped_sweep_matches_uncapped_profile(monkeypatch):
+    # reference: every prefix of the full curve order, the lowest
+    # (conductance, volume, prefix) under the cap taken in exact arithmetic
+    inst = relabel(ring_of_cliques(6, 6), 4)
+    g = inst.graph
+    cap = 2.5 * inst.planted.volume
+    profiled = []
+
+    def recording(g, order):
+        profiled.append(int(g.degrees[order].sum()))
+        return prefix_cut_profile(g, order)
+
+    monkeypatch.setattr(partition, "prefix_cut_profile", recording)
+    for schedule in (WalkSchedule(30, 0.0), WalkSchedule(30, 1e-4)):
+        trace = run_walk(g, 5, schedule)
+        out = sweep(g, trace, cap)
+        expected = []
+        for dist in trace:
+            volumes, boundaries = prefix_cut_profile(g, build_curve(g, dist).vertex_order)
+            fits = [
+                (Fraction(int(b), int(v)), int(v), j, int(b))
+                for j, (v, b) in enumerate(zip(volumes, boundaries))
+                if v <= cap
+            ]
+            _, vol, _, bd = min(fits) if fits else (None, None, None, None)
+            expected.append((bd, vol) if fits else None)
+        assert out.step_min_cut == expected
+    assert 0 < max(profiled) <= cap
+
+
+def test_block_step_rows_equal_lazy_step():
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        n = int(rng.integers(2, 40))
+        g = erdos_renyi(n, float(rng.uniform(0.1, 0.8)), rng_seed=300 + trial)
+        if np.any(g.degrees == 0):
+            continue
+        b = int(rng.integers(1, 6))
+        rows = rng.random((b, n)) * (rng.random((b, n)) < 0.6)
+        rows[:, : n // 3] *= 1e-310  # subnormal masses
+        sources = np.repeat(np.arange(n), g.degrees)
+        # targets laid out for more rows than the block holds, as in a last block
+        targets = (g.indices + n * np.arange(b + 2)[:, None]).ravel()
+        out = partition._block_step(rows, rows / g.degrees, sources, targets)
+        for row, got in zip(rows, out):
+            assert got.tobytes() == lazy_step(g, row).tobytes()
+
+
+def test_block_candidates_follow_build_curve():
+    # ties in p/d, zero masses, and a positive mass whose ratio underflows
+    # to zero must all order as build_curve orders them
+    g = relabel(ring_of_cliques(4, 5), 2).graph
+    n = g.vertex_count
+    rng = np.random.default_rng(3)
+    rows = np.round(rng.random((6, n)), 1) * g.degrees
+    rows[:, ::3] = 0.0
+    rows[0, 1] = 5e-324
+    rows[1] = 0.0
+    rows[1, 7] = 1.0
+    rates = rows / g.degrees
+    assert rates[0, 1] == 0.0 < rows[0, 1]
+    cap = g.total_volume
+    order, row, size, boundaries, volumes = partition._block_candidates(g, rows, rates, n, cap)
+    for i in range(rows.shape[0]):
+        curve_order = build_curve(g, rows[i]).vertex_order
+        assert np.array_equal(order[i, : curve_order.size], curve_order)
+        mine = row == i
+        assert np.array_equal(size[mine], np.arange(1, curve_order.size + 1))
+        vols, bnds = prefix_cut_profile(g, curve_order)
+        assert np.array_equal(volumes[mine], vols)
+        assert np.array_equal(boundaries[mine], bnds)
+    # candidates are listed by prefix size, then row
+    assert np.all(np.diff(size) >= 0)
+    assert np.all(np.diff(row)[np.diff(size) == 0] > 0)
+
+
+def equivalence_cases():
+    cases = []
+    for seed in (1, 2):
+        for base in (ring_of_cliques(4, 5), barbell(7), ring_of_cliques(8, 8)):
+            inst = relabel(base, seed)
+            cases.append((inst.graph, GlobalParams(k=inst.planted.volume, epsilon=0.01)))
+    inst = relabel(ring_of_cliques(5, 6), 3)
+    params = GlobalParams(k=inst.planted.volume, epsilon=0.01, horizon_override=0)
+    cases.append((inst.graph, params))
+    cases.append((two_components(), GlobalParams(k=6, epsilon=0.01, horizon_override=5)))
+    cases.append((complete(8), GlobalParams(k=4, epsilon=0.01)))  # cap below every degree
+    rng = np.random.default_rng(12)
+    horizons = (0, 1, 7, 40)
+    for trial in range(16):
+        n, p = int(rng.integers(5, 30)), float(rng.uniform(0.1, 0.7))
+        g = erdos_renyi(n, p, rng_seed=700 + trial)
+        if np.any(g.degrees == 0):
+            continue
+        k = int(rng.integers(2, g.total_volume + 1))
+        cases.append((g, GlobalParams(k=k, epsilon=0.01, horizon_override=horizons[trial % 4])))
+    return cases
+
+
+def test_global_equals_per_seed_reference(monkeypatch):
+    cases = equivalence_cases()
+    assert len(cases) >= 20
+    for g, params in cases:
+        expected = per_seed_global(g, params)
+        # one row a block, a few rows a block, and every seed in one block
+        for block_arcs in (1, 3 * g.total_volume, 1 << 20):
+            monkeypatch.setattr(partition, "BLOCK_ARCS", block_arcs)
+            out = global_sparsest_cut(g, params)
+            assert (out.best, out.origin, out.work) == expected
+
+
+def test_global_rejects_mass_on_isolated_vertex():
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="mass on a zero-degree vertex"):
+        global_sparsest_cut(g, GlobalParams(k=2, epsilon=0.01, horizon_override=3))
+
+
+def test_global_memory_stays_bounded():
+    # the search holds one block of walk rows, never a trajectory: the
+    # peak stays far below the 120 x 120 x 97 states the walks visit
+    inst = ring_of_cliques(12, 10)
+    params = GlobalParams(k=92, epsilon=0.01)
+    tracemalloc.start()
+    try:
+        out = global_sparsest_cut(inst.graph, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.best.exact == inst.phi_planted
+    assert out.work == 11_819_232
+    assert peak < 1_000_000
