@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -41,14 +42,6 @@ def _planted(g: Graph, members) -> PlantedInstance:
     return PlantedInstance(graph=g, planted=cut, phi_planted=cut.exact)
 
 
-def _clique_edges(vertices: list[int]) -> list[tuple[int, int]]:
-    return [
-        (vertices[i], vertices[j])
-        for i in range(len(vertices))
-        for j in range(i + 1, len(vertices))
-    ]
-
-
 def ring_of_cliques(r: int, s: int) -> PlantedInstance:
     """r cliques of size s in a cycle, one bridge between neighbors.
 
@@ -60,7 +53,7 @@ def ring_of_cliques(r: int, s: int) -> PlantedInstance:
         raise ValueError("need r >= 3 and s >= 3")
     edges: list[tuple[int, int]] = []
     for i in range(r):
-        edges.extend(_clique_edges(list(range(i * s, (i + 1) * s))))
+        edges.extend(combinations(range(i * s, (i + 1) * s), 2))
         edges.append((i * s + s - 1, ((i + 1) % r) * s))
     g = Graph.from_edges(r * s, edges)
     inst = _planted(g, range(s))
@@ -72,7 +65,7 @@ def barbell(s: int) -> PlantedInstance:
     """Two cliques of size s joined by one bridge; one clique is planted."""
     if s < 3:
         raise ValueError("need s >= 3")
-    edges = _clique_edges(list(range(s))) + _clique_edges(list(range(s, 2 * s)))
+    edges = [*combinations(range(s), 2), *combinations(range(s, 2 * s), 2)]
     edges.append((s - 1, s))
     g = Graph.from_edges(2 * s, edges)
     inst = _planted(g, range(s))
@@ -89,7 +82,10 @@ def path(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("need n >= 1")
-    return Graph.from_edges(n, _clique_edges(list(range(n))))
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+_ER_CHUNK = 1 << 20  # pair draws per chunk
 
 
 def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
@@ -99,10 +95,15 @@ def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(rng_seed)
-    iu, ju = np.triu_indices(n, k=1)
-    picks = rng.random(iu.size) < p
-    edges = list(zip(iu[picks].tolist(), ju[picks].tolist()))
-    return Graph.from_edges(n, edges)
+    # pair k of the row-major upper triangle is (i, i+1+k-first[i]); drawing
+    # it in chunks consumes the generator exactly as one bulk draw would
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    k = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        start + np.flatnonzero(rng.random(min(_ER_CHUNK, first[-1] - start)) < p)
+        for start in range(0, int(first[-1]), _ER_CHUNK)
+    ])
+    i = np.searchsorted(first, k, side="right") - 1
+    return Graph.from_edges(n, np.stack([i, i + 1 + k - first[i]], axis=1))
 
 
 def exact_phi_k(g: Graph, k: int, max_vertices: int = 22) -> tuple[Fraction, Cut]:

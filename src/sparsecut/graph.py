@@ -8,6 +8,7 @@ rational arithmetic.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,49 +56,41 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs, collapsing duplicates.
+        """Build a graph from (u, v) pairs: an (m, 2) array or an iterable.
 
-        Self-loops are rejected; duplicate edges (either orientation) are
-        collapsed and counted in ``duplicate_edges``.
+        The first bad pair in input order raises ValueError (a self-loop as
+        such). One sort of min*n+max keys collapses and counts duplicates,
+        one sort of src*n+dst arc keys lays out the sorted rows.
         """
         n = int(vertex_count)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        duplicates = 0
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                duplicates += 1
-            else:
-                seen.add(key)
-        m = len(seen)
-        if m:
-            pairs = np.array(sorted(seen), dtype=np.int64)
-            src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        degrees = np.bincount(src, minlength=n).astype(np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError("edges must be (u, v) pairs")
+        u, v = pairs.reshape(-1, 2).T
+        keys, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (keys == hi) | (keys < 0) | (hi >= n)
+        if bad.any():
+            a, b = int(u[np.argmax(bad)]), int(v[np.argmax(bad)])
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        keys = np.sort(keys * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # distinct edges, ascending
+        arcs = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+        indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+        arcs %= n  # src*n+dst keys -> dst, row by row
+        degrees = np.diff(indptr)
         return cls(
             vertex_count=n,
-            edge_count=m,
+            edge_count=keys.size,
             indptr=indptr,
-            indices=dst,
+            indices=arcs,
             degrees=degrees,
-            total_volume=int(degrees.sum()),
-            connected=_is_connected(n, indptr, dst),
-            duplicate_edges=duplicates,
+            total_volume=int(arcs.size),
+            connected=_is_connected(n, indptr, arcs),
+            duplicate_edges=u.size - keys.size,
         )
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -128,18 +121,69 @@ class Cut:
 
 
 def _is_connected(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
+    # hook and compress: each round hooks the larger root of every arc between
+    # two trees under the smaller, then points every vertex at its root; the
+    # rounds grow like log n, however long the diameter
     if n <= 1:
         return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    parent = np.arange(n, dtype=np.int64)
+    a, b = np.repeat(parent, np.diff(indptr)), indices
+    while a.size:
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        a, b = parent[a], parent[b]
+        a, b = a[a != b], b[a != b]
+    return not parent.any()
+
+
+def _scan_edge_list(text: str) -> np.ndarray | None:
+    """Raw (u, v) ids of a plain edge list, or None for the line parser.
+
+    Takes blank lines, comment lines and lines of two distinct ids of at most
+    18 ASCII digits (so each fits in int64) between ASCII blanks. A carriage
+    return must precede a newline or end the text: streams may split at one.
+    """
+    if not text.isascii():
+        return None
+    # newlines around the text: every word has a blank on each side, and its
+    # 18 digit columns stay inside the buffer
+    buf = np.frombuffer((f"\n{text}" + "\n" * 18).encode("ascii"), dtype=np.uint8)
+    if (buf[np.flatnonzero(buf == 13) + 1] != 10).any():
+        return None
+    # words are runs of non-blank bytes (blank: space, or tab through \r)
+    blank = (buf == 32) | ((buf >= 9) & (buf <= 13))
+    starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1
+    width = np.flatnonzero(blank[:-1] < blank[1:]) + 1 - starts
+    # a word opens a line when the blank run before it holds a newline
+    first = np.concatenate([[True], np.logical_or.reduceat(buf == 10, starts)[:-1]])
+    hashes = buf[starts] == 35
+    if hashes.any():  # drop every word of the lines that open with '#'
+        keep = ~hashes[first][np.cumsum(first) - 1]
+        starts, width, first = starts[keep], width[keep], first[keep]
+    if starts.size % 2 or not first[0::2].all() or first[1::2].any() or (width > 18).any():
+        return None
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(width.max(initial=0))):  # Horner, one digit column a round
+        live = width > k
+        digit = buf[starts + k].astype(np.int64) - 48
+        if ((digit < 0) | (digit > 9))[live].any():
+            return None
+        ids = np.where(live, ids * 10 + digit, ids)
+    return None if (ids[0::2] == ids[1::2]).any() else ids.reshape(-1, 2)
+
+
+def _first_seen_labels(raw: np.ndarray) -> int:
+    """Relabel raw ids in place to 0..n-1 in first-seen order; return n."""
+    flat = raw.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    group = flat[order]
+    head = np.diff(group, prepend=-1) != 0
+    first = order[head]  # stable sort: the first position of each id
+    seen = np.zeros(flat.size, dtype=bool)
+    seen[first] = True
+    flat[order] = (np.cumsum(seen) - 1)[first][np.cumsum(head) - 1]
+    return first.size
 
 
 def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
@@ -150,19 +194,24 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
     Duplicate edges are collapsed (counted in the result), self-loops and
     malformed lines raise GraphFormatError with the line number.
     Connectivity is not required; the flag is recorded on the Graph.
+
+    The text is read once and parsed in bulk with numpy. Whatever the bulk
+    scan declines (errors, but also ``+5`` or 19-digit ids) goes to the
+    line-by-line parser, which raises the error or reads the odd line.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_edge_list(fh)
-    ids: dict[int, int] = {}
+    start = source.tell() if source.seekable() else None
+    text = source.read()
+    pairs = _scan_edge_list(text)
+    if pairs is not None:
+        return Graph.from_edges(_first_seen_labels(pairs), pairs)
+    if start is not None:
+        source.seek(start)  # parse the stream's own lines
+    ids: dict[int, int] = {}  # raw id -> compact id, first seen first
     edges: list[tuple[int, int]] = []
-
-    def compact(raw: int) -> int:
-        if raw not in ids:
-            ids[raw] = len(ids)
-        return ids[raw]
-
-    for lineno, raw_line in enumerate(source, start=1):
+    for lineno, raw_line in enumerate(io.StringIO(text) if start is None else source, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -177,7 +226,7 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
             raise GraphFormatError(f"negative vertex id in {line!r}", lineno)
         if a == b:
             raise GraphFormatError(f"self-loop at vertex {a}", lineno)
-        edges.append((compact(a), compact(b)))
+        edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
     return Graph.from_edges(len(ids), edges)
 
 
@@ -189,10 +238,9 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
     generators) ids first appear in natural order and a reload reproduces
     the identical graph despite first-seen id compaction.
     """
-    for v in range(g.vertex_count):
-        for u in g.neighbors(v):
-            if u < v:
-                sink.write(f"{int(u)} {v}\n")
+    src = np.repeat(np.arange(g.vertex_count), g.degrees)
+    lower = g.indices < src  # rows ascend and each row is sorted
+    sink.write("".join(map("{} {}\n".format, g.indices[lower].tolist(), src[lower].tolist())))
 
 
 def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from sparsecut import (
     path,
     ring_of_cliques,
 )
+from sparsecut import generators
 from sparsecut.graph import Graph
 
 
@@ -136,3 +137,21 @@ def test_exact_phi_k_brute_force_cross_check():
                 best = key
     phi, witness = exact_phi_k(g, k)
     assert (phi, witness.members) == best
+
+
+def bulk_erdos_renyi(n, p, rng_seed):
+    """The one-draw sampler over every upper-triangle pair."""
+    rng = np.random.default_rng(rng_seed)
+    iu, ju = np.triu_indices(n, k=1)
+    picks = rng.random(iu.size) < p
+    return Graph.from_edges(n, list(zip(iu[picks].tolist(), ju[picks].tolist())))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, generators._ER_CHUNK])
+def test_erdos_renyi_chunks_match_bulk_draw(monkeypatch, chunk):
+    monkeypatch.setattr(generators, "_ER_CHUNK", chunk)
+    for n, p, seed in [(1, 0.5, 0), (2, 1.0, 1), (12, 0.35, 5), (40, 0.01, 3), (60, 0.1, 7), (97, 0.5, 11)]:
+        got, want = erdos_renyi(n, p, rng_seed=seed), bulk_erdos_renyi(n, p, seed)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert (got.edge_count, got.connected) == (want.edge_count, want.connected)

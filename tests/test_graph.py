@@ -14,7 +14,7 @@ from sparsecut import (
     ring_of_cliques,
     write_edge_list,
 )
-from sparsecut.graph import prefix_cut_profile
+from sparsecut.graph import _is_connected, _scan_edge_list, prefix_cut_profile
 
 
 def test_load_triangle():
@@ -177,3 +177,311 @@ def test_prefix_profile_on_subset_ordering():
 def test_from_edges_rejects_self_loop():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
+
+
+# --- bulk ingest against the line-by-line reference -------------------------
+
+
+def reference_from_edges(n, edges):
+    """The set-and-lexsort builder with a DFS connectivity flag."""
+    seen, duplicates = set(), 0
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        key = (min(u, v), max(u, v))
+        duplicates += key in seen
+        seen.add(key)
+    pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    degrees = np.bincount(src, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return Graph(
+        vertex_count=n,
+        edge_count=len(seen),
+        indptr=indptr,
+        indices=dst,
+        degrees=degrees,
+        total_volume=int(degrees.sum()),
+        connected=dfs_connected(n, indptr, dst),
+        duplicate_edges=duplicates,
+    )
+
+
+def dfs_connected(n, indptr, indices):
+    if n <= 1:
+        return True
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(int(w))
+    return bool(seen.all())
+
+
+def reference_load(text):
+    """The line-by-line loader: first-seen ids, line-numbered errors."""
+    ids, edges = {}, []
+    for lineno, raw_line in enumerate(io.StringIO(text), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected two vertex ids, got {line!r}", lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer vertex id in {line!r}", lineno) from None
+        if a < 0 or b < 0:
+            raise GraphFormatError(f"negative vertex id in {line!r}", lineno)
+        if a == b:
+            raise GraphFormatError(f"self-loop at vertex {a}", lineno)
+        edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
+    return reference_from_edges(len(ids), edges)
+
+
+def assert_same_graph(got, want):
+    for field in ("vertex_count", "edge_count", "total_volume", "connected", "duplicate_edges"):
+        assert type(getattr(got, field)) is type(getattr(want, field)), field
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("indptr", "indices", "degrees"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.int64, field
+        assert np.array_equal(a, b), field
+
+
+def assert_loads_like_reference(text):
+    try:
+        want = reference_load(text)
+    except GraphFormatError as err:
+        with pytest.raises(GraphFormatError) as got:
+            load_edge_list(io.StringIO(text))
+        assert (got.value.line, str(got.value)) == (err.line, str(err))
+        return "error"
+    assert_same_graph(load_edge_list(io.StringIO(text)), want)
+    return "graph"
+
+
+# lines the bulk scan declines: errors, and a few odd but valid lines
+DECLINED = [
+    "+5 3", "1_0 2", "1\xa02", "3 4 # x", "1 2 3", "9", "7 7", "-1 2", "x y",
+    "1 2\r3 4", "5\r6", "0x1 2", "\u0663 4", "12345678901234567890 1", "4\x1c5", "# café",
+    "1\x0e2", "3\x085",
+]
+
+
+def random_edge_text(rng, lines, odd_rate):
+    ids = [str(x) for x in rng.integers(0, 40, size=30)]
+    ids += ["0" * int(rng.integers(1, 4)) + ids[0], "9" * 18, "0" * 17 + "1", "000"]
+    seps = [" ", "  ", "\t", " \t ", "\x0b", "\x0c"]
+    out = []
+    for _ in range(lines):
+        roll = rng.random()
+        if roll < odd_rate:
+            out.append(DECLINED[int(rng.integers(len(DECLINED)))])
+        elif roll < 0.15:
+            lead = ["", " ", "\t", " \t  "][int(rng.integers(4))]
+            body = ["", " 1 2", "# 3 4 x", "#", "!"][int(rng.integers(5))]
+            out.append(f"{lead}#{body}")
+        elif roll < 0.22:
+            out.append(["", " ", "\t", "\x0c "][int(rng.integers(4))])
+        else:
+            a, b = rng.choice(len(ids), size=2, replace=False)
+            lead, trail = (["", " ", "\t"][int(x)] for x in rng.integers(3, size=2))
+            sep = seps[int(rng.integers(len(seps)))]
+            out.append(f"{lead}{ids[a]}{sep}{ids[b]}{trail}")
+    ends = ["\n", "\r\n"]
+    text = "".join(line + ends[int(rng.random() < 0.2)] for line in out)
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+def test_bulk_loader_matches_line_parser_on_random_texts():
+    rng = np.random.default_rng(20)
+    outcomes = {"graph": 0, "error": 0}
+    bulk = 0
+    for trial in range(400):
+        lines = int(rng.integers(0, 40))
+        text = random_edge_text(rng, lines, odd_rate=[0.0, 0.01, 0.05][trial % 3])
+        bulk += _scan_edge_list(text) is not None
+        outcomes[assert_loads_like_reference(text)] += 1
+    # the bulk path takes most texts; both outcomes are well covered
+    assert bulk > 200 and min(outcomes.values()) > 50
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n\n",
+        "# only a comment",
+        "  # indented comment\n\t#tabbed 5 6\n1 2",
+        "1 2\r\n2 3\r\n",
+        "1 2\r",
+        "1 2\r\r\n",
+        "007 7\n7 007",
+        "5 6\n6 5\n5 6",
+        f"{'9' * 18} 1\n1 {'9' * 17}",
+        f"{'9' * 19} 1",
+        "1\x0b2\n3\x0c4",
+        "1 2 # trailing comment",
+        "1 2\n#\n3 3",
+        "1 2",
+        "+5 3",
+        "1_0 2",
+        "1 2\r3 4\n",
+        "1\r2\n",
+        "3 4\n4 5 6",
+        "1\n2",
+        f"{2**64 + 2} 3\n1 2",
+    ],
+)
+def test_bulk_loader_edge_cases(text):
+    assert_loads_like_reference(text)
+
+
+def test_bulk_loader_reports_late_self_loop():
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 5000, size=(100_000, 2))
+    pairs[pairs[:, 0] == pairs[:, 1], 1] += 1
+    lines = [f"{a} {b}" for a, b in pairs.tolist()]
+    lines[97_531] = "123 123"
+    text = "\n".join(lines)
+    assert assert_loads_like_reference(text) == "error"
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(io.StringIO(text))
+    assert err.value.line == 97_532
+
+
+def test_load_from_path_matches_stream(tmp_path):
+    text = "# header\r\n3 1\r\n1 2\r\n\r\n2 3\r\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert_same_graph(load_edge_list(path), reference_load(text.replace("\r\n", "\n")))
+
+
+def test_load_follows_the_stream_line_ends():
+    # a stream that splits lines at a bare carriage return keeps it in read()
+    text = "1 2\r2 3\r# note\r3 1"
+    g = load_edge_list(io.StringIO(text, newline=""))
+    assert_same_graph(g, reference_load(text.replace("\r", "\n")))
+    for text, line in [("1 2\r2 2", 2), ("1\r2\n", 1)]:
+        with pytest.raises(GraphFormatError) as err:
+            load_edge_list(io.StringIO(text, newline=""))
+        assert err.value.line == line
+
+
+def test_from_edges_matches_reference_on_random_edges():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 3 * n))
+        edges = rng.integers(0, n, size=(m, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        want = reference_from_edges(n, edges.tolist())
+        assert_same_graph(Graph.from_edges(n, edges), want)
+        assert_same_graph(Graph.from_edges(n, map(tuple, edges.tolist())), want)
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 1), (5, 1), (2, 2)], "edge (5,1) out of range for n=3"),
+        (3, [(0, 1), (2, 2), (5, 1)], "self-loop at vertex 2"),
+        (3, [(7, 7)], "self-loop at vertex 7"),
+        (3, [(1, -1)], "edge (1,-1) out of range for n=3"),
+        (0, [(0, 1)], "edge (0,1) out of range for n=0"),
+        (3, [(0, 1, 2)], "edges must be (u, v) pairs"),
+        (-1, [], "vertex_count must be nonnegative"),
+    ],
+)
+def test_from_edges_reports_first_bad_edge(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph.from_edges(n, edges)
+    assert str(err.value) == message
+
+
+def test_from_edges_million_random_edges():
+    # 1M edges build without a Python loop per edge; counts and symmetry
+    rng = np.random.default_rng(1)
+    n = 200_000
+    edges = rng.integers(0, n, size=(1_000_000, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    g = Graph.from_edges(n, edges)
+    distinct = np.unique(np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1]))
+    assert g.edge_count == distinct.size
+    assert g.duplicate_edges == len(edges) - distinct.size
+    assert g.total_volume == 2 * g.edge_count == int(g.degrees.sum()) == g.indices.size
+    assert np.array_equal(np.diff(g.indptr), g.degrees)
+    src = np.repeat(np.arange(n), g.degrees)
+    forward = np.sort(src * n + g.indices)
+    assert np.array_equal(forward, np.sort(g.indices * n + src))  # symmetric
+    assert (np.diff(forward) > 0).all()  # rows sorted, no parallel arcs
+    assert not g.connected  # 200k vertices, 1M random edges: some isolated
+
+
+# --- connectivity -------------------------------------------------------------
+
+
+def test_connectivity_matches_dfs():
+    rng = np.random.default_rng(12)
+    cases = [
+        Graph.from_edges(0, []),
+        Graph.from_edges(1, []),
+        Graph.from_edges(3, []),
+        Graph.from_edges(3, [(0, 1)]),
+        Graph.from_edges(4, [(2, 3), (0, 1)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        ring_of_cliques(6, 5).graph,
+    ]
+    perm = rng.permutation(3000)
+    cases.append(Graph.from_edges(3000, np.stack([perm[:-1], perm[1:]], axis=1)))
+    cases.append(Graph.from_edges(3000, np.stack([perm[:-2], perm[1:-1]], axis=1)))
+    g = ring_of_cliques(30, 6).graph
+    relabel = rng.permutation(g.vertex_count)
+    src = np.repeat(np.arange(g.vertex_count), g.degrees)
+    cases.append(Graph.from_edges(g.vertex_count, np.stack([relabel[src], relabel[g.indices]], axis=1)))
+    for trial in range(40):
+        n = int(rng.integers(2, 60))
+        cases.append(erdos_renyi(n, float(rng.uniform(0.0, 0.15)), rng_seed=trial))
+    flags = []
+    for g in cases:
+        flags.append(_is_connected(g.vertex_count, g.indptr, g.indices))
+        assert flags[-1] is g.connected
+        assert flags[-1] == dfs_connected(g.vertex_count, g.indptr, g.indices)
+    assert 10 < sum(flags) < len(flags) - 10
+
+
+# --- writing ------------------------------------------------------------------
+
+
+def reference_write(g):
+    out = io.StringIO()
+    for v in range(g.vertex_count):
+        for u in g.neighbors(v):
+            if u < v:
+                out.write(f"{int(u)} {v}\n")
+    return out.getvalue()
+
+
+def test_write_edge_list_matches_loop_reference():
+    for g in (
+        ring_of_cliques(4, 5).graph,
+        barbell(7).graph,
+        erdos_renyi(40, 0.2, rng_seed=3),
+        Graph.from_edges(3, []),
+        Graph.from_edges(0, []),
+    ):
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert buf.getvalue() == reference_write(g)

@@ -20,11 +20,13 @@ from sparsecut import (
     global_sparsest_cut,
     global_sparsest_cut_tight_volume,
     lazy_step,
+    load_edge_list,
     local_partition,
     ring_of_cliques,
     run_walk,
     sweep,
     tight_volume_exponent,
+    write_edge_list,
 )
 from sparsecut import partition
 from sparsecut.graph import Graph, prefix_cut_profile
@@ -442,3 +444,20 @@ def test_global_memory_stays_bounded():
     assert out.best.exact == inst.phi_planted
     assert out.work == 11_819_232
     assert peak < 1_000_000
+
+
+def test_load_memory_stays_bounded(tmp_path):
+    # the bulk loader holds a few bytes per input byte and a few int64 per
+    # id, never a Python object per line or edge
+    g = ring_of_cliques(200, 20).graph
+    path = tmp_path / "ring.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_edge_list(g, fh)
+    tracemalloc.start()
+    try:
+        loaded = load_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.indices, g.indices)
+    assert peak < 16 * path.stat().st_size
