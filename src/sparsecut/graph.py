@@ -255,26 +255,21 @@ def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     return g.indices[np.repeat(g.indptr[vertices], deg) + pos]
 
 
-def _member_mask(g: Graph, members: Iterable[int]) -> np.ndarray:
-    arr = np.unique(np.asarray(list(members), dtype=np.int64))
-    if arr.size == 0:
-        raise ValueError("vertex set must be nonempty")
-    if arr[0] < 0 or arr[-1] >= g.vertex_count:
-        raise ValueError("vertex id out of range")
-    mask = np.zeros(g.vertex_count, dtype=bool)
-    mask[arr] = True
-    return mask
+def _positions(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Index of each vertex in the nonempty sorted unique ``ids``; ids.size if absent."""
+    pos = np.searchsorted(ids, vertices)
+    return np.where(ids.take(pos, mode="clip") == vertices, pos, ids.size)
 
 
 def cut_of(g: Graph, members: Iterable[int]) -> Cut:
     """Exact volume, boundary edge count, and conductance of a vertex set."""
-    mask = _member_mask(g, members)
-    sel = np.flatnonzero(mask)
-    volume = int(g.degrees[sel].sum())
+    sel = np.unique(np.asarray(list(members), dtype=np.int64))
+    if sel.size == 0:
+        raise ValueError("vertex set must be nonempty")
+    volumes, boundaries = prefix_cut_profile(g, sel)
+    volume, boundary = int(volumes[-1]), int(boundaries[-1])
     if volume == 0:
         raise ValueError("vertex set has zero volume; conductance undefined")
-    # for v in S, boundary edges are neighbors outside S; each counted once
-    boundary = int(np.count_nonzero(~mask[_gather_rows(g, sel)]))
     return Cut(
         members=tuple(int(v) for v in sel),
         volume=volume,
@@ -287,28 +282,27 @@ def prefix_cut_profile(g: Graph, order: Sequence[int]) -> tuple[np.ndarray, np.n
     """Volumes and boundary sizes of every prefix of a vertex ordering.
 
     Returns (volumes, boundaries), each of length len(order), where entry
-    j-1 describes the prefix of the first j vertices. Runs in time
-    proportional to the volume of the ordered set, so it is usable on
-    sparse-walk supports without touching the rest of the graph.
+    j-1 describes the prefix of the first j vertices. Each neighbor's rank
+    is looked up in a sorted copy of the ordering, so time and memory are
+    proportional to the volume of the ordered set and no array of length n
+    is made: it is usable on sparse-walk supports without touching the rest
+    of the graph. A prefix's boundary is its volume minus the arcs inside
+    it, and an arc is inside every prefix past its later endpoint.
     """
     order = np.asarray(order, dtype=np.int64)
     s = order.size
     if s == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if np.unique(order).size != s:
+    rank = np.argsort(order, kind="stable")
+    ids = order[rank]
+    if ids[0] < 0 or ids[-1] >= g.vertex_count:
+        raise ValueError("vertex id out of range")
+    if (ids[1:] == ids[:-1]).any():
         raise ValueError("ordering contains repeated vertices")
-    rank = np.full(g.vertex_count, s, dtype=np.int64)  # s = never joins
-    rank[order] = np.arange(s, dtype=np.int64)
     deg = g.degrees[order]
-    targets = _gather_rows(g, order)
-    src_rank = np.repeat(rank[order], deg)
-    tgt_rank = rank[targets]
-    # an edge is cut for prefix sizes in [src_rank+1, min(tgt_rank, s)];
-    # counting only arcs with src_rank < tgt_rank sees each edge once
-    fwd = src_rank < tgt_rank
-    lo = src_rank[fwd] + 1
-    hi = np.minimum(tgt_rank[fwd], s)
-    delta = np.bincount(lo, minlength=s + 2) - np.bincount(hi + 1, minlength=s + 2)
-    boundaries = np.cumsum(delta)[1 : s + 1].astype(np.int64)
+    # rank of each arc's target, s when it is not in the ordering
+    target_rank = np.append(rank, s)[_positions(ids, _gather_rows(g, order))]
+    last = np.maximum(np.repeat(np.arange(s), deg), target_rank)
     volumes = np.cumsum(deg)
-    return volumes, boundaries
+    inside = np.cumsum(np.bincount(last, minlength=s + 1)[:s])
+    return volumes, volumes - inside

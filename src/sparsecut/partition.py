@@ -5,7 +5,9 @@ conductance level set under a volume cap of k^(1+eps); the local driver runs
 one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
 and reports not-found when nothing beats the acceptance threshold
 8*sqrt(phi/eps). All tie-breaking is total, so identical inputs always
-return the identical outcome.
+return the identical outcome. The local driver's walk, curves, prefix
+profiles and cut touch only the walk's support and its neighbors, so its
+memory follows the work done, not the vertex count.
 
 The global driver walks the start vertices in blocks of B rows, one B x n
 array of at most ``BLOCK_ARCS`` arcs a block, and keeps only the current
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import build_curve, evaluate
+from .curve import build_curve
 from .graph import Cut, Graph, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import WalkSchedule, run_walk
@@ -150,13 +152,12 @@ class SweepOutcome:
     nothing met the acceptance threshold) - a legitimate outcome, not an
     error. ``step_min_cut[t]`` records the (boundary, volume) pair of the
     lowest-conductance prefix under the cap at step t, for envelope
-    instrumentation; ``curve_trace[t]`` the curve value at the traced x.
+    instrumentation.
     """
 
     best: Cut | None
     origin: Origin | None
     work: int
-    curve_trace: list[float] | None = None
     step_min_cut: list[tuple[int, int] | None] | None = None
 
     @property
@@ -178,19 +179,12 @@ def _select(boundaries: np.ndarray, volumes: np.ndarray) -> int:
     return best
 
 
-def sweep(
-    g: Graph,
-    trajectory: Sequence,
-    vol_cap: float,
-    *,
-    trace_x: float | None = None,
-) -> SweepOutcome:
+def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
     """Lowest-conductance level set across all steps of a trajectory.
 
     Ties break toward smaller volume, then earlier step, then shorter
     prefix. Work is taken from the trajectory when it carries accounting
-    (a WalkTrace); the outcome records per-step minima and, if trace_x is
-    given, the curve value there at every step.
+    (a WalkTrace); the outcome records per-step minima.
     """
     if vol_cap < 1:
         raise ValueError("vol_cap must be at least 1")
@@ -201,11 +195,8 @@ def sweep(
     best_key: tuple[Fraction, int, int, int] | None = None
     best_order = None
     step_min: list[tuple[int, int] | None] = []
-    trace: list[float] | None = [] if trace_x is not None else None
     for t, dist in enumerate(distributions):
         curve = build_curve(g, dist)
-        if trace is not None:
-            trace.append(evaluate(curve, trace_x))
         order = curve.vertex_order
         # the prefixes that fit the cap; a prefix's profile does not depend
         # on the vertices after it
@@ -221,15 +212,12 @@ def sweep(
         if best_key is None or key < best_key:
             best_key, best_order = key, order
     if best_key is None:
-        return SweepOutcome(
-            best=None, origin=None, work=work, curve_trace=trace, step_min_cut=step_min
-        )
+        return SweepOutcome(best=None, origin=None, work=work, step_min_cut=step_min)
     _, _, t, j = best_key
     return SweepOutcome(
         best=cut_of(g, best_order[:j]),
         origin=Origin(seed=None, step=t, prefix=j),
         work=work,
-        curve_trace=trace,
         step_min_cut=step_min,
     )
 
@@ -349,18 +337,12 @@ def local_partition(g: Graph, params: LocalParams) -> SweepOutcome:
         raise ValueError("seed out of range")
     schedule = WalkSchedule(horizon=params.horizon, truncation=params.truncation)
     trace = run_walk(g, params.seed, schedule)
-    outcome = sweep(g, trace, params.volume_cap, trace_x=float(params.k))
-    if outcome.found:
+    outcome = sweep(g, trace, params.volume_cap)
+    if outcome.found and outcome.best.conductance <= params.conductance_threshold:
         outcome.origin = replace(outcome.origin, seed=params.seed)
-        if outcome.best.conductance <= params.conductance_threshold:
-            return outcome
-    return SweepOutcome(
-        best=None,
-        origin=None,
-        work=outcome.work,
-        curve_trace=outcome.curve_trace,
-        step_min_cut=outcome.step_min_cut,
-    )
+    else:
+        outcome.best = outcome.origin = None
+    return outcome
 
 
 def find_local_seed(g: Graph, members, params: LocalParams) -> int:

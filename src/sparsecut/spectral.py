@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _gather_rows, _is_connected, cut_of
+from .graph import Graph, _gather_rows, _is_connected, _positions, cut_of
 from .walk import lazy_step
 
 __all__ = [
@@ -62,10 +62,8 @@ def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, np.ndarray, np.
         raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    local = np.full(g.vertex_count, -1, dtype=np.int64)
-    local[members] = np.arange(members.size)
-    nb = local[_gather_rows(g, members)]
-    inside = nb >= 0
+    nb = _positions(members, _gather_rows(g, members))
+    inside = nb < members.size
     row_of_arc = np.repeat(np.arange(members.size), g.degrees[members])
     counts = np.bincount(row_of_arc[inside], minlength=members.size)
     indptr = np.zeros(members.size + 1, dtype=np.int64)

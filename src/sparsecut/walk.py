@@ -6,10 +6,12 @@ whose incoming mass falls strictly below threshold * degree after the step,
 which keeps the support volume at most 1/threshold and makes per-step work
 proportional to the volume of the current support.
 
-The sparse step accumulates contributions per target vertex in the same
-(ascending-neighbor) order as the dense step; skipped terms are exact zeros,
-so as long as no truncation has fired the two paths agree bit for bit and
-the thresholded walk never exceeds the exact one even in floating point.
+The sparse step merges the support with its neighbors in one sort, writes
+the kept half-mass first and then adds each vertex's incoming mass in the
+same (ascending-source) arc order as the dense step; skipped terms are exact
+zeros, so as long as no truncation has fired the two paths agree bit for bit
+and the thresholded walk never exceeds the exact one even in floating point.
+The step makes no array of length n.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ def truncated_step(
     Returns (stepped, kept): ``stepped`` is dist * W restricted to the
     support and its neighbors; ``kept`` zeroes every vertex whose stepped
     mass is strictly below threshold * degree (mass exactly at the threshold
-    survives). Work is proportional to the volume of the support.
-    Threshold 0 keeps everything, matching the exact step.
+    survives). Work is proportional to the volume of the support: one
+    sort of the support and its arc targets gives the output support and
+    each term's slot in it. Threshold 0 keeps everything, matching the
+    exact step bit for bit.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -123,23 +127,15 @@ def truncated_step(
     rates = np.divide(mass, deg, out=np.zeros_like(mass), where=deg > 0)
     contrib = 0.5 * rates
     targets = _gather_rows(g, sup)
-    weights = np.repeat(contrib, deg)
-    if targets.size:
-        # bincount accumulates sequentially in arc order (ascending source),
-        # exactly like the dense step's bincount; skipped sources contribute
-        # exact zeros there, so untruncated walks agree bit for bit
-        uniq, inverse = np.unique(targets, return_inverse=True)
-        sums = np.bincount(inverse, weights=weights, minlength=uniq.size)
-    else:
-        uniq = np.empty(0, dtype=np.int64)
-        sums = np.empty(0, dtype=np.float64)
-    out_support = np.union1d(sup, uniq)
+    # keep term first, then the incoming sums, which bincount accumulates in
+    # arc order like the dense step's: the same adds as lazy_step
+    out_support, slot = np.unique(np.concatenate([sup, targets]), return_inverse=True)
+    keep_pos = slot[: sup.size]
     out_mass = np.zeros(out_support.size, dtype=np.float64)
-    # keep term first, then incoming sums: same add order as lazy_step
-    keep_pos = np.searchsorted(out_support, sup)
     out_mass[keep_pos] = 0.5 * mass
-    in_pos = np.searchsorted(out_support, uniq)
-    out_mass[in_pos] += sums
+    out_mass += np.bincount(
+        slot[sup.size :], weights=np.repeat(contrib, deg), minlength=out_support.size
+    )
     isolated = deg == 0
     if isolated.any():
         out_mass[keep_pos[isolated]] += 0.5 * mass[isolated]

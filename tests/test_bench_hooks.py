@@ -1,0 +1,41 @@
+"""The traced benchmark's hooks stay attached to the library's layers.
+
+``bench/tracer.py`` patches module attributes by name; a refactor that
+renames or stops calling one of them would silently drop its spans. The
+benchmark's own tests are not part of this suite, so these checks are.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from sparsecut import LocalParams, local_partition, ring_of_cliques
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_resolve():
+    for module, attr, _, _ in load_tracer().HOOKS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_tracer_sees_local_query_layers():
+    tracer = load_tracer()
+    g = ring_of_cliques(4, 5).graph
+    params = LocalParams(seed=0, k=22, phi=2 / 22, epsilon=0.2)
+    plain = local_partition(g, params)
+    originals = [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS]
+    t = tracer.Tracer()
+    with t.installed():
+        traced = local_partition(g, params)
+    assert t.counters["walk.truncated_step.calls"] > 0
+    assert t.counters["graph.prefix_cut_profile.calls"] > 0
+    assert t.counters["graph.prefixes_examined"] > 0
+    assert (traced.best, traced.origin, traced.work) == (plain.best, plain.origin, plain.work)
+    assert [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS] == originals

@@ -174,6 +174,35 @@ def test_prefix_profile_on_subset_ordering():
         assert boundaries[j - 1] == c.boundary
 
 
+def test_prefix_profile_matches_edge_pair_recount():
+    # random orderings of random subsets, recounted prefix by prefix from
+    # the edge pairs; vertices 25-29 have no neighbors
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        er = erdos_renyi(25, float(rng.uniform(0.05, 0.4)), rng_seed=trial)
+        pairs = [(u, int(w)) for u in range(25) for w in er.neighbors(u) if u < w]
+        g = Graph.from_edges(30, pairs)
+        size = int(rng.integers(1, 31))
+        order = rng.choice(30, size=size, replace=False)
+        volumes, boundaries = prefix_cut_profile(g, order)
+        assert volumes.dtype == boundaries.dtype == np.int64
+        for j in range(1, size + 1):
+            prefix = set(order[:j].tolist())
+            assert volumes[j - 1] == sum(g.degree(v) for v in prefix)
+            assert boundaries[j - 1] == sum((u in prefix) != (w in prefix) for u, w in pairs)
+        repeated = np.insert(order, int(rng.integers(0, size + 1)), order[rng.integers(size)])
+        with pytest.raises(ValueError, match="repeated"):
+            prefix_cut_profile(g, repeated)
+
+
+def test_prefix_profile_rejects_out_of_range_ids():
+    # negative ids must not wrap around to the last vertices
+    g = ring_of_cliques(4, 5).graph
+    for order in ([-20], [0, -20], [-1, 3], [20], [3, 20], [0, 1 << 40]):
+        with pytest.raises(ValueError, match="vertex id out of range"):
+            prefix_cut_profile(g, order)
+
+
 def test_from_edges_rejects_self_loop():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])

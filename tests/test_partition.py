@@ -461,3 +461,27 @@ def test_load_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(loaded.indices, g.indices)
     assert peak < 16 * path.stat().st_size
+
+
+def test_local_query_memory_does_not_grow_with_n():
+    # the local path looks vertices up in the walk's support, never in an
+    # array of length n, so the same work on a 20x longer ring takes the
+    # same memory
+    params = LocalParams(seed=5, k=382, phi=2 / 382, epsilon=0.2)
+    runs = []
+    for r in (200, 4000):
+        n = 20 * r
+        g = ring_of_cliques(r, 20).graph
+        tracemalloc.start()
+        try:
+            out = local_partition(g, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the cut as offsets around the ring from vertex 0
+        around = sorted(v if v < n // 2 else v - n for v in out.best.members)
+        runs.append(((out.work, around, out.best.boundary, out.best.volume), peak))
+    (small, small_peak), (big, big_peak) = runs
+    assert small == big
+    assert small[0] == 132_189
+    assert abs(big_peak - small_peak) < 64 * 1024

@@ -72,15 +72,24 @@ def test_lazy_step_isolated_vertex_keeps_mass():
 
 def test_truncated_step_zero_threshold_matches_exact():
     g = erdos_renyi(40, 0.2, rng_seed=3)
-    p = np.zeros(40)
-    p[7] = 1.0
-    sparse = SparseDistribution.from_dense(p)
-    for _ in range(5):
-        stepped, kept = truncated_step(g, sparse, 0.0)
-        p = lazy_step(g, p)
-        assert np.array_equal(stepped.to_dense(), p)
-        assert np.array_equal(kept.to_dense(), p)
-        sparse = kept
+    point = np.zeros(40)
+    point[7] = 1.0
+    # vertex 40 has no neighbors and carries mass from the start
+    isolated = Graph.from_edges(
+        41, [(u, int(w)) for u in range(40) for w in g.neighbors(u) if u < w]
+    )
+    spread = np.append(0.75 * point, 0.25)
+    rng = np.random.default_rng(4)
+    subnormal = np.zeros(40)  # every mass, rate and sum of the walk is subnormal
+    subnormal[rng.choice(40, size=6, replace=False)] = rng.random(6) * 1e-310
+    for graph, p in ((g, point), (isolated, spread), (g, subnormal)):
+        sparse = SparseDistribution.from_dense(p)
+        for _ in range(5):
+            stepped, kept = truncated_step(graph, sparse, 0.0)
+            p = lazy_step(graph, p)
+            assert np.array_equal(stepped.to_dense(), p)
+            assert np.array_equal(kept.to_dense(), p)
+            sparse = kept
 
 
 def test_truncated_step_star_example():
