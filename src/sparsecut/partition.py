@@ -349,8 +349,9 @@ def find_local_seed(g: Graph, members, params: LocalParams) -> int:
     """Start vertex inside a known sparse set that makes the local run work.
 
     The set must be induced-connected with volume at most k and conductance
-    at most phi; the returned vertex is the best retaining start at the
-    local horizon.
+    at most phi; the returned vertex is the smallest id among the starts
+    retaining the most mass at the local horizon (up to a relative 1e-12),
+    found by best_seed_vertex in two walks whatever the set's size.
     """
     target = cut_of(g, members)
     if target.volume > params.k:

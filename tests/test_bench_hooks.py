@@ -8,7 +8,7 @@ benchmark's own tests are not part of this suite, so these checks are.
 import importlib.util
 from pathlib import Path
 
-from sparsecut import LocalParams, local_partition, ring_of_cliques
+from sparsecut import LocalParams, find_local_seed, local_partition, ring_of_cliques
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -39,3 +39,16 @@ def test_tracer_sees_local_query_layers():
     assert t.counters["graph.prefixes_examined"] > 0
     assert (traced.best, traced.origin, traced.work) == (plain.best, plain.origin, plain.work)
     assert [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS] == originals
+
+
+def test_tracer_sees_seed_search_walk_twice():
+    tracer = load_tracer()
+    g = ring_of_cliques(4, 5).graph
+    params = LocalParams(seed=0, k=22, phi=2 / 22, epsilon=0.2)
+    plain = find_local_seed(g, range(5), params)
+    t = tracer.Tracer()
+    with t.installed():
+        traced = find_local_seed(g, range(5), params)
+    assert traced == plain
+    assert any(span[0] == "spectral.best_seed_vertex" for span in t.spans)
+    assert t.counters["walk.lazy_step.calls"] == 2 * params.horizon

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import sparsecut.spectral as spectral
 from sparsecut import (
     CertificateViolation,
+    LocalParams,
+    barbell,
     best_seed_vertex,
     certify_lower_bound,
     complete,
@@ -13,7 +18,7 @@ from sparsecut import (
     ring_of_cliques,
 )
 
-from conftest import random_connected_subset
+from conftest import random_connected_subset, relabel
 
 
 def dense_lambda(g, members):
@@ -125,18 +130,115 @@ def test_best_seed_ring_clique_meets_bound():
     assert 0 <= vertex < 6
     phi = float(inst.phi_planted)
     assert achieved >= (1 - phi / 2) ** 50 - 1e-12
-    # exhaustive oracle: recompute every start's retention directly
-    best = -1.0
-    arg = -1
+    # exhaustive oracle: recompute every start's retention directly, and
+    # take the smallest id within a relative 1e-12 of the maximum, since
+    # symmetric starts differ only by roundoff
+    values = []
     for v in range(6):
         p = np.zeros(g.vertex_count)
         p[v] = 1.0
         for _ in range(50):
             p = lazy_step(g, p)
-        val = float(p[:6].sum())
-        if val > best:
-            best, arg = val, v
-    assert (vertex, achieved) == (arg, pytest.approx(best))
+        values.append(float(p[:6].sum()))
+    arg = next(v for v, val in enumerate(values) if val >= max(values) * (1 - 1e-12))
+    assert (vertex, achieved) == (arg, pytest.approx(values[arg]))
+
+
+def reference_best_seed(g, members, horizon):
+    """Every member's retention after horizon steps, one forward walk each."""
+    members = sorted(members)
+    values = []
+    for v in members:
+        p = np.zeros(g.vertex_count, dtype=np.float64)
+        p[v] = 1.0
+        for _ in range(horizon):
+            p = lazy_step(g, p)
+        values.append(float(p[members].sum()))
+    return members, np.array(values)
+
+
+def test_best_seed_matches_forward_reference():
+    cases = []
+    for inst in (
+        relabel(ring_of_cliques(10, 10), 1),
+        relabel(barbell(7), 1),
+        relabel(ring_of_cliques(8, 8), 1),
+    ):
+        members = list(inst.planted.members)
+        local = LocalParams(seed=0, k=inst.planted.volume, phi=float(inst.phi_planted), epsilon=0.2)
+        cases += [(inst.graph, members, h) for h in (local.horizon, 0, 1)]
+    rng = np.random.default_rng(29)
+    for i in range(30):
+        g = erdos_renyi(30, 0.15, rng_seed=100 + i)
+        cases.append((g, random_connected_subset(g, rng), int(rng.integers(0, 60))))
+    for g, members, horizon in cases:
+        ids, values = reference_best_seed(g, members, horizon)
+        pick = int(np.flatnonzero(values >= values.max() * (1 - 1e-12))[0])
+        vertex, achieved = best_seed_vertex(g, members, horizon)
+        assert vertex == ids[pick], (members, horizon)
+        # the returned mass is the chosen vertex's own forward walk, exactly
+        assert achieved == values[pick]
+
+
+def test_best_seed_walks_twice_whatever_the_size(monkeypatch):
+    calls = []
+    step = spectral.lazy_step
+
+    def counted(g, p):
+        calls.append(1)
+        return step(g, p)
+
+    monkeypatch.setattr(spectral, "lazy_step", counted)
+    g = ring_of_cliques(6, 8).graph
+    for members in ([3], range(8), range(24)):
+        for horizon in (0, 1, 17):
+            calls.clear()
+            best_seed_vertex(g, members, horizon)
+            assert len(calls) == 2 * horizon
+
+
+def test_best_seed_checks_horizon_before_the_subset(barbell3):
+    g = barbell3.graph
+    with pytest.raises(ValueError, match="horizon"):
+        best_seed_vertex(g, [0, 5], -1)
+    with pytest.raises(ValueError, match="disconnected"):
+        best_seed_vertex(g, [0, 5], 1)
+
+
+def test_average_start_escape_bound_is_tight_at_one_step(monkeypatch):
+    # from S = [0] of K2 the first lazy step moves exactly phi/2 = 1/2 out
+    g = complete(2)
+    assert best_seed_vertex(g, [0], 1) == (0, 0.5)
+    # a conductance one part in 1e9 lower makes the same step a violation
+    real = spectral.cut_of
+
+    def understated(g, members):
+        cut = real(g, members)
+        return dataclasses.replace(cut, conductance=cut.conductance * (1 - 1e-9))
+
+    monkeypatch.setattr(spectral, "cut_of", understated)
+    with pytest.raises(CertificateViolation, match="average start"):
+        best_seed_vertex(g, [0], 1)
+
+
+def test_average_start_escape_bound_holds_for_300_steps():
+    steps = 300
+    for inst in (relabel(ring_of_cliques(10, 10), 1), relabel(barbell(7), 1)):
+        g = inst.graph
+        members = list(inst.planted.members)
+        # independent walk: dense transition matrix, exact conductance
+        n = g.vertex_count
+        adj = np.zeros((n, n))
+        for v in range(n):
+            adj[v, g.neighbors(v)] = 1.0
+        walk = 0.5 * (np.eye(n) + adj / g.degrees[:, None])
+        p = np.zeros(n)
+        p[members] = g.degrees[members] / g.degrees[members].sum()
+        phi = float(inst.phi_planted)
+        for t in range(1, steps):
+            p = p @ walk
+            assert p[members].sum() - (1 - t * phi / 2) >= -1e-12, t
+        best_seed_vertex(g, members, steps - 1)  # raises if its own check fails
 
 
 def test_best_seed_whole_graph_achieves_one():
