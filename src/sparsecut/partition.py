@@ -184,7 +184,9 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
 
     Ties break toward smaller volume, then earlier step, then shorter
     prefix. Work is taken from the trajectory when it carries accounting
-    (a WalkTrace); the outcome records per-step minima.
+    (a WalkTrace); the outcome records per-step minima. A step whose capped
+    order equals the previous step's has the same prefixes, so it repeats
+    that step's minimum without a profile: being later, it cannot win.
     """
     if vol_cap < 1:
         raise ValueError("vol_cap must be at least 1")
@@ -195,16 +197,21 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
     best_key: tuple[Fraction, int, int, int] | None = None
     best_order = None
     step_min: list[tuple[int, int] | None] = []
+    capped = None
     for t, dist in enumerate(distributions):
         curve = build_curve(g, dist)
         order = curve.vertex_order
         # the prefixes that fit the cap; a prefix's profile does not depend
         # on the vertices after it
         c = int(np.searchsorted(curve.x[1 : order.size + 1], vol_cap, side="right"))
+        if capped is not None and capped.size == c and (capped == order[:c]).all():
+            step_min.append(step_min[-1])
+            continue
+        capped = order[:c]
         if c == 0:
             step_min.append(None)
             continue
-        volumes, boundaries = prefix_cut_profile(g, order[:c])
+        volumes, boundaries = prefix_cut_profile(g, capped)
         j = _select(boundaries, volumes)
         bd, vol = int(boundaries[j]), int(volumes[j])
         step_min.append((bd, vol))

@@ -11,7 +11,9 @@ the kept half-mass first and then adds each vertex's incoming mass in the
 same (ascending-source) arc order as the dense step; skipped terms are exact
 zeros, so as long as no truncation has fired the two paths agree bit for bit
 and the thresholded walk never exceeds the exact one even in floating point.
-The step makes no array of length n.
+The step makes no array of length n. The merge is built once per support
+array, as the support's plan, and a kept distribution of the same set shares
+that array and plan: a walk that has settled on a region redoes no merge.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class SparseDistribution:
     support: np.ndarray
     mass: np.ndarray
     size: int
+    # truncated_step's merge of ``support``, valid while _plan[0] is that array
+    _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.support = np.asarray(self.support, dtype=np.int64)
@@ -116,32 +120,36 @@ def truncated_step(
     mass is strictly below threshold * degree (mass exactly at the threshold
     survives). Work is proportional to the volume of the support: one
     sort of the support and its arc targets gives the output support and
-    each term's slot in it. Threshold 0 keeps everything, matching the
+    each term's slot in it. This plan is built once per support array (which
+    must be strictly increasing); ``kept`` shares the array and the plan
+    when it keeps the same set. Threshold 0 keeps everything, matching the
     exact step bit for bit.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    sup = dist.support
-    mass = dist.mass
-    deg = g.degrees[sup]
+    sup, mass, plan = dist.support, dist.mass, dist._plan
+    if plan is None or plan[0] is not sup:
+        if np.any(sup[1:] <= sup[:-1]):
+            raise ValueError("support must be strictly increasing")
+        out, slot = np.unique(np.concatenate([sup, _gather_rows(g, sup)]), return_inverse=True)
+        deg = g.degrees[sup]
+        plan = dist._plan = (sup, deg, out, g.degrees[out], slot[: sup.size], slot[sup.size :])
+    _, deg, out_support, out_deg, keep_pos, arc_slot = plan
     rates = np.divide(mass, deg, out=np.zeros_like(mass), where=deg > 0)
     contrib = 0.5 * rates
-    targets = _gather_rows(g, sup)
     # keep term first, then the incoming sums, which bincount accumulates in
     # arc order like the dense step's: the same adds as lazy_step
-    out_support, slot = np.unique(np.concatenate([sup, targets]), return_inverse=True)
-    keep_pos = slot[: sup.size]
     out_mass = np.zeros(out_support.size, dtype=np.float64)
     out_mass[keep_pos] = 0.5 * mass
-    out_mass += np.bincount(
-        slot[sup.size :], weights=np.repeat(contrib, deg), minlength=out_support.size
-    )
+    out_mass += np.bincount(arc_slot, weights=np.repeat(contrib, deg), minlength=out_support.size)
     isolated = deg == 0
     if isolated.any():
         out_mass[keep_pos[isolated]] += 0.5 * mass[isolated]
     stepped = SparseDistribution(out_support, out_mass, dist.size)
-    keep = out_mass >= threshold * g.degrees[out_support]
+    keep = out_mass >= threshold * out_deg
     kept = SparseDistribution(out_support[keep], out_mass[keep], dist.size)
+    if kept.support.size == sup.size and keep[keep_pos].all():  # the same set
+        kept.support, kept._plan = sup, plan
     return stepped, kept
 
 

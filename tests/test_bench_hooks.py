@@ -34,10 +34,14 @@ def test_tracer_sees_local_query_layers():
     t = tracer.Tracer()
     with t.installed():
         traced = local_partition(g, params)
-    assert t.counters["walk.truncated_step.calls"] > 0
+    # the walk reuses plans and the sweep skips repeated orders inside these
+    # layers: every step still passes through them, with the same result
+    assert t.counters["walk.truncated_step.calls"] == params.horizon
+    assert any(span[0] == "partition.sweep" for span in t.spans)
     assert t.counters["graph.prefix_cut_profile.calls"] > 0
     assert t.counters["graph.prefixes_examined"] > 0
     assert (traced.best, traced.origin, traced.work) == (plain.best, plain.origin, plain.work)
+    assert traced.step_min_cut == plain.step_min_cut
     assert [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS] == originals
 
 

@@ -28,14 +28,43 @@ from sparsecut import (
     tight_volume_exponent,
     write_edge_list,
 )
-from sparsecut import partition
+from sparsecut import partition, walk
 from sparsecut.graph import Graph, prefix_cut_profile
+from sparsecut.walk import SparseDistribution
 
 from conftest import relabel
 
 
 def stationary(g):
     return g.degrees / g.total_volume
+
+
+def reference_sweep(g, trajectory, vol_cap):
+    """The sweep that profiles every step's capped order, repeated or not."""
+    distributions = list(trajectory)
+    work = int(getattr(trajectory, "total_work", 0))
+    best_key = best_order = None
+    step_min = []
+    for t, dist in enumerate(distributions):
+        curve = build_curve(g, dist)
+        order = curve.vertex_order
+        c = int(np.searchsorted(curve.x[1 : order.size + 1], vol_cap, side="right"))
+        if c == 0:
+            step_min.append(None)
+            continue
+        volumes, boundaries = prefix_cut_profile(g, order[:c])
+        j = partition._select(boundaries, volumes)
+        bd, vol = int(boundaries[j]), int(volumes[j])
+        step_min.append((bd, vol))
+        key = (Fraction(bd, vol), vol, t, j + 1)
+        if best_key is None or key < best_key:
+            best_key, best_order = key, order
+    if best_key is None:
+        return partition.SweepOutcome(None, None, work, step_min)
+    _, _, t, j = best_key
+    return partition.SweepOutcome(
+        cut_of(g, best_order[:j]), Origin(seed=None, step=t, prefix=j), work, step_min
+    )
 
 
 def two_components():
@@ -485,3 +514,83 @@ def test_local_query_memory_does_not_grow_with_n():
     assert small == big
     assert small[0] == 132_189
     assert abs(big_peak - small_peak) < 64 * 1024
+
+
+def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
+    # the sweep skips the profile of a step whose capped order repeats the
+    # previous step's; every field must equal the profile-every-step loop
+    inst = relabel(ring_of_cliques(6, 6), 4)
+    g = inst.graph
+    cap = 2.5 * inst.planted.volume
+    hub = int(np.argmax(g.degrees))
+    star = Graph.from_edges(11, [(0, leaf) for leaf in range(1, 11)])
+    point = SparseDistribution([0], [1.0], 11)  # the hub alone: nothing fits a cap of 5
+    leaves = SparseDistribution([0, 3, 4], [0.2, 0.3, 0.5], 11)
+    trajectories = [(star, [leaves, point, leaves, leaves, point, point, leaves], 5)]
+    rng = np.random.default_rng(11)
+    for seed, truncation in ((5, 1e-4), (hub, 1e-3), (0, 0.0), (9, 2e-3)):
+        trace = run_walk(g, seed, WalkSchedule(25, truncation))
+        trajectories.append((g, trace, cap))
+        dists = list(trace)
+        # repeated identical distributions, and equal orders with other masses
+        padded = [dists[0], dists[0]]
+        for d in dists[1:8]:
+            sparse = isinstance(d, SparseDistribution)
+            half = SparseDistribution(d.support, 0.5 * d.mass, d.size) if sparse else 0.5 * d
+            padded += [d, d, half]
+        trajectories.append((g, padded, cap))
+        dense = [d.to_dense() if isinstance(d, SparseDistribution) else d for d in padded]
+        trajectories.append((g, dense, cap))
+        sampled = [padded[i] for i in np.sort(rng.choice(len(padded), 12))]
+        trajectories.append((g, sampled, 1.5 * inst.planted.volume))
+    profiled = []
+
+    def recording(g, order):
+        profiled.append(order.size)
+        return prefix_cut_profile(g, order)
+
+    monkeypatch.setattr(partition, "prefix_cut_profile", recording)
+    swept = 0
+    for graph, trajectory, vol_cap in trajectories:
+        out = sweep(graph, trajectory, vol_cap)
+        ref = reference_sweep(graph, trajectory, vol_cap)
+        assert out.best == ref.best
+        assert out.origin == ref.origin
+        assert out.work == ref.work
+        assert out.step_min_cut == ref.step_min_cut
+        swept += sum(m is not None for m in ref.step_min_cut)
+    assert len(profiled) < swept // 2
+    # the star trajectory: c = 0 between equal orders, then a repeated c = 0
+    star_out = sweep(star, trajectories[0][1], 5)
+    assert star_out.step_min_cut[1] is None and star_out.step_min_cut[5] is None
+    assert star_out.step_min_cut[0] == star_out.step_min_cut[2] is not None
+    assert star_out.origin.step == 0
+
+
+def test_local_query_reuses_plans_and_profiles(monkeypatch):
+    # the query of the memory test above: its walk keeps the same support
+    # over runs of steps and its capped order repeats, so the walk merges a
+    # support once per run of equal supports and the sweep profiles an order
+    # once per run of equal capped orders, where a step-by-step run makes 114
+    # merges and 115 profiles
+    g = ring_of_cliques(200, 20).graph
+    params = LocalParams(seed=5, k=382, phi=2 / 382, epsilon=0.2)
+    counts = {"gather": 0, "profile": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(walk, "_gather_rows", counted("gather", walk._gather_rows))
+    monkeypatch.setattr(
+        partition, "prefix_cut_profile", counted("profile", partition.prefix_cut_profile)
+    )
+    out = local_partition(g, params)
+    assert params.horizon == 114
+    assert counts == {"gather": 5, "profile": 54}
+    assert out.best.exact == Fraction(2, 1146)
+    assert out.origin == Origin(seed=5, step=3, prefix=60)
+    assert out.work == 132_189

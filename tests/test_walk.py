@@ -12,13 +12,37 @@ from sparsecut import (
     run_walk,
     truncated_step,
 )
-from sparsecut.graph import Graph
+from sparsecut.graph import Graph, _gather_rows
 
-from conftest import dense_walk
+from conftest import dense_walk, relabel
 
 
 def stationary(g):
     return g.degrees / g.total_volume
+
+
+def reference_truncated_step(g, dist, threshold):
+    """The step with no plan: gather and merge the support's arcs every call."""
+    sup = dist.support
+    mass = dist.mass
+    deg = g.degrees[sup]
+    rates = np.divide(mass, deg, out=np.zeros_like(mass), where=deg > 0)
+    contrib = 0.5 * rates
+    targets = _gather_rows(g, sup)
+    out_support, slot = np.unique(np.concatenate([sup, targets]), return_inverse=True)
+    keep_pos = slot[: sup.size]
+    out_mass = np.zeros(out_support.size, dtype=np.float64)
+    out_mass[keep_pos] = 0.5 * mass
+    out_mass += np.bincount(
+        slot[sup.size :], weights=np.repeat(contrib, deg), minlength=out_support.size
+    )
+    isolated = deg == 0
+    if isolated.any():
+        out_mass[keep_pos[isolated]] += 0.5 * mass[isolated]
+    stepped = SparseDistribution(out_support, out_mass, dist.size)
+    keep = out_mass >= threshold * g.degrees[out_support]
+    kept = SparseDistribution(out_support[keep], out_mass[keep], dist.size)
+    return stepped, kept
 
 
 def test_lazy_step_from_single_vertex():
@@ -170,3 +194,101 @@ def test_walk_trace_work_accounting():
     # step 1 touches only the seed, later steps the full clique
     assert trace.touched_volume[0] == g.degree(0)
     assert trace.total_work == sum(trace.touched_volume)
+
+
+def test_truncated_step_rejects_repeated_support_ids():
+    # path 0-1-2 and an isolated vertex 3: a repeated id would overwrite its
+    # own keep term, giving mass [0.25, 0.5] (total 0.75) for [0, 0]
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    for support in ([0, 0], [1, 0], [2, 1, 3]):
+        dist = SparseDistribution(support, np.full(len(support), 1.0 / len(support)), 4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            truncated_step(g, dist, 0.0)
+    stepped, _ = truncated_step(g, SparseDistribution([0, 3], [0.5, 0.5], 4), 0.0)
+    assert stepped.total() == 1.0
+
+
+def walk_cases():
+    """(graph, start) pairs: ER graphs, a relabelled ring of cliques, an
+    isolated vertex that carries mass, and subnormal masses."""
+    cases = []
+    for seed in range(4):
+        g = erdos_renyi(50, 0.08, rng_seed=20 + seed)
+        cases.append((g, SparseDistribution([seed], [1.0], 50)))
+    ring = relabel(ring_of_cliques(6, 6), 3).graph
+    cases.append((ring, SparseDistribution([7], [1.0], ring.vertex_count)))
+    g = erdos_renyi(40, 0.2, rng_seed=3)
+    isolated = Graph.from_edges(
+        41, [(u, int(w)) for u in range(40) for w in g.neighbors(u) if u < w]
+    )
+    cases.append((isolated, SparseDistribution([7, 40], [0.75, 0.25], 41)))
+    rng = np.random.default_rng(4)
+    support = np.sort(rng.choice(40, size=6, replace=False))
+    cases.append((g, SparseDistribution(support, rng.random(6) * 1e-310, 40)))
+    return cases
+
+
+def test_truncated_step_matches_reference_and_reuses_only_same_set():
+    # per step: 0 grows the support, "cut" drops the stepped vertices below
+    # the median of mass / degree (the support shrinks), "hold" takes a
+    # threshold just under the smallest kept ratio of the previous step
+    # (the support usually stays the same set), so a walk shrinks, holds
+    # and regrows to sets it had before
+    schedule = ["zero", "zero", "cut", "hold", "hold", "zero", "cut", "zero", "hold", "hold"]
+    reused = changed = revisited = 0
+    for g, start in walk_cases():
+        dense = start.to_dense()
+        ours, ref = start, start
+        seen = [start.support.tolist()]
+        for kind in schedule * 2:
+            if kind == "zero":
+                threshold = 0.0
+            else:
+                probe, _ = reference_truncated_step(g, ref, 0.0)
+                ratio = probe.mass / np.maximum(g.degrees[probe.support], 1)
+                if kind == "cut":
+                    threshold = float(np.median(ratio))
+                else:
+                    held = ref.mass / np.maximum(g.degrees[ref.support], 1)
+                    threshold = 0.5 * float(held.min()) if held.size else 0.0
+            stepped, kept = truncated_step(g, ours, threshold)
+            ref_stepped, ref_kept = reference_truncated_step(g, ref, threshold)
+            for a, b in ((stepped, ref_stepped), (kept, ref_kept)):
+                assert np.array_equal(a.support, b.support)
+                assert a.mass.tobytes() == b.mass.tobytes()
+            if threshold == 0.0:
+                dense = lazy_step(g, dense)
+                assert stepped.to_dense().tobytes() == dense.tobytes()
+                assert kept.to_dense().tobytes() == dense.tobytes()
+            if np.array_equal(kept.support, ours.support):
+                assert kept.support is ours.support and kept._plan is ours._plan
+                reused += 1
+            else:
+                assert kept.support is not ours.support and kept._plan is None
+                changed += 1
+                revisited += kept.support.tolist() in seen[:-1]
+            if threshold != 0.0:
+                dense = kept.to_dense()
+            seen.append(kept.support.tolist())
+            ours, ref = kept, ref_kept
+    assert reused > 20 and changed > 20 and revisited > 0
+
+
+def test_plan_follows_the_support_array():
+    # hub 0 with five leaves, and the path 0-1-2: from mass on {0, 1} the
+    # kept set is {1, 2}, as large as the support but another set
+    g = Graph.from_edges(8, [(0, 1), (1, 2)] + [(0, leaf) for leaf in range(3, 8)])
+    dist = SparseDistribution([0, 1], [0.01, 0.99], 8)
+    stepped, kept = truncated_step(g, dist, 0.1)
+    ref_stepped, ref_kept = reference_truncated_step(g, dist, 0.1)
+    assert kept.support.tolist() == ref_kept.support.tolist() == [1, 2]
+    assert kept.mass.tobytes() == ref_kept.mass.tobytes()
+    assert kept._plan is None
+    # a plan belongs to its support array: a distribution given another one
+    # is merged afresh
+    _, held = truncated_step(g, kept, 0.1)
+    assert held.support is kept.support and held._plan is kept._plan
+    held.support, held.mass = np.array([0, 2]), np.array([0.5, 0.5])
+    for a, b in zip(truncated_step(g, held, 0.0), reference_truncated_step(g, held, 0.0)):
+        assert np.array_equal(a.support, b.support)
+        assert a.mass.tobytes() == b.mass.tobytes()
