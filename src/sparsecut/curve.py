@@ -87,16 +87,14 @@ def build_curve(g: Graph, p: np.ndarray | SparseDistribution) -> LSCurve:
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
     rank = np.lexsort((p.support, -(p.mass / deg)))
     order = p.support[rank]
-    xs = np.concatenate(([0], np.cumsum(deg[rank])))
-    ys = np.concatenate(([0.0], np.cumsum(p.mass[rank])))
-    sizes = np.arange(order.size + 1, dtype=np.int64)
+    # a last step of no mass runs the curve flat to the total volume, if short
+    xs = np.cumsum(np.concatenate(([0], deg[rank], [0])))
+    ys = np.cumsum(np.concatenate(([0.0], p.mass[rank], [0.0])))
+    sizes = np.minimum(np.arange(order.size + 2, dtype=np.int64), order.size)
     two_m = g.total_volume
-    total_mass = float(ys[-1])
-    if xs[-1] < two_m:
-        xs = np.append(xs, two_m)
-        ys = np.append(ys, total_mass)
-        sizes = np.append(sizes, order.size)
-    return LSCurve(xs, ys, order, sizes, two_m, total_mass)
+    end = order.size + 1 + int(xs[-1] < two_m)
+    xs[-1] = two_m
+    return LSCurve(xs[:end], ys[:end], order, sizes[:end], two_m, float(ys[-1]))
 
 
 def evaluate(curve: LSCurve, x: float) -> float:

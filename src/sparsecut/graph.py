@@ -255,6 +255,21 @@ def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     return g.indices[np.repeat(g.indptr[vertices], deg) + pos]
 
 
+def _copies(g: Graph, b: int) -> Graph:
+    """b disjoint copies of g, vertex v of copy r being r * n + v; offset rows need no sort."""
+    n, arcs = g.vertex_count, g.total_volume
+    shift = np.arange(b)[:, None]
+    return Graph(
+        vertex_count=b * n,
+        edge_count=b * g.edge_count,
+        indptr=np.append((g.indptr[:-1] + arcs * shift).ravel(), b * arcs),
+        indices=(g.indices + n * shift).ravel(),
+        degrees=np.tile(g.degrees, b),
+        total_volume=b * arcs,
+        connected=g.connected and b == 1,
+    )
+
+
 def _positions(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Index of each vertex in the nonempty sorted unique ``ids``; ids.size if absent."""
     pos = np.searchsorted(ids, vertices)

@@ -11,12 +11,12 @@ memory follows the work done, not the vertex count.
 
 The global driver walks the start vertices in blocks of B rows, one B x n
 array of at most ``BLOCK_ARCS`` arcs a block, and keeps only the current
-block and the winner's members. A step of the block is one bincount over
-the arc targets offset by row * n: each row sums its incoming mass in arc
-order, as ``lazy_step`` does, so every row equals the per-seed walk bit for
-bit. Each step then sweeps each row's top-c prefix, ordered like
-``build_curve`` (mass > 0 first, then p/d descending, then id), where c
-counts the smallest degrees whose sum fits the cap: no longer prefix can
+block and the winner's members. A block steps as one ``lazy_step`` of B
+disjoint copies of the graph, a copy a row: each copy adds its incoming mass
+in arc order, as the graph alone does, so every row equals its seed's own
+walk bit for bit. Each step then sweeps each row's top-c prefix, ordered
+like ``build_curve`` (mass > 0 first, then p/d descending, then id), where
+c counts the smallest degrees whose sum fits the cap: no longer prefix can
 fit. A prefix's boundary is its volume minus the arcs inside it, and an arc
 is inside every prefix past its later endpoint, so one bincount of the
 later rank of each arc out of a swept vertex gives every boundary. The
@@ -33,8 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _gather_rows, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _copies, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import WalkSchedule, run_walk
 
@@ -229,22 +230,8 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
     )
 
 
-def _block_step(
-    rows: np.ndarray, rates: np.ndarray, sources: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """``lazy_step`` of every row of a block, bit for bit.
-
-    ``rates`` is rows / degrees, ``sources`` the source vertex of each arc
-    and ``targets`` each row's arc targets offset by row * n. The graph has
-    no zero-degree vertex.
-    """
-    weights = (0.5 * rates)[:, sources].ravel()
-    spread = np.bincount(targets[: weights.size], weights=weights, minlength=rows.size)
-    return 0.5 * rows + spread.reshape(rows.shape)
-
-
 def _block_candidates(
-    g: Graph, rows: np.ndarray, rates: np.ndarray, c: int, cap: float
+    g: Graph, rows: np.ndarray, c: int, cap: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prefixes under the cap of each row's first c vertices in curve order.
 
@@ -252,7 +239,7 @@ def _block_candidates(
     candidate i is the prefix of ``size[i]`` vertices of row ``row[i]``,
     listed by size, then row.
     """
-    key = np.where(rows > 0, -rates, np.inf)
+    key = np.where(rows > 0, -(rows / g.degrees), np.inf)
     order = np.argsort(key, axis=1, kind="stable")[:, :c]
     volumes = np.cumsum(g.degrees[order], axis=1)
     fits = (np.take_along_axis(key, order, axis=1) < np.inf) & (volumes <= cap)
@@ -283,18 +270,15 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     if np.any(degrees == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
-    sources = np.repeat(np.arange(n), degrees)
     block = max(1, min(n, BLOCK_ARCS // g.total_volume))
-    targets = (g.indices + n * np.arange(block)[:, None]).ravel()
     best_key = best_members = None
     work = 0
     for first in range(0, n, block):
         b = min(block, n - first)
-        rows = np.zeros((b, n))
-        rows[np.arange(b), first + np.arange(b)] = 1.0
+        copies = _copies(g, b)
+        rows = np.eye(b, n, first)
         for t in range(params.horizon + 1):
-            rates = rows / degrees
-            order, row, size, boundaries, volumes = _block_candidates(g, rows, rates, c, cap)
+            order, row, size, boundaries, volumes = _block_candidates(g, rows, c, cap)
             if row.size:
                 pick = _select(boundaries, volumes)
                 bd, vol, i, j = (int(a[pick]) for a in (boundaries, volumes, row, size))
@@ -303,7 +287,7 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
                     best_key, best_members = key, order[i, :j].copy()
             if t < params.horizon:
                 work += int(np.dot(rows > 0, degrees).sum())
-                rows = _block_step(rows, rates, sources, targets)
+                rows = walk.lazy_step(copies, rows.ravel()).reshape(b, n)
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work)
     _, _, t, size, seed = best_key

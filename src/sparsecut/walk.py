@@ -122,8 +122,8 @@ def truncated_step(
     sort of the support and its arc targets gives the output support and
     each term's slot in it. This plan is built once per support array (which
     must be strictly increasing); ``kept`` shares the array and the plan
-    when it keeps the same set. Threshold 0 keeps everything, matching the
-    exact step bit for bit.
+    when it keeps the same set. Threshold 0 keeps every vertex with mass
+    (an underflow to zero drops out) and matches the exact step bit for bit.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -146,7 +146,7 @@ def truncated_step(
     if isolated.any():
         out_mass[keep_pos[isolated]] += 0.5 * mass[isolated]
     stepped = SparseDistribution(out_support, out_mass, dist.size)
-    keep = out_mass >= threshold * out_deg
+    keep = out_mass >= threshold * out_deg if threshold else out_mass > 0
     kept = SparseDistribution(out_support[keep], out_mass[keep], dist.size)
     if kept.support.size == sup.size and keep[keep_pos].all():  # the same set
         kept.support, kept._plan = sup, plan

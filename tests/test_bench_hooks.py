@@ -6,9 +6,18 @@ benchmark's own tests are not part of this suite, so these checks are.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
-from sparsecut import LocalParams, find_local_seed, local_partition, ring_of_cliques
+from sparsecut import (
+    GlobalParams,
+    LocalParams,
+    find_local_seed,
+    global_sparsest_cut,
+    local_partition,
+    ring_of_cliques,
+)
+from sparsecut import partition
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -56,3 +65,20 @@ def test_tracer_sees_seed_search_walk_twice():
     assert traced == plain
     assert any(span[0] == "spectral.best_seed_vertex" for span in t.spans)
     assert t.counters["walk.lazy_step.calls"] == 2 * params.horizon
+
+
+def test_tracer_sees_global_walk_steps(monkeypatch):
+    tracer = load_tracer()
+    g = ring_of_cliques(4, 5).graph
+    monkeypatch.setattr(partition, "BLOCK_ARCS", 3 * g.total_volume)  # 3 rows a block
+    params = GlobalParams(k=22, epsilon=0.01, horizon_override=6)
+    plain = global_sparsest_cut(g, params)
+    originals = [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS]
+    t = tracer.Tracer()
+    with t.installed():
+        traced = global_sparsest_cut(g, params)
+    n, horizon = g.vertex_count, params.horizon
+    assert t.counters["walk.lazy_step.calls"] == math.ceil(n / 3) * horizon
+    assert t.counters["walk.lazy_step.arcs"] == horizon * n * g.total_volume
+    assert (traced.best, traced.origin, traced.work) == (plain.best, plain.origin, plain.work)
+    assert [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS] == originals

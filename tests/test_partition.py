@@ -29,7 +29,7 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut import partition, walk
-from sparsecut.graph import Graph, prefix_cut_profile
+from sparsecut.graph import Graph, _copies, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
 from conftest import relabel
@@ -372,20 +372,31 @@ def test_capped_sweep_matches_uncapped_profile(monkeypatch):
     assert 0 < max(profiled) <= cap
 
 
-def test_block_step_rows_equal_lazy_step():
-    rng = np.random.default_rng(8)
+def copies_cases(rng):
     for trial in range(20):
         n = int(rng.integers(2, 40))
-        g = erdos_renyi(n, float(rng.uniform(0.1, 0.8)), rng_seed=300 + trial)
-        if np.any(g.degrees == 0):
-            continue
+        yield erdos_renyi(n, float(rng.uniform(0.1, 0.8)), rng_seed=300 + trial)
+    yield Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3)])  # 4 is isolated
+
+
+def test_copies_step_every_row_as_lazy_step():
+    rng = np.random.default_rng(8)
+    for g in copies_cases(rng):
+        n = g.vertex_count
         b = int(rng.integers(1, 6))
+        copies = _copies(g, b)
+        assert copies.vertex_count == b * n and copies.edge_count == b * g.edge_count
+        assert copies.total_volume == b * g.total_volume
+        assert np.array_equal(copies.degrees, np.tile(g.degrees, b))
+        assert np.array_equal(np.diff(copies.indptr), copies.degrees)
+        src = np.repeat(np.arange(b * n), copies.degrees)
+        arcs = src * (b * n) + copies.indices
+        assert np.all(np.diff(arcs) > 0)  # rows in order, each sorted
+        assert np.array_equal(np.sort(copies.indices * (b * n) + src), arcs)  # symmetric
+        assert np.array_equal(copies.indices // n, src // n)  # copies stay disjoint
         rows = rng.random((b, n)) * (rng.random((b, n)) < 0.6)
         rows[:, : n // 3] *= 1e-310  # subnormal masses
-        sources = np.repeat(np.arange(n), g.degrees)
-        # targets laid out for more rows than the block holds, as in a last block
-        targets = (g.indices + n * np.arange(b + 2)[:, None]).ravel()
-        out = partition._block_step(rows, rows / g.degrees, sources, targets)
+        out = lazy_step(copies, rows.ravel()).reshape(b, n)
         for row, got in zip(rows, out):
             assert got.tobytes() == lazy_step(g, row).tobytes()
 
@@ -404,7 +415,7 @@ def test_block_candidates_follow_build_curve():
     rates = rows / g.degrees
     assert rates[0, 1] == 0.0 < rows[0, 1]
     cap = g.total_volume
-    order, row, size, boundaries, volumes = partition._block_candidates(g, rows, rates, n, cap)
+    order, row, size, boundaries, volumes = partition._block_candidates(g, rows, n, cap)
     for i in range(rows.shape[0]):
         curve_order = build_curve(g, rows[i]).vertex_order
         assert np.array_equal(order[i, : curve_order.size], curve_order)

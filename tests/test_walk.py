@@ -4,6 +4,7 @@ import pytest
 from sparsecut import (
     SparseDistribution,
     WalkSchedule,
+    build_curve,
     complete,
     erdos_renyi,
     lazy_step,
@@ -114,6 +115,26 @@ def test_truncated_step_zero_threshold_matches_exact():
             assert np.array_equal(stepped.to_dense(), p)
             assert np.array_equal(kept.to_dense(), p)
             sparse = kept
+
+
+def test_zero_threshold_support_is_the_dense_nonzeros():
+    # 700 steps along a path underflow the frontier's masses to exact zeros;
+    # a threshold-0 step drops them, as they drop out of the dense walk's
+    # nonzeros, so its curve is the dense walk's curve
+    g = path(1500)
+    dense = dense_walk(g, np.eye(1, 1500)[0], 700)
+    dist = SparseDistribution.from_dense(dense[0])
+    underflows = 0
+    for p in dense[1:]:
+        stepped, dist = truncated_step(g, dist, 0.0)
+        support = np.flatnonzero(p)
+        assert np.array_equal(dist.support, support)
+        assert dist.mass.tobytes() == p[support].tobytes()
+        underflows += stepped.support.size - support.size
+    assert underflows > 0
+    ours, exact = build_curve(g, dist), build_curve(g, dense[-1])
+    for name in ("x", "y", "vertex_order", "prefix_sizes"):
+        assert getattr(ours, name).tobytes() == getattr(exact, name).tobytes()
 
 
 def test_truncated_step_star_example():
