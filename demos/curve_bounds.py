@@ -7,8 +7,6 @@ conductance at least phi1 the whole curve sits below the decaying envelope
 x/l + sqrt(x) * (1 - phi1^2/8)^t.
 """
 
-import numpy as np
-
 from sparsecut import (
     Envelope,
     WalkSchedule,

@@ -16,7 +16,6 @@ from .curve import (
     check_chord_bound,
     envelope_value,
     evaluate,
-    level_sets,
 )
 from .spectral import (
     CertificateReport,

@@ -3,12 +3,13 @@
 For a distribution p, order the vertices that carry mass by p(v)/d(v)
 descending (ties by ascending id) and plot cumulative mass against
 cumulative volume, running flat from the end of the support to the total
-volume. The resulting piecewise-linear curve is concave; its corner
-("extreme") points are the prefixes of the ordering and the prefixes
-themselves are the level sets that sweep cuts inspect. Two bounds are
-runnable here: the one-step chord average at extreme points, and the
-decaying envelope x/l + sqrt(x) * (1 - phi1^2/8)^t that holds while every
-inspected level set has conductance at least phi1.
+volume. The resulting piecewise-linear curve is concave. A curve is held
+as that order and its extreme points: point j is the prefix of the first j
+vertices, which is the level set that sweep cuts inspect, and one last
+point closes the flat run when the support falls short of the total
+volume. Two bounds are runnable here: the one-step chord average at
+extreme points, and the decaying envelope x/l + sqrt(x) * (1 - phi1^2/8)^t
+that holds while every inspected level set has conductance at least phi1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .graph import Cut, Graph, prefix_cut_profile
+from .graph import Graph, prefix_cut_profile
 from .walk import SparseDistribution
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "ChordViolation",
     "build_curve",
     "evaluate",
-    "level_sets",
     "envelope_value",
     "check_chord_bound",
 ]
@@ -36,20 +36,18 @@ __all__ = [
 class LSCurve:
     """Piecewise-linear concave curve of cumulative mass over volume.
 
-    ``x`` and ``y`` list the extreme points, starting at (0, 0) with x
-    strictly increasing up to the total volume. ``vertex_order`` is the
-    support (the vertices carrying mass) ordered by p(v)/d(v) descending,
-    ties by ascending id; its prefixes are the level sets, and after them
-    the curve runs flat to the total volume. ``prefix_sizes[i]`` is the
-    number of ordered vertices consumed at extreme point i.
+    ``vertex_order`` is the support (the vertices carrying mass) ordered
+    by p(v)/d(v) descending, ties by ascending id. ``x`` and ``y`` list the
+    extreme points, starting at (0, 0) with x strictly increasing: point j,
+    for j <= len(vertex_order), is the volume and mass of the first j
+    vertices, and a last point at the same mass closes the curve at the
+    total volume when the support does not reach it. So ``x[-1]`` is the
+    total volume and ``y[-1]`` the total mass.
     """
 
     x: np.ndarray
     y: np.ndarray
     vertex_order: np.ndarray
-    prefix_sizes: np.ndarray
-    total_volume: int
-    total_mass: float
 
 
 @dataclass(frozen=True)
@@ -90,39 +88,18 @@ def build_curve(g: Graph, p: np.ndarray | SparseDistribution) -> LSCurve:
     # a last step of no mass runs the curve flat to the total volume, if short
     xs = np.cumsum(np.concatenate(([0], deg[rank], [0])))
     ys = np.cumsum(np.concatenate(([0.0], p.mass[rank], [0.0])))
-    sizes = np.minimum(np.arange(order.size + 2, dtype=np.int64), order.size)
     two_m = g.total_volume
     end = order.size + 1 + int(xs[-1] < two_m)
     xs[-1] = two_m
-    return LSCurve(xs[:end], ys[:end], order, sizes[:end], two_m, float(ys[-1]))
+    return LSCurve(xs[:end], ys[:end], order)
 
 
 def evaluate(curve: LSCurve, x: float) -> float:
     """Curve value at x by linear interpolation between extreme points."""
-    if x < 0 or x > curve.total_volume:
-        raise ValueError(f"x={x} outside [0, {curve.total_volume}]")
+    total_volume = int(curve.x[-1])
+    if x < 0 or x > total_volume:
+        raise ValueError(f"x={x} outside [0, {total_volume}]")
     return float(np.interp(x, curve.x, curve.y))
-
-
-def level_sets(g: Graph, curve: LSCurve, vol_cap: int) -> list[Cut]:
-    """Prefixes of the curve ordering with volume at most vol_cap, as Cuts."""
-    if vol_cap < 1:
-        raise ValueError("vol_cap must be at least 1")
-    volumes, boundaries = prefix_cut_profile(g, curve.vertex_order)
-    cuts = []
-    for j in range(volumes.size):
-        if volumes[j] > vol_cap:
-            break
-        members = tuple(sorted(int(v) for v in curve.vertex_order[: j + 1]))
-        cuts.append(
-            Cut(
-                members=members,
-                volume=int(volumes[j]),
-                boundary=int(boundaries[j]),
-                conductance=int(boundaries[j]) / int(volumes[j]),
-            )
-        )
-    return cuts
 
 
 @dataclass(frozen=True)
@@ -141,27 +118,24 @@ def check_chord_bound(
 ) -> list[ChordViolation]:
     """Verify the one-step chord bound between consecutive walk curves.
 
-    For every extreme point x <= min(m, vol_cap) of the later curve, with S
-    its level set and phi = conductance(S), checks
+    For every prefix S of the later curve's order with volume x <=
+    min(m, vol_cap), which are its extreme points under that cap, with
+    phi = conductance(S), checks
     C_next(x) <= (C_prev(x - phi*x) + C_prev(x + phi*x)) / 2 + tol.
     Holds for exact steps and for thresholded steps (removing mass can only
     lower the later curve). Returns the violations, expected empty.
     """
-    m = g.edge_count
-    limit = min(m, vol_cap)
-    volumes, boundaries = prefix_cut_profile(g, nxt.vertex_order)
+    order = nxt.vertex_order
+    # the prefixes under the cap, counted as sweep counts them
+    limit = min(g.edge_count, vol_cap)
+    c = int(np.searchsorted(nxt.x[1 : order.size + 1], limit, side="right"))
+    volumes, boundaries = prefix_cut_profile(g, order[:c])
     violations = []
-    for i in range(1, nxt.x.size):
-        x = int(nxt.x[i])
-        if x > limit:
-            continue
-        j = int(nxt.prefix_sizes[i])
-        if j < 1 or j > volumes.size or int(volumes[j - 1]) != x:
-            continue  # flat-extension point duplicating the support prefix
-        phi = int(boundaries[j - 1]) / x
-        reach = phi * x
+    for j in range(1, c + 1):
+        x = int(volumes[j - 1])
+        reach = (int(boundaries[j - 1]) / x) * x  # phi * x in floats, as stated
         allowed = 0.5 * (evaluate(prev, x - reach) + evaluate(prev, x + reach))
-        observed = float(nxt.y[i])
+        observed = float(nxt.y[j])
         if observed > allowed + tol:
             violations.append(ChordViolation(x=x, observed=observed, allowed=allowed))
     return violations

@@ -86,6 +86,7 @@ def complete(n: int) -> Graph:
 
 
 _ER_CHUNK = 1 << 20  # pair draws per chunk
+_MAX_EXACT_VERTICES = 22  # exact_phi_k's enumeration cap
 
 
 def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
@@ -106,19 +107,19 @@ def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     return Graph.from_edges(n, np.stack([i, i + 1 + k - first[i]], axis=1))
 
 
-def exact_phi_k(g: Graph, k: int, max_vertices: int = 22) -> tuple[Fraction, Cut]:
+def exact_phi_k(g: Graph, k: int) -> tuple[Fraction, Cut]:
     """Exhaustive minimum conductance over nonempty sets of volume <= k.
 
     Exact rational arithmetic throughout; the witness is the
     lexicographically smallest member tuple among the minimizers, so reruns
     and parallel splits agree. Enumeration walks vertices in ascending
     degree order and prunes any branch whose volume budget is exhausted.
-    Refuses graphs beyond max_vertices.
+    Refuses graphs of more than 22 vertices.
     """
     n = g.vertex_count
-    if n > max_vertices:
+    if n > _MAX_EXACT_VERTICES:
         raise ValueError(
-            f"exhaustive enumeration refused for n={n} > {max_vertices}"
+            f"exhaustive enumeration refused for n={n} > {_MAX_EXACT_VERTICES}"
         )
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -29,6 +29,8 @@ __all__ = [
     "best_seed_vertex",
 ]
 
+_MAX_ITERATIONS = 1_000_000  # power-iteration cap of restricted_eigenpair
+
 
 class ConvergenceError(RuntimeError):
     """Power iteration hit its iteration cap; carries the best estimate."""
@@ -77,7 +79,6 @@ def restricted_eigenpair(
     g: Graph,
     subset,
     tol: float = 1e-10,
-    max_iterations: int = 1_000_000,
 ) -> LocalEigenpair:
     """Principal eigenpair of the walk restricted to a connected subset.
 
@@ -103,19 +104,14 @@ def restricted_eigenpair(
 
     def operator(vec: np.ndarray) -> np.ndarray:
         scaled = vec * inv_sqrt
-        if indices.size:
-            incoming = np.bincount(
-                row_of_arc, weights=scaled[indices], minlength=members.size
-            )
-        else:
-            incoming = np.zeros(members.size)
+        incoming = np.bincount(row_of_arc, weights=scaled[indices], minlength=members.size)
         return 0.5 * vec + 0.5 * (inv_sqrt * incoming)
 
     y = np.sqrt(deg)
     y /= np.linalg.norm(y)
     rho_prev = -np.inf
     rho = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         z = operator(y)
         rho = float(y @ z)
         residual = float(np.max(np.abs(z - rho * y)))
@@ -128,7 +124,7 @@ def restricted_eigenpair(
         y = z / norm
     else:
         raise ConvergenceError(
-            f"no convergence within {max_iterations} iterations",
+            f"no convergence within {_MAX_ITERATIONS} iterations",
             2.0 * (1.0 - rho),
         )
     if np.any(y <= 0):

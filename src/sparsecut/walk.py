@@ -161,8 +161,6 @@ class WalkTrace:
     Iterating or indexing the trace yields the distributions.
     """
 
-    seed: int
-    schedule: WalkSchedule
     distributions: list = field(default_factory=list)
     touched_volume: list[int] = field(default_factory=list)
 
@@ -189,7 +187,7 @@ def run_walk(g: Graph, seed: int, schedule: WalkSchedule) -> WalkTrace:
     """
     if not (0 <= seed < g.vertex_count):
         raise ValueError("seed out of range")
-    trace = WalkTrace(seed=seed, schedule=schedule)
+    trace = WalkTrace()
     if schedule.truncation == 0.0:
         p = np.zeros(g.vertex_count, dtype=np.float64)
         p[seed] = 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsecut import (
+    ChordViolation,
     Envelope,
     SparseDistribution,
     WalkSchedule,
@@ -12,10 +13,11 @@ from sparsecut import (
     envelope_value,
     erdos_renyi,
     evaluate,
-    level_sets,
+    path,
     ring_of_cliques,
     run_walk,
 )
+from sparsecut.graph import prefix_cut_profile
 
 from conftest import dense_walk
 
@@ -112,8 +114,6 @@ def test_dense_curve_equals_sparse_curve():
             np.testing.assert_array_equal(dense.x, sparse.x)
             np.testing.assert_array_equal(dense.y, sparse.y)
             np.testing.assert_array_equal(dense.vertex_order, sparse.vertex_order)
-            np.testing.assert_array_equal(dense.prefix_sizes, sparse.prefix_sizes)
-            assert dense.total_mass == sparse.total_mass
             assert np.all(p[dense.vertex_order] > 0)
 
 
@@ -126,24 +126,14 @@ def test_curve_rejects_mass_on_isolated_vertex():
         build_curve(g, p)
 
 
-def test_level_sets_cap_behavior(barbell3):
-    g = barbell3.graph
-    curve = build_curve(g, stationary(g))
-    everything = level_sets(g, curve, g.total_volume)
-    assert len(everything) == g.vertex_count
-    nothing = level_sets(g, curve, 1)
-    assert nothing == []  # every vertex has degree >= 2 here
-
-
 def test_level_sets_include_planted_triangle(barbell3):
     g = barbell3.graph
     p = np.zeros(g.vertex_count)
     p[[0, 1, 2]] = [0.5, 0.3, 0.2]
-    cuts = level_sets(g, build_curve(g, p), 7)
-    assert any(
-        set(c.members) == {0, 1, 2} and c.conductance == pytest.approx(1 / 7)
-        for c in cuts
-    )
+    order = build_curve(g, p).vertex_order
+    volumes, boundaries = prefix_cut_profile(g, order)
+    assert set(order[:3].tolist()) == {0, 1, 2}
+    assert (int(boundaries[2]), int(volumes[2])) == (1, 7)
 
 
 def test_envelope_values():
@@ -172,6 +162,59 @@ def test_chord_bound_thirty_steps(family_graphs, truncation):
         curves = [build_curve(g, d) for d in trace]
         for prev, nxt in zip(curves, curves[1:]):
             assert check_chord_bound(g, prev, nxt, g.edge_count, tol=1e-9) == []
+
+
+def reference_check_chord_bound(g, prev, nxt, vol_cap, tol=1e-9):
+    # check_chord_bound as it was when curves carried prefix_sizes, which
+    # was min(i, len(vertex_order)) at extreme point i: it walks every
+    # extreme point and skips those above the cap or past the support
+    m = g.edge_count
+    limit = min(m, vol_cap)
+    volumes, boundaries = prefix_cut_profile(g, nxt.vertex_order)
+    violations = []
+    for i in range(1, nxt.x.size):
+        x = int(nxt.x[i])
+        if x > limit:
+            continue
+        j = min(i, nxt.vertex_order.size)
+        if j < 1 or j > volumes.size or int(volumes[j - 1]) != x:
+            continue  # flat-extension point duplicating the support prefix
+        phi = int(boundaries[j - 1]) / x
+        reach = phi * x
+        allowed = 0.5 * (evaluate(prev, x - reach) + evaluate(prev, x + reach))
+        observed = float(nxt.y[i])
+        if observed > allowed + tol:
+            violations.append(ChordViolation(x=x, observed=observed, allowed=allowed))
+    return violations
+
+
+def test_chord_bound_equals_reference():
+    # tol=-10 reports every inspected point, so the lists compare the
+    # points walked as well as the floats computed at them
+    graphs = [
+        barbell(6).graph,
+        ring_of_cliques(5, 6).graph,
+        path(30),
+        complete(12),
+        erdos_renyi(60, 0.1, rng_seed=7),
+        ring_of_cliques(10, 10).graph,
+        path(200),
+    ]
+    inspected = 0
+    for g in graphs:
+        for truncation in (0.0, 1e-4, 1e-2):
+            for seed in (0, g.vertex_count // 2):
+                trace = run_walk(g, seed, WalkSchedule(40, truncation))
+                curves = [build_curve(g, d) for d in trace]
+                for prev, nxt in zip(curves, curves[1:]):
+                    for cap in (g.edge_count, 7, 50, 10**9):
+                        for tol in (-10.0, 1e-9):
+                            ours = check_chord_bound(g, prev, nxt, cap, tol=tol)
+                            ref = reference_check_chord_bound(g, prev, nxt, cap, tol=tol)
+                            assert ours == ref
+                            assert all(type(v.x) is int for v in ours)
+                            inspected += len(ref) if tol < 0 else 0
+    assert inspected > 10_000
 
 
 def test_exact_curves_dominate_monotonically():

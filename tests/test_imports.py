@@ -1,0 +1,48 @@
+"""Every name a module imports is referenced in that module.
+
+Parses the library modules (bar ``__init__.py``, whose imports are its
+exports), the tests and the demos, and reports each imported name that no
+expression, decorator, annotation or ``__all__`` entry refers to.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    [p for p in (ROOT / "src" / "sparsecut").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "demos").glob("*.py"))
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # names a module re-exports by listing them in __all__
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    source = "import numpy as np\nfrom .graph import Cut, Graph\n\ndef f(g: Graph):\n    pass\n"
+    assert unused_imports(source) == ["line 1: np", "line 2: Cut"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

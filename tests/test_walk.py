@@ -133,7 +133,7 @@ def test_zero_threshold_support_is_the_dense_nonzeros():
         underflows += stepped.support.size - support.size
     assert underflows > 0
     ours, exact = build_curve(g, dist), build_curve(g, dense[-1])
-    for name in ("x", "y", "vertex_order", "prefix_sizes"):
+    for name in ("x", "y", "vertex_order"):
         assert getattr(ours, name).tobytes() == getattr(exact, name).tobytes()
 
 
