@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
@@ -276,6 +277,17 @@ def _positions(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return np.where(ids.take(pos, mode="clip") == vertices, pos, ids.size)
 
 
+# A support merge: sorted unique ids and their degrees, the sorted union of the ids
+# and their arc targets, and each id's and arc's slot in it (arcs row by row). A
+# bare profile's lookup lists the ids alone; slot len(union) is then outside it.
+Merge = namedtuple("Merge", "ids deg union id_slot arc_slot")
+
+
+def _merge(g: Graph, ids: np.ndarray) -> Merge:
+    union, slot = np.unique(np.concatenate([ids, _gather_rows(g, ids)]), return_inverse=True)
+    return Merge(ids, g.degrees[ids], union, slot[: ids.size], slot[ids.size :])
+
+
 def cut_of(g: Graph, members: Iterable[int]) -> Cut:
     """Exact volume, boundary edge count, and conductance of a vertex set."""
     sel = np.unique(np.asarray(list(members), dtype=np.int64))
@@ -285,39 +297,39 @@ def cut_of(g: Graph, members: Iterable[int]) -> Cut:
     volume, boundary = int(volumes[-1]), int(boundaries[-1])
     if volume == 0:
         raise ValueError("vertex set has zero volume; conductance undefined")
-    return Cut(
-        members=tuple(int(v) for v in sel),
-        volume=volume,
-        boundary=boundary,
-        conductance=boundary / volume,
-    )
+    return Cut(tuple(sel.tolist()), volume, boundary, conductance=boundary / volume)
 
 
-def prefix_cut_profile(g: Graph, order: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = None) -> tuple:
     """Volumes and boundary sizes of every prefix of a vertex ordering.
 
     Returns (volumes, boundaries), each of length len(order), where entry
-    j-1 describes the prefix of the first j vertices. Each neighbor's rank
-    is looked up in a sorted copy of the ordering, so time and memory are
-    proportional to the volume of the ordered set and no array of length n
-    is made: it is usable on sparse-walk supports without touching the rest
-    of the graph. A prefix's boundary is its volume minus the arcs inside
-    it, and an arc is inside every prefix past its later endpoint.
+    j-1 describes the prefix of the first j vertices. Ranks are read through
+    ``merge``, taken on trust to merge a sorted superset of the ordering (a
+    sparse walk step's plan for its support); a bare call looks arc targets
+    up in a sorted copy of the ordering. No array of length n is made. A
+    prefix's boundary is its volume minus the arcs inside it, and an arc is
+    inside every prefix past its later endpoint: one bincount of later ranks.
     """
     order = np.asarray(order, dtype=np.int64)
     s = order.size
     if s == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rank = np.argsort(order, kind="stable")
-    ids = order[rank]
-    if ids[0] < 0 or ids[-1] >= g.vertex_count:
-        raise ValueError("vertex id out of range")
-    if (ids[1:] == ids[:-1]).any():
-        raise ValueError("ordering contains repeated vertices")
-    deg = g.degrees[order]
-    # rank of each arc's target, s when it is not in the ordering
-    target_rank = np.append(rank, s)[_positions(ids, _gather_rows(g, order))]
-    last = np.maximum(np.repeat(np.arange(s), deg), target_rank)
-    volumes = np.cumsum(deg)
+    if merge is None:
+        rank = np.argsort(order, kind="stable")  # each sorted id's rank
+        ids = order[rank]
+        if ids[0] < 0 or ids[-1] >= g.vertex_count:
+            raise ValueError("vertex id out of range")
+        if (ids[1:] == ids[:-1]).any():
+            raise ValueError("ordering contains repeated vertices")
+        arc_slot = _positions(ids, _gather_rows(g, ids))
+        merge = Merge(ids, g.degrees[ids], ids, np.arange(s), arc_slot)
+    else:  # rank s: a merged id outside the ordering
+        rank = np.full(merge.ids.size, s)
+        rank[np.searchsorted(merge.ids, order)] = np.arange(s)
+    slot_rank = np.full(merge.union.size + 1, s)
+    slot_rank[merge.id_slot] = rank
+    last = np.maximum(np.repeat(rank, merge.deg), slot_rank[merge.arc_slot])
+    volumes = np.cumsum(g.degrees[order])
     inside = np.cumsum(np.bincount(last, minlength=s + 1)[:s])
     return volumes, volumes - inside

@@ -7,7 +7,8 @@ and reports not-found when nothing beats the acceptance threshold
 8*sqrt(phi/eps). All tie-breaking is total, so identical inputs always
 return the identical outcome. The local driver's walk, curves, prefix
 profiles and cut touch only the walk's support and its neighbors, so its
-memory follows the work done, not the vertex count.
+memory follows the work done, not the vertex count; the sweep profiles a
+step's level sets through the support merge its walk step already holds.
 
 The global driver walks the start vertices in blocks of B rows, one B x n
 array of at most ``BLOCK_ARCS`` arcs a block, and keeps only the current
@@ -116,6 +117,8 @@ class LocalParams:
             raise ValueError("k must be at least 2")
         if not 0.0 < self.phi <= 1.0:
             raise ValueError("phi must lie in (0, 1]")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.epsilon <= 2.0 / self.k:
             raise ValueError("epsilon must exceed 2/k")
 
@@ -187,7 +190,8 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
     prefix. Work is taken from the trajectory when it carries accounting
     (a WalkTrace); the outcome records per-step minima. A step whose capped
     order equals the previous step's has the same prefixes, so it repeats
-    that step's minimum without a profile: being later, it cannot win.
+    that step's minimum without a profile: being later, it cannot win. A
+    sparse step is profiled through its walk plan, built here if it has none.
     """
     if vol_cap < 1:
         raise ValueError("vol_cap must be at least 1")
@@ -212,7 +216,8 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
         if c == 0:
             step_min.append(None)
             continue
-        volumes, boundaries = prefix_cut_profile(g, capped)
+        merge = walk._plan_of(g, dist)[0] if isinstance(dist, walk.SparseDistribution) else None
+        volumes, boundaries = prefix_cut_profile(g, capped, merge)
         j = _select(boundaries, volumes)
         bd, vol = int(boundaries[j]), int(volumes[j])
         step_min.append((bd, vol))
@@ -222,12 +227,8 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work, step_min_cut=step_min)
     _, _, t, j = best_key
-    return SweepOutcome(
-        best=cut_of(g, best_order[:j]),
-        origin=Origin(seed=None, step=t, prefix=j),
-        work=work,
-        step_min_cut=step_min,
-    )
+    origin = Origin(seed=None, step=t, prefix=j)
+    return SweepOutcome(cut_of(g, best_order[:j]), origin, work, step_min_cut=step_min)
 
 
 def _block_candidates(
@@ -324,8 +325,6 @@ def local_partition(g: Graph, params: LocalParams) -> SweepOutcome:
     the work done. Only the existence of a good seed is guaranteed; an
     arbitrary seed may legitimately come up empty.
     """
-    if params.seed >= g.vertex_count:
-        raise ValueError("seed out of range")
     schedule = WalkSchedule(horizon=params.horizon, truncation=params.truncation)
     trace = run_walk(g, params.seed, schedule)
     outcome = sweep(g, trace, params.volume_cap)

@@ -6,14 +6,14 @@ whose incoming mass falls strictly below threshold * degree after the step,
 which keeps the support volume at most 1/threshold and makes per-step work
 proportional to the volume of the current support.
 
-The sparse step merges the support with its neighbors in one sort, writes
-the kept half-mass first and then adds each vertex's incoming mass in the
-same (ascending-source) arc order as the dense step; skipped terms are exact
-zeros, so as long as no truncation has fired the two paths agree bit for bit
-and the thresholded walk never exceeds the exact one even in floating point.
-The step makes no array of length n. The merge is built once per support
-array, as the support's plan, and a kept distribution of the same set shares
-that array and plan: a walk that has settled on a region redoes no merge.
+The sparse step merges the support with its neighbors in one sort, sums
+each vertex's incoming mass in the dense step's (ascending-source) arc
+order and then adds the kept half; addition commutes and skipped terms are
+exact zeros, so until a truncation fires the two paths agree bit for bit
+and the thresholded walk never exceeds the exact one even in floating
+point. No array of length n is made. The merge is the support's plan, built
+once per support array and shared by a kept distribution of the same set:
+a settled walk redoes no merge, and the sweep profiles its level sets by it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, _gather_rows
+from .graph import Graph, _merge
 
 __all__ = [
     "SparseDistribution",
@@ -40,13 +40,15 @@ class SparseDistribution:
     """Walk state carrying only the vertices with surviving mass.
 
     ``support`` is sorted and unique; ``mass`` holds the matching positive
-    values. ``size`` is the ambient vertex count.
+    values, except in a step's ``stepped`` output, which lists the whole
+    out-support and so may hold underflowed zeros. ``size`` is the ambient
+    vertex count.
     """
 
     support: np.ndarray
     mass: np.ndarray
     size: int
-    # truncated_step's merge of ``support``, valid while _plan[0] is that array
+    # _plan_of's record for ``support``, valid while _plan[0].ids is that array
     _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -83,7 +85,7 @@ class WalkSchedule:
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        if self.truncation < 0:
+        if not self.truncation >= 0:
             raise ValueError("truncation threshold must be nonnegative")
 
 
@@ -97,17 +99,22 @@ def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
     if p.shape != (g.vertex_count,):
         raise ValueError("distribution length does not match vertex count")
     rates = np.divide(p, g.degrees, out=np.zeros_like(p), where=g.degrees > 0)
-    contrib = 0.5 * rates
-    spread = np.bincount(
-        g.indices,
-        weights=np.repeat(contrib, g.degrees),
-        minlength=g.vertex_count,
-    )
-    out = 0.5 * p + spread
+    out = 0.5 * p + np.bincount(g.indices, np.repeat(0.5 * rates, g.degrees), g.vertex_count)
     isolated = g.degrees == 0
     if isolated.any():
         out[isolated] += 0.5 * p[isolated]
     return out
+
+
+def _plan_of(g: Graph, dist: SparseDistribution) -> tuple:
+    """(merge, union degrees, has a zero-degree id) of dist's support, built once per array."""
+    sup, plan = dist.support, dist._plan
+    if plan is None or plan[0].ids is not sup:
+        if np.any(sup[1:] <= sup[:-1]):
+            raise ValueError("support must be strictly increasing")
+        merge = _merge(g, sup)
+        plan = dist._plan = (merge, g.degrees[merge.union], not merge.deg.all())
+    return plan
 
 
 def truncated_step(
@@ -115,41 +122,34 @@ def truncated_step(
 ) -> tuple[SparseDistribution, SparseDistribution]:
     """One sparse lazy step followed by mass thresholding.
 
-    Returns (stepped, kept): ``stepped`` is dist * W restricted to the
-    support and its neighbors; ``kept`` zeroes every vertex whose stepped
-    mass is strictly below threshold * degree (mass exactly at the threshold
-    survives). Work is proportional to the volume of the support: one
-    sort of the support and its arc targets gives the output support and
-    each term's slot in it. This plan is built once per support array (which
-    must be strictly increasing); ``kept`` shares the array and the plan
-    when it keeps the same set. Threshold 0 keeps every vertex with mass
-    (an underflow to zero drops out) and matches the exact step bit for bit.
+    Returns (stepped, kept): ``stepped`` is dist * W on the support and its
+    neighbors, all of them, so a mass that underflows shows as a zero;
+    ``kept`` zeroes every vertex whose stepped mass is strictly below
+    threshold * degree (mass exactly at the threshold survives) and holds
+    only positive masses. Work is proportional to the volume of the
+    support: one sort of the support and its arc targets (``graph.Merge``)
+    gives the output support and each term's slot in it. This plan is built
+    once per support array (which must be strictly increasing); ``kept``
+    shares the array and the plan when it keeps the same set. Threshold 0
+    keeps every vertex with mass and matches the exact step bit for bit.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    sup, mass, plan = dist.support, dist.mass, dist._plan
-    if plan is None or plan[0] is not sup:
-        if np.any(sup[1:] <= sup[:-1]):
-            raise ValueError("support must be strictly increasing")
-        out, slot = np.unique(np.concatenate([sup, _gather_rows(g, sup)]), return_inverse=True)
-        deg = g.degrees[sup]
-        plan = dist._plan = (sup, deg, out, g.degrees[out], slot[: sup.size], slot[sup.size :])
-    _, deg, out_support, out_deg, keep_pos, arc_slot = plan
-    rates = np.divide(mass, deg, out=np.zeros_like(mass), where=deg > 0)
-    contrib = 0.5 * rates
-    # keep term first, then the incoming sums, which bincount accumulates in
-    # arc order like the dense step's: the same adds as lazy_step
-    out_mass = np.zeros(out_support.size, dtype=np.float64)
-    out_mass[keep_pos] = 0.5 * mass
-    out_mass += np.bincount(arc_slot, weights=np.repeat(contrib, deg), minlength=out_support.size)
-    isolated = deg == 0
-    if isolated.any():
-        out_mass[keep_pos[isolated]] += 0.5 * mass[isolated]
-    stepped = SparseDistribution(out_support, out_mass, dist.size)
+    merge, out_deg, isolated = _plan_of(g, dist)
+    mass, deg, slot = dist.mass, merge.deg, merge.id_slot
+    rates = mass / (np.maximum(deg, 1) if isolated else deg)  # deg 0: nothing is sent
+    # bincount sums the incoming mass in arc order, as lazy_step does, and
+    # the kept half comes after; with no arcs it counts integer zeros
+    out_mass = np.bincount(merge.arc_slot, np.repeat(0.5 * rates, deg), merge.union.size)
+    out_mass = out_mass.astype(np.float64, copy=False)
+    out_mass[slot] += 0.5 * mass
+    if isolated:
+        out_mass[slot[deg == 0]] += 0.5 * mass[deg == 0]
+    stepped = SparseDistribution(merge.union, out_mass, dist.size)
     keep = out_mass >= threshold * out_deg if threshold else out_mass > 0
-    kept = SparseDistribution(out_support[keep], out_mass[keep], dist.size)
-    if kept.support.size == sup.size and keep[keep_pos].all():  # the same set
-        kept.support, kept._plan = sup, plan
+    kept = SparseDistribution(merge.union[keep], out_mass[keep], dist.size)
+    if kept.support.size == merge.ids.size and keep[slot].all():  # the same set
+        kept.support, kept._plan = merge.ids, dist._plan
     return stepped, kept
 
 
@@ -197,14 +197,8 @@ def run_walk(g: Graph, seed: int, schedule: WalkSchedule) -> WalkTrace:
             trace.touched_volume.append(int(g.degrees[prev > 0].sum()))
             trace.distributions.append(lazy_step(g, prev))
         return trace
-    start = SparseDistribution(
-        np.array([seed], dtype=np.int64), np.array([1.0]), g.vertex_count
-    )
-    if 1.0 < schedule.truncation * g.degree(seed):
-        start = SparseDistribution(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), g.vertex_count
-        )
-    trace.distributions.append(start)
+    live = int(1.0 >= schedule.truncation * g.degree(seed))  # the start is thresholded too
+    trace.distributions.append(SparseDistribution([seed][:live], [1.0][:live], g.vertex_count))
     for _ in range(schedule.horizon):
         prev = trace.distributions[-1]
         trace.touched_volume.append(prev.support_volume(g))

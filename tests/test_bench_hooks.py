@@ -34,11 +34,19 @@ def test_tracer_hooks_resolve():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_tracer_sees_local_query_layers():
+def test_tracer_sees_local_query_layers(monkeypatch):
     tracer = load_tracer()
     g = ring_of_cliques(4, 5).graph
     params = LocalParams(seed=0, k=22, phi=2 / 22, epsilon=0.2)
-    plain = local_partition(g, params)
+    profile, profiles = partition.prefix_cut_profile, []
+
+    def counting(*args):
+        profiles.append(1)
+        return profile(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(partition, "prefix_cut_profile", counting)
+        plain = local_partition(g, params)
     originals = [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS]
     t = tracer.Tracer()
     with t.installed():
@@ -47,7 +55,8 @@ def test_tracer_sees_local_query_layers():
     # layers: every step still passes through them, with the same result
     assert t.counters["walk.truncated_step.calls"] == params.horizon
     assert any(span[0] == "partition.sweep" for span in t.spans)
-    assert t.counters["graph.prefix_cut_profile.calls"] > 0
+    # every profile the sweep makes passes through the hook
+    assert t.counters["graph.prefix_cut_profile.calls"] == len(profiles) > 0
     assert t.counters["graph.prefixes_examined"] > 0
     assert (traced.best, traced.origin, traced.work) == (plain.best, plain.origin, plain.work)
     assert traced.step_min_cut == plain.step_min_cut

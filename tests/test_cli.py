@@ -165,6 +165,22 @@ def test_runtime_error_exits_one(tmp_path):
     assert b"error" in res.stderr
 
 
+def test_non_finite_parameters_exit_one(tmp_path, ring_file):
+    # each is one error line, not a traceback, and not a run that exits 0
+    graph = str(ring_file)
+    local = ["local", graph, "--seed", "0", "--k", "22", "--phi", "0.1", "--epsilon"]
+    curve = ["curve", graph, "--seed", "0", "--steps", "5", "--truncation", "nan"]
+    for args, message in (
+        (local + ["inf"], "epsilon must be finite"),
+        (local + ["nan"], "epsilon must be finite"),
+        (curve, "truncation threshold must be nonnegative"),
+    ):
+        res = run_cli(args, cwd=tmp_path)
+        assert res.returncode == 1, args
+        assert res.stdout == b""
+        assert res.stderr.decode() == f"sparsecut: error: {message}\n"
+
+
 def test_self_loop_reports_line_number(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n3 3\n")

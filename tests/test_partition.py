@@ -29,7 +29,7 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut import partition, walk
-from sparsecut.graph import Graph, _copies, prefix_cut_profile
+from sparsecut.graph import Graph, _copies, _positions, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
 from conftest import relabel
@@ -229,6 +229,13 @@ def test_tight_volume_run_with_relaxed_bound():
     assert out.best.volume <= (1 + eps) * k
 
 
+def test_local_params_reject_non_finite_epsilon():
+    # inf overflowed the horizon's ceil, NaN failed to convert to an integer
+    for eps in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            LocalParams(seed=0, k=92, phi=2 / 92, epsilon=eps)
+
+
 def test_local_params_derived_quantities():
     params = LocalParams(seed=0, k=92, phi=2 / 92, epsilon=0.2)
     assert params.horizon == math.ceil(0.2 * math.log(92) / (2 * (2 / 92)))
@@ -350,9 +357,9 @@ def test_capped_sweep_matches_uncapped_profile(monkeypatch):
     cap = 2.5 * inst.planted.volume
     profiled = []
 
-    def recording(g, order):
+    def recording(g, order, merge=None):
         profiled.append(int(g.degrees[order].sum()))
-        return prefix_cut_profile(g, order)
+        return prefix_cut_profile(g, order, merge)
 
     monkeypatch.setattr(partition, "prefix_cut_profile", recording)
     for schedule in (WalkSchedule(30, 0.0), WalkSchedule(30, 1e-4)):
@@ -505,11 +512,11 @@ def test_load_memory_stays_bounded(tmp_path):
 
 def test_local_query_memory_does_not_grow_with_n():
     # the local path looks vertices up in the walk's support, never in an
-    # array of length n, so the same work on a 20x longer ring takes the
+    # array of length n, so the same work on a 100x longer ring takes the
     # same memory
     params = LocalParams(seed=5, k=382, phi=2 / 382, epsilon=0.2)
     runs = []
-    for r in (200, 4000):
+    for r in (200, 20000):
         n = 20 * r
         g = ring_of_cliques(r, 20).graph
         tracemalloc.start()
@@ -556,9 +563,9 @@ def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
         trajectories.append((g, sampled, 1.5 * inst.planted.volume))
     profiled = []
 
-    def recording(g, order):
+    def recording(g, order, merge=None):
         profiled.append(order.size)
-        return prefix_cut_profile(g, order)
+        return prefix_cut_profile(g, order, merge)
 
     monkeypatch.setattr(partition, "prefix_cut_profile", recording)
     swept = 0
@@ -583,10 +590,11 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
     # over runs of steps and its capped order repeats, so the walk merges a
     # support once per run of equal supports and the sweep profiles an order
     # once per run of equal capped orders, where a step-by-step run makes 114
-    # merges and 115 profiles
+    # merges and 115 profiles; every profile reads the walk's plan, so only
+    # the winner's cut_of looks its members up in a sorted copy
     g = ring_of_cliques(200, 20).graph
     params = LocalParams(seed=5, k=382, phi=2 / 382, epsilon=0.2)
-    counts = {"gather": 0, "profile": 0}
+    counts = {"merge": 0, "profile": 0, "lookup": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -595,13 +603,14 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(walk, "_gather_rows", counted("gather", walk._gather_rows))
+    monkeypatch.setattr(walk, "_merge", counted("merge", walk._merge))
+    monkeypatch.setattr("sparsecut.graph._positions", counted("lookup", _positions))
     monkeypatch.setattr(
         partition, "prefix_cut_profile", counted("profile", partition.prefix_cut_profile)
     )
     out = local_partition(g, params)
     assert params.horizon == 114
-    assert counts == {"gather": 5, "profile": 54}
+    assert counts == {"merge": 5, "profile": 54, "lookup": 1}
     assert out.best.exact == Fraction(2, 1146)
     assert out.origin == Origin(seed=5, step=3, prefix=60)
     assert out.work == 132_189

@@ -13,7 +13,7 @@ from sparsecut import (
     run_walk,
     truncated_step,
 )
-from sparsecut.graph import Graph, _gather_rows
+from sparsecut.graph import Graph, _gather_rows, prefix_cut_profile
 
 from conftest import dense_walk, relabel
 
@@ -135,6 +135,70 @@ def test_zero_threshold_support_is_the_dense_nonzeros():
     ours, exact = build_curve(g, dist), build_curve(g, dense[-1])
     for name in ("x", "y", "vertex_order"):
         assert getattr(ours, name).tobytes() == getattr(exact, name).tobytes()
+
+
+def test_zero_threshold_stepped_without_zeros_is_kept():
+    # ``stepped`` lists the whole out-support, so a mass that underflowed
+    # to zero stays listed; ``kept`` holds only positive masses, so at
+    # threshold 0 it is ``stepped`` without its zeros, bit for bit
+    g = path(1500)
+    dist = SparseDistribution([0], [1.0], 1500)
+    with_zero = 0
+    for _ in range(700):
+        stepped, kept = truncated_step(g, dist, 0.0)
+        live = stepped.mass != 0
+        assert np.array_equal(stepped.support[live], kept.support)
+        assert stepped.mass[live].tobytes() == kept.mass.tobytes()
+        assert (stepped.mass >= 0).all() and (kept.mass > 0).all()
+        with_zero += not live.all()
+        dist = kept
+    assert with_zero == 54
+
+
+def test_nan_truncation_is_rejected():
+    # NaN passes a "< 0" test; a walk with it would drop all its mass
+    g = path(3)
+    with pytest.raises(ValueError, match="truncation threshold must be nonnegative"):
+        WalkSchedule(5, float("nan"))
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        truncated_step(g, SparseDistribution([1], [1.0], 3), float("nan"))
+
+
+def test_plan_fed_profile_equals_bare_profile():
+    # every capped prefix of every step's orders, profiled through the plan
+    # the step kept for the support (a merge of a superset of the prefix),
+    # equals the bare profile element for element, dtype included
+    ring = relabel(ring_of_cliques(6, 6), 3).graph
+    er = erdos_renyi(40, 0.2, rng_seed=3)
+    isolated = Graph.from_edges(
+        41, [(u, int(w)) for u in range(40) for w in er.neighbors(u) if u < w]
+    )
+    starts = [
+        (ring, SparseDistribution([7], [1.0], ring.vertex_count)),
+        (isolated, SparseDistribution([7, 40], [0.75, 0.25], 41)),  # 40 has no arcs
+        (path(200), SparseDistribution([0], [1.0], 200)),
+    ]
+    rng = np.random.default_rng(6)
+    profiles = 0
+    for g, start in starts:
+        for threshold in (0.0, 1e-4, 1e-2):
+            dist = start
+            for _ in range(25):
+                _, kept = truncated_step(g, dist, threshold)
+                merge = dist._plan[0]
+                assert merge.ids is dist.support
+                orders = [rng.permutation(dist.support)]
+                if g.degrees[dist.support].all():
+                    orders.append(build_curve(g, dist).vertex_order)
+                for order in orders:
+                    for c in range(order.size + 1):
+                        fed = prefix_cut_profile(g, order[:c], merge)
+                        bare = prefix_cut_profile(g, order[:c])
+                        for a, b in zip(fed, bare):
+                            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                        profiles += 1
+                dist = kept
+    assert profiles > 5000
 
 
 def test_truncated_step_star_example():
