@@ -271,6 +271,13 @@ def _copies(g: Graph, b: int) -> Graph:
     )
 
 
+def _first_copies(copies: Graph, g: Graph, w: int) -> Graph:
+    """The first w copies in ``copies = _copies(g, b)``, b >= w, as views; equals _copies(g, w)."""
+    n, arcs = g.vertex_count, g.total_volume
+    head = (copies.indptr[: w * n + 1], copies.indices[: w * arcs], copies.degrees[: w * n])
+    return Graph(w * n, w * g.edge_count, *head, w * arcs, g.connected and w == 1)
+
+
 def _positions(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Index of each vertex in the nonempty sorted unique ``ids``; ids.size if absent."""
     pos = np.searchsorted(ids, vertices)

@@ -10,19 +10,17 @@ profiles and cut touch only the walk's support and its neighbors, so its
 memory follows the work done, not the vertex count; the sweep profiles a
 step's level sets through the support merge its walk step already holds.
 
-The global driver walks the start vertices in blocks of B rows, one B x n
-array of at most ``BLOCK_ARCS`` arcs a block, and keeps only the current
-block and the winner's members. A block steps as one ``lazy_step`` of B
-disjoint copies of the graph, a copy a row: each copy adds its incoming mass
-in arc order, as the graph alone does, so every row equals its seed's own
-walk bit for bit. Each step then sweeps each row's top-c prefix, ordered
-like ``build_curve`` (mass > 0 first, then p/d descending, then id), where
-c counts the smallest degrees whose sum fits the cap: no longer prefix can
-fit. A prefix's boundary is its volume minus the arcs inside it, and an arc
-is inside every prefix past its later endpoint, so one bincount of the
-later rank of each arc out of a swept vertex gives every boundary. The
-candidates pass through the selection ``sweep`` uses, so the winner, its
-origin and the work equal those of a sweep of every seed's own walk.
+The global driver keeps one block of B start vertices, B x n walk rows of at
+most ``BLOCK_ARCS`` cells and swept arcs, and the winner's members. A block
+steps in chunks, each one ``lazy_step`` of disjoint graph copies, a copy a row,
+at most ``BLOCK_ARCS`` arcs: each copy adds its incoming mass in arc order, as
+the graph alone does, so every row is its seed's own walk bit for bit. Each
+step sweeps each row's top-c prefix in ``build_curve`` order; no prefix past
+the c smallest degrees fits the cap. A prefix's boundary is its volume minus
+the arcs inside it, and an arc is inside every prefix past its later endpoint,
+so one bincount of the later rank of each swept vertex's arcs gives every
+boundary. Candidates, listed by (prefix, row), go through ``sweep``'s
+selection: winner, origin and work equal a sweep of each seed's walk.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _copies, _gather_rows, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _copies, _first_copies, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import WalkSchedule, run_walk
 
@@ -53,8 +51,8 @@ __all__ = [
     "find_local_seed",
 ]
 
-# Arcs in one block of the global search: its step and sweep arrays take a
-# few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
+# Cells and swept arcs in one sweep block, and arcs in one walk chunk, of the global
+# search: its arrays take a few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
 
 
@@ -240,13 +238,14 @@ def _block_candidates(
     candidate i is the prefix of ``size[i]`` vertices of row ``row[i]``,
     listed by size, then row.
     """
-    key = np.where(rows > 0, -(rows / g.degrees), np.inf)
-    order = np.argsort(key, axis=1, kind="stable")[:, :c]
+    key = np.divide(rows, -g.degrees, out=np.full(rows.shape, np.inf), where=rows > 0)
+    order = np.argsort(key, axis=1, kind="stable")[:, :c].copy()
+    del key  # no B x n float array outlives the sort
     volumes = np.cumsum(g.degrees[order], axis=1)
-    fits = (np.take_along_axis(key, order, axis=1) < np.inf) & (volumes <= cap)
+    fits = (np.take_along_axis(rows, order, axis=1) > 0) & (volumes <= cap)
     pos, row = np.nonzero(fits.T)
     swept = order[row, pos]
-    rank = np.full(rows.shape, c, dtype=np.int64)  # c: in no candidate
+    rank = np.full(rows.shape, c, dtype=np.min_scalar_type(c))  # c: in no candidate
     rank[row, swept] = pos
     deg = g.degrees[swept]
     arc_row = np.repeat(row, deg)
@@ -271,12 +270,14 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     if np.any(degrees == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
-    block = max(1, min(n, BLOCK_ARCS // g.total_volume))
+    chunk = max(1, min(n, BLOCK_ARCS // g.total_volume))
+    block = chunk * max(1, BLOCK_ARCS // (chunk * max(n, int(cap))))  # a row sweeps <= cap arcs
+    copies = _copies(g, chunk)
+    last = _first_copies(copies, g, (n - 1) % chunk + 1)  # the last chunk of the last block
     best_key = best_members = None
     work = 0
     for first in range(0, n, block):
         b = min(block, n - first)
-        copies = _copies(g, b)
         rows = np.eye(b, n, first)
         for t in range(params.horizon + 1):
             order, row, size, boundaries, volumes = _block_candidates(g, rows, c, cap)
@@ -288,7 +289,9 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
                     best_key, best_members = key, order[i, :j].copy()
             if t < params.horizon:
                 work += int(np.dot(rows > 0, degrees).sum())
-                rows = walk.lazy_step(copies, rows.ravel()).reshape(b, n)
+                for s in range(0, b, chunk):
+                    part = rows[s : s + chunk].ravel()  # a view: the chunk steps in place
+                    part[:] = walk.lazy_step(copies if part.size == chunk * n else last, part)
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work)
     _, _, t, size, seed = best_key

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -29,7 +30,7 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut import partition, walk
-from sparsecut.graph import Graph, _copies, _positions, prefix_cut_profile
+from sparsecut.graph import Graph, _copies, _first_copies, _positions, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
 from conftest import relabel
@@ -408,6 +409,28 @@ def test_copies_step_every_row_as_lazy_step():
             assert got.tobytes() == lazy_step(g, row).tobytes()
 
 
+def test_first_copies_are_views_equal_to_fewer_copies():
+    rng = np.random.default_rng(9)
+    for g in copies_cases(rng):
+        n = g.vertex_count
+        b = int(rng.integers(1, 6))
+        copies = _copies(g, b)
+        for w in range(1, b + 1):
+            head, fresh = _first_copies(copies, g, w), _copies(g, w)
+            for field in dataclasses.fields(Graph):
+                got, want = getattr(head, field.name), getattr(fresh, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert np.shares_memory(got, getattr(copies, field.name))
+                else:
+                    assert got == want, field.name
+            rows = rng.random((w, n)) * (rng.random((w, n)) < 0.6)
+            rows[:, : n // 3] *= 1e-310  # subnormal masses
+            out = lazy_step(head, rows.ravel()).reshape(w, n)
+            for row, got in zip(rows, out):
+                assert got.tobytes() == lazy_step(g, row).tobytes()
+
+
 def test_block_candidates_follow_build_curve():
     # ties in p/d, zero masses, and a positive mass whose ratio underflows
     # to zero must all order as build_curve orders them
@@ -436,6 +459,18 @@ def test_block_candidates_follow_build_curve():
     assert np.all(np.diff(row)[np.diff(size) == 0] > 0)
 
 
+def test_block_candidates_rank_past_255_prefixes():
+    # c = 300 needs a rank table wider than one byte
+    g = Graph.from_edges(300, [(v, (v + 1) % 300) for v in range(300)])
+    rows = np.random.default_rng(5).random((3, 300))
+    rows[2, ::7] = 0.0
+    order, row, size, boundaries, volumes = partition._block_candidates(g, rows, 300, 600.0)
+    for i in range(3):
+        vols, bnds = prefix_cut_profile(g, build_curve(g, rows[i]).vertex_order)
+        assert np.array_equal(volumes[row == i], vols)
+        assert np.array_equal(boundaries[row == i], bnds)
+
+
 def equivalence_cases():
     cases = []
     for seed in (1, 2):
@@ -459,16 +494,48 @@ def equivalence_cases():
     return cases
 
 
+def record_block_calls(monkeypatch):
+    """Lists that collect the rows of each global sweep and the graph of each lazy_step."""
+    sweeps, steps = [], []
+    sweep_block, step = partition._block_candidates, walk.lazy_step
+
+    def sweeping(g, rows, c, cap):
+        sweeps.append(rows.shape[0])
+        return sweep_block(g, rows, c, cap)
+
+    def stepping(g, p):
+        steps.append(g)
+        return step(g, p)
+
+    monkeypatch.setattr(partition, "_block_candidates", sweeping)
+    monkeypatch.setattr(walk, "lazy_step", stepping)
+    return sweeps, steps
+
+
 def test_global_equals_per_seed_reference(monkeypatch):
     cases = equivalence_cases()
     assert len(cases) >= 20
+    sweeps, steps = record_block_calls(monkeypatch)
+    several_chunks = 0
     for g, params in cases:
+        n = g.vertex_count
         expected = per_seed_global(g, params)
-        # one row a block, a few rows a block, and every seed in one block
-        for block_arcs in (1, 3 * g.total_volume, 1 << 20):
+        q = next(q for q in range(2, n) if n % q)
+        # one row a block, a few rows a block, every seed in one block, and
+        # walk chunks of q >= 2 rows, the last one short, in the largest
+        # sweep blocks that keep the chunks at q rows
+        for block_arcs in (1, 3 * g.total_volume, 1 << 20, (q + 1) * g.total_volume - 1):
             monkeypatch.setattr(partition, "BLOCK_ARCS", block_arcs)
+            sweeps.clear()
+            steps.clear()
             out = global_sparsest_cut(g, params)
             assert (out.best, out.origin, out.work) == expected
+        if params.horizon > 0:
+            chunks = {copies.vertex_count for copies in steps}
+            assert chunks == {q * n, (n % q) * n}
+            several_chunks += max(sweeps) >= 2 * q
+    # most caps leave a sweep block room for two chunks or more
+    assert several_chunks >= 10
 
 
 def test_global_rejects_mass_on_isolated_vertex():
@@ -491,6 +558,37 @@ def test_global_memory_stays_bounded():
     assert out.best.exact == inst.phi_planted
     assert out.work == 11_819_232
     assert peak < 1_000_000
+
+
+def test_global_memory_stays_bounded_under_a_large_cap():
+    # a row sweeps up to cap arcs, so a cap near the total volume shrinks
+    # the sweep block: the peak stays near the small-cap one, not B x cap
+    g = erdos_renyi(100, 0.5, rng_seed=1)
+    params = GlobalParams(k=g.total_volume // 2, epsilon=0.01, horizon_override=3)
+    expected = global_sparsest_cut(g, params)  # also loads what numpy imports lazily
+    tracemalloc.start()
+    try:
+        out = global_sparsest_cut(g, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.best, out.origin, out.work) == (expected.best, expected.origin, expected.work)
+    assert peak < 1_000_000
+
+
+def test_global_sweeps_each_step_of_a_block_in_one_call(monkeypatch):
+    # ring_of_cliques(12, 10): 2m = 1104, so the walk steps 14-row chunks
+    # of one 120-row sweep block that holds every seed: 97 sweeps a solve
+    g = ring_of_cliques(12, 10).graph
+    params = GlobalParams(k=92, epsilon=0.01)
+    sweeps, steps = record_block_calls(monkeypatch)
+    out = global_sparsest_cut(g, params)
+    n, horizon, chunk = g.vertex_count, params.horizon, partition.BLOCK_ARCS // g.total_volume
+    assert (n, horizon, chunk) == (120, 96, 14)
+    assert sweeps == [n] * (horizon + 1)
+    assert len(steps) == math.ceil(n / chunk) * horizon
+    assert sum(copies.total_volume for copies in steps) == horizon * n * g.total_volume
+    assert out.work == 11_819_232
 
 
 def test_load_memory_stays_bounded(tmp_path):
