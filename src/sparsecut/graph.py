@@ -256,6 +256,19 @@ def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     return g.indices[np.repeat(g.indptr[vertices], deg) + pos]
 
 
+def _ball(g: Graph, ids: np.ndarray, radius: int) -> np.ndarray:
+    """Sorted vertices within ``radius`` hops of ``ids``, by frontier BFS over an n-byte mask."""
+    seen = np.zeros(g.vertex_count, dtype=bool)
+    seen[ids] = True
+    frontier = ids
+    for _ in range(radius):
+        arcs = _gather_rows(g, frontier)
+        if not (frontier := np.unique(arcs[~seen[arcs]])).size:
+            break
+        seen[frontier] = True
+    return np.flatnonzero(seen)
+
+
 def _copies(g: Graph, b: int) -> Graph:
     """b disjoint copies of g, vertex v of copy r being r * n + v; offset rows need no sort."""
     n, arcs = g.vertex_count, g.total_volume

@@ -54,6 +54,7 @@ __all__ = [
 # Cells and swept arcs in one sweep block, and arcs in one walk chunk, of the global
 # search: its arrays take a few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
+_MAX_HORIZON = 1_000_000  # local walk step limit, as spectral's power-iteration cap
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class LocalParams:
     Derived: horizon ceil(eps * ln k / (2 phi)), walk threshold
     k^(-1-eps) / (20 * horizon), volume cap 5 * k^(1+eps), and acceptance
     threshold 8 * sqrt(phi / eps). The analysis regime is phi < 0.01, but
-    any phi in (0, 1] is accepted and simply run.
+    any phi in (0, 1] whose horizon is at most 1,000,000 steps is run.
     """
 
     seed: int
@@ -119,6 +120,8 @@ class LocalParams:
             raise ValueError("epsilon must be finite")
         if self.epsilon <= 2.0 / self.k:
             raise ValueError("epsilon must exceed 2/k")
+        if not self.epsilon * math.log(self.k) / (2.0 * self.phi) <= _MAX_HORIZON:
+            raise ValueError(f"local horizon exceeds {_MAX_HORIZON} steps: raise phi")
 
     @property
     def horizon(self) -> int:
@@ -344,7 +347,8 @@ def find_local_seed(g: Graph, members, params: LocalParams) -> int:
     The set must be induced-connected with volume at most k and conductance
     at most phi; the returned vertex is the smallest id among the starts
     retaining the most mass at the local horizon (up to a relative 1e-12),
-    found by best_seed_vertex in two walks whatever the set's size.
+    found by best_seed_vertex in two walks over the set's (horizon//2 + 1)-hop
+    ball, exact on the set, whatever the set's size or the graph's.
     """
     target = cut_of(g, members)
     if target.volume > params.k:

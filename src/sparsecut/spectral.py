@@ -8,6 +8,14 @@ conductance of S. Both facts are checked here numerically. The best
 single-vertex start is located by one degree-weighted walk from S, which by
 reversibility gives every start's retention at once, and one confirming
 walk from the chosen vertex.
+
+A walk of T steps from S that is read on S only steps the subgraph induced
+on the ball of R = T//2 + 1 hops around S, bit for bit. Vertices within R - 1
+hops keep all their arcs; layer-R vertices lose some, but mass reaches them
+at step R, so a first wrong value appears at step R + 1, one hop inside. It
+moves a hop a step and reaches S at step 2R >= T + 1. Until then a left-out
+arc carries an exact zero, and each target still adds its sources in
+ascending id order, so every sum rounds the same.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _gather_rows, _is_connected, _positions, cut_of
+from .graph import Graph, _ball, _gather_rows, _is_connected, _positions, cut_of
 from .walk import lazy_step
 
 __all__ = [
@@ -58,7 +66,8 @@ class LocalEigenpair:
     seed_distribution: np.ndarray
 
 
-def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, Graph]:
+    """The sorted unique subset and the subgraph it induces, vertex i being its i-th id."""
     members = np.unique(np.asarray(list(subset), dtype=np.int64))
     if members.size == 0:
         raise ValueError("subset must be nonempty")
@@ -66,13 +75,12 @@ def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, np.ndarray, np.
         raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    nb = _positions(members, _gather_rows(g, members))
-    inside = nb < members.size
-    row_of_arc = np.repeat(np.arange(members.size), g.degrees[members])
-    counts = np.bincount(row_of_arc[inside], minlength=members.size)
-    indptr = np.zeros(members.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return members, indptr, nb[inside]
+    s, nb = members.size, _positions(members, _gather_rows(g, members))
+    inside = nb < s
+    degrees = np.bincount(np.repeat(np.arange(s), g.degrees[members])[inside], minlength=s)
+    indptr, arcs = np.concatenate([[0], np.cumsum(degrees)]), nb[inside]
+    connected = _is_connected(s, indptr, arcs)
+    return members, Graph(s, arcs.size // 2, indptr, arcs, degrees, arcs.size, connected)
 
 
 def restricted_eigenpair(
@@ -90,21 +98,21 @@ def restricted_eigenpair(
     Rayleigh quotient start at 1 - conductance(S)/2 and increase monotonely,
     so the reported value never exceeds conductance(S) + tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    members, indptr, indices = _restricted_adjacency(g, subset)
-    if not _is_connected(members.size, indptr, indices):
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    members, sub = _restricted_adjacency(g, subset)
+    if not sub.connected:
         raise ValueError(
             "subset induces a disconnected subgraph; "
             "compute one eigenpair per component instead"
         )
     deg = g.degrees[members].astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    row_of_arc = np.repeat(np.arange(members.size), np.diff(indptr))
+    row_of_arc = np.repeat(np.arange(members.size), sub.degrees)
 
     def operator(vec: np.ndarray) -> np.ndarray:
         scaled = vec * inv_sqrt
-        incoming = np.bincount(row_of_arc, weights=scaled[indices], minlength=members.size)
+        incoming = np.bincount(row_of_arc, weights=scaled[sub.indices], minlength=members.size)
         return 0.5 * vec + 0.5 * (inv_sqrt * incoming)
 
     y = np.sqrt(deg)
@@ -159,27 +167,32 @@ def certify_lower_bound(
     Asserts, for every t <= horizon, that the mass kept inside the subset is
     at least (1 - lambda/2)^t - tol, componentwise and in aggregate. A
     failure raises CertificateViolation: the inequality is unconditional, so
-    it can only mean a bug.
+    it can only mean a bug. The walk steps the (horizon//2 + 1)-hop ball of
+    the subset, which reads on the subset as the whole graph, bit for bit.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     # eigenpair residual enters the margins scaled by roughly horizon, so
     # solve it well below the reporting tolerance
     pair = restricted_eigenpair(g, subset, tol=min(1e-13, tol / 100))
     members = pair.subset
     phi = cut_of(g, members).conductance
-    p = np.zeros(g.vertex_count, dtype=np.float64)
-    p[members] = pair.seed_distribution
+    ball, walk_g = _restricted_adjacency(g, _ball(g, members, horizon // 2 + 1))
+    at = np.searchsorted(ball, members)
+    p = np.zeros(ball.size, dtype=np.float64)
+    p[at] = pair.seed_distribution
     decay = 1.0 - pair.value / 2.0
     mass_margins = np.empty(horizon + 1)
     component_margins = np.empty(horizon + 1)
     factor = 1.0
     for t in range(horizon + 1):
-        inside = p[members]
+        inside = p[at]
         mass_margins[t] = inside.sum() - factor
         component_margins[t] = float(np.min(inside - factor * pair.seed_distribution))
         if t < horizon:
-            p = lazy_step(g, p)
+            p = lazy_step(walk_g, p)
             factor *= decay
     worst = min(mass_margins.min(), component_margins.min())
     if worst < -tol:
@@ -203,35 +216,38 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     pi_S = d 1_S / vol(S): one walk from pi_S ranks every start. The smallest
     id ranked within a relative 1e-12 of the maximum wins, so starts equal up
     to roundoff tie by id, and one exact walk from it gives the returned mass:
-    2 * horizon dense steps whatever |S|. The walk from pi_S also checks the
-    average-start escape bound, mass in S >= 1 - t * conductance(S)/2 at each
-    step t; the returned mass must meet (1 - conductance(S)/2)^horizon.
+    2 * horizon steps of the (horizon//2 + 1)-hop ball of S, exact on S. The
+    walk from pi_S also checks the average-start escape bound, mass in S >=
+    1 - t * conductance(S)/2 at each step t; the returned mass must meet
+    (1 - conductance(S)/2)^horizon.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    members, indptr, indices = _restricted_adjacency(g, subset)
-    if not _is_connected(members.size, indptr, indices):
+    members, sub = _restricted_adjacency(g, subset)
+    if not sub.connected:
         raise ValueError("subset induces a disconnected subgraph")
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()
-    p = np.zeros(g.vertex_count, dtype=np.float64)
-    p[members] = deg / vol
+    ball, walk_g = _restricted_adjacency(g, _ball(g, members, horizon // 2 + 1))
+    at = np.searchsorted(ball, members)
+    p = np.zeros(ball.size, dtype=np.float64)
+    p[at] = deg / vol
     for t in range(1, horizon + 1):
-        p = lazy_step(g, p)
-        kept = float(p[members].sum())
+        p = lazy_step(walk_g, p)
+        kept = float(p[at].sum())
         if kept < 1.0 - t * phi / 2.0 - 1e-12:
             raise CertificateViolation(f"average start keeps {kept:.6e} < 1 - t*phi/2 at step {t}")
-    retained = p[members] * vol / deg
-    best_vertex = int(members[np.flatnonzero(retained >= retained.max() * (1.0 - 1e-12))[0]])
-    p = np.zeros(g.vertex_count, dtype=np.float64)
-    p[best_vertex] = 1.0
+    retained = p[at] * vol / deg
+    best = np.flatnonzero(retained >= retained.max() * (1.0 - 1e-12))[0]
+    p = np.zeros(ball.size, dtype=np.float64)
+    p[at[best]] = 1.0
     for _ in range(horizon):
-        p = lazy_step(g, p)
-    best_value = float(p[members].sum())
+        p = lazy_step(walk_g, p)
+    best_value = float(p[at].sum())
     bound = (1.0 - phi / 2.0) ** horizon
     if best_value < bound - max(1e-12, 1e-9 * bound):
         raise CertificateViolation(
             f"best start retains {best_value:.6e} < guaranteed {bound:.6e}"
         )
-    return best_vertex, best_value
+    return int(members[best]), best_value

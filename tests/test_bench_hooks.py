@@ -12,6 +12,7 @@ from pathlib import Path
 from sparsecut import (
     GlobalParams,
     LocalParams,
+    certify_lower_bound,
     find_local_seed,
     global_sparsest_cut,
     local_partition,
@@ -74,6 +75,31 @@ def test_tracer_sees_seed_search_walk_twice():
     assert traced == plain
     assert any(span[0] == "spectral.best_seed_vertex" for span in t.spans)
     assert t.counters["walk.lazy_step.calls"] == 2 * params.horizon
+
+
+def ball_arcs(g, members, radius):
+    """Arcs of the subgraph induced on the vertices within radius hops of members."""
+    dist = dict.fromkeys(members, 0)
+    frontier = list(members)
+    for d in range(1, radius + 1):
+        frontier = [w for v in frontier for w in g.neighbors(v).tolist() if w not in dist]
+        dist.update(dict.fromkeys(frontier, d))
+    return sum(w in dist for v in dist for w in g.neighbors(v).tolist())
+
+
+def test_tracer_sees_certificate_steps_on_the_ball():
+    tracer = load_tracer()
+    g = ring_of_cliques(6, 8).graph
+    horizon = 5
+    plain = certify_lower_bound(g, range(8), horizon)
+    t = tracer.Tracer()
+    with t.installed():
+        traced = certify_lower_bound(g, range(8), horizon)
+    assert traced.mass_margins.tobytes() == plain.mass_margins.tobytes()
+    arcs = ball_arcs(g, range(8), horizon // 2 + 1)
+    assert arcs < g.total_volume
+    assert t.counters["walk.lazy_step.calls"] == horizon
+    assert t.counters["walk.lazy_step.arcs"] == horizon * arcs
 
 
 def test_tracer_sees_global_walk_steps(monkeypatch):

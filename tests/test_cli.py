@@ -170,10 +170,15 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
     graph = str(ring_file)
     local = ["local", graph, "--seed", "0", "--k", "22", "--phi", "0.1", "--epsilon"]
     curve = ["curve", graph, "--seed", "0", "--steps", "5", "--truncation", "nan"]
+    # phi = 1e-320 overflowed the horizon's ceil, 1e-9 asked for 3e8 steps
+    tiny = [local[:7] + [phi, "--epsilon", "0.2"] for phi in ("1e-320", "1e-9")]
+    horizon = "local horizon exceeds 1000000 steps: raise phi"
     for args, message in (
         (local + ["inf"], "epsilon must be finite"),
         (local + ["nan"], "epsilon must be finite"),
         (curve, "truncation threshold must be nonnegative"),
+        (tiny[0], horizon),
+        (tiny[1], horizon),
     ):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1, args

@@ -237,6 +237,17 @@ def test_local_params_reject_non_finite_epsilon():
             LocalParams(seed=0, k=92, phi=2 / 92, epsilon=eps)
 
 
+def test_local_params_bound_the_horizon():
+    # phi = 1e-320 overflowed the horizon's ceil; 1e-300 asked for ~3e299 steps
+    for phi in (1e-320, 1e-300, 1e-9):
+        with pytest.raises(ValueError, match="local horizon exceeds 1000000 steps"):
+            LocalParams(seed=0, k=22, phi=phi, epsilon=0.2)
+    edge = 0.2 * math.log(22) / 2e6  # the phi whose horizon is 1,000,000 steps
+    assert LocalParams(seed=0, k=22, phi=edge * (1 + 1e-12), epsilon=0.2).horizon == 1_000_000
+    with pytest.raises(ValueError, match="local horizon"):
+        LocalParams(seed=0, k=22, phi=edge * (1 - 1e-12), epsilon=0.2)
+
+
 def test_local_params_derived_quantities():
     params = LocalParams(seed=0, k=92, phi=2 / 92, epsilon=0.2)
     assert params.horizon == math.ceil(0.2 * math.log(92) / (2 * (2 / 92)))

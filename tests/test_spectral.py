@@ -14,9 +14,11 @@ from sparsecut import (
     cut_of,
     erdos_renyi,
     lazy_step,
+    path,
     restricted_eigenpair,
     ring_of_cliques,
 )
+from sparsecut.graph import _ball
 
 from conftest import random_connected_subset, relabel
 
@@ -274,3 +276,106 @@ def test_convexity_transfer_is_exact():
 def test_certificate_violation_is_a_real_error():
     with pytest.raises(CertificateViolation):
         raise CertificateViolation("synthetic")
+
+
+def test_non_finite_tolerance_is_rejected():
+    # NaN made every margin check pass and sent the eigenpair spinning to its
+    # iteration cap; an infinite tolerance certifies nothing
+    g = ring_of_cliques(4, 5).graph
+    for tol in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            restricted_eigenpair(g, range(5), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            certify_lower_bound(g, range(5), 10, tol=tol)
+
+
+def dense_margins(g, members, horizon):
+    """Certificate margins of the eigenvector-seeded walk over the whole graph."""
+    pair = restricted_eigenpair(g, members, tol=1e-13)
+    members = pair.subset
+    p = np.zeros(g.vertex_count, dtype=np.float64)
+    p[members] = pair.seed_distribution
+    decay = 1.0 - pair.value / 2.0
+    mass_margins = np.empty(horizon + 1)
+    component_margins = np.empty(horizon + 1)
+    factor = 1.0
+    for t in range(horizon + 1):
+        inside = p[members]
+        mass_margins[t] = inside.sum() - factor
+        component_margins[t] = float(np.min(inside - factor * pair.seed_distribution))
+        if t < horizon:
+            p = lazy_step(g, p)
+            factor *= decay
+    return mass_margins, component_margins
+
+
+def dense_best_seed(g, members, horizon):
+    """best_seed_vertex's two walks, each stepping the whole graph."""
+    members = np.unique(np.asarray(members, dtype=np.int64))
+    deg = g.degrees[members].astype(np.float64)
+    vol = deg.sum()
+    p = np.zeros(g.vertex_count, dtype=np.float64)
+    p[members] = deg / vol
+    for _ in range(horizon):
+        p = lazy_step(g, p)
+    retained = p[members] * vol / deg
+    vertex = int(members[np.flatnonzero(retained >= retained.max() * (1.0 - 1e-12))[0]])
+    p = np.zeros(g.vertex_count, dtype=np.float64)
+    p[vertex] = 1.0
+    for _ in range(horizon):
+        p = lazy_step(g, p)
+    return vertex, float(p[members].sum())
+
+
+def test_ball_walk_equals_dense_walk_bit_for_bit():
+    # the certificates step the (horizon//2 + 1)-hop ball of the set; read on
+    # the set, every step must carry the whole graph's bits
+    rng = np.random.default_rng(41)
+    horizons = (0, 1, 2, 3, 4, 7, 10, 15, 22, 29, 30)
+    cases = []
+    for inst in (relabel(ring_of_cliques(10, 6), 3), relabel(barbell(7), 5)):
+        members, phi = list(inst.planted.members), float(inst.phi_planted)
+        local = LocalParams(seed=0, k=inst.planted.volume, phi=phi, epsilon=0.2)
+        cases += [(inst.graph, members, h) for h in horizons + (local.horizon,)]
+        for h in horizons:
+            cases += [(inst.graph, random_connected_subset(inst.graph, rng), h) for _ in range(2)]
+    for g in (path(60), erdos_renyi(40, 0.08, rng_seed=8)):
+        for h in horizons:
+            cases += [(g, random_connected_subset(g, rng, max_size=6), h) for _ in range(3)]
+    partial = 0
+    for g, members, horizon in cases:
+        report = certify_lower_bound(g, members, horizon)
+        mass, component = dense_margins(g, members, horizon)
+        assert report.mass_margins.tobytes() == mass.tobytes(), (members, horizon)
+        assert report.component_margins.tobytes() == component.tobytes(), (members, horizon)
+        vertex, achieved = best_seed_vertex(g, members, horizon)
+        expected_vertex, expected = dense_best_seed(g, members, horizon)
+        assert (vertex, achieved.hex()) == (expected_vertex, expected.hex()), (members, horizon)
+        ball = _ball(g, np.unique(members), horizon // 2 + 1)
+        partial += ball.size < g.vertex_count
+    # most balls leave part of the graph out, so the radius is put to the test
+    assert len(cases) == 134 and partial >= 70
+
+
+def test_certificate_work_does_not_grow_with_n(monkeypatch):
+    # clique 0 of a ring ten times longer: the same ball, the same bits and
+    # the same arcs stepped
+    arcs = []
+    step = spectral.lazy_step
+
+    def counted(g, p):
+        arcs.append(g.total_volume)
+        return step(g, p)
+
+    monkeypatch.setattr(spectral, "lazy_step", counted)
+    seen = []
+    for r in (200, 2000):
+        g = ring_of_cliques(r, 20).graph
+        arcs.clear()
+        report = certify_lower_bound(g, range(20), 114)
+        vertex, achieved = best_seed_vertex(g, range(20), 114)
+        margins = (report.mass_margins.tobytes(), report.component_margins.tobytes())
+        seen.append((margins, vertex, achieved.hex(), len(arcs), sum(arcs)))
+    assert seen[0] == seen[1]
+    steps, stepped = seen[0][3:]
+    assert steps == 3 * 114 and stepped < steps * ring_of_cliques(200, 20).graph.total_volume
