@@ -15,12 +15,17 @@ most ``BLOCK_ARCS`` cells and swept arcs, and the winner's members. A block
 steps in chunks, each one ``lazy_step`` of disjoint graph copies, a copy a row,
 at most ``BLOCK_ARCS`` arcs: each copy adds its incoming mass in arc order, as
 the graph alone does, so every row is its seed's own walk bit for bit. Each
-step sweeps each row's top-c prefix in ``build_curve`` order; no prefix past
-the c smallest degrees fits the cap. A prefix's boundary is its volume minus
-the arcs inside it, and an arc is inside every prefix past its later endpoint,
-so one bincount of the later rank of each swept vertex's arcs gives every
-boundary. Candidates, listed by (prefix, row), go through ``sweep``'s
-selection: winner, origin and work equal a sweep of each seed's walk.
+step takes each row's first c vertices in ``build_curve`` order, as no prefix
+past the c smallest degrees fits the cap: a partition finds each row's c-th
+smallest key -p/d and one lexsort orders the entries up to it, so no B x n
+sort runs. A row whose capped order repeats the previous step's is not
+profiled, as ``sweep`` skips a repeated step: its prefixes are the ones it
+had a step earlier, and being later they lose. A prefix's boundary is its
+volume minus the arcs inside it, and an arc is inside every prefix past its
+later endpoint, so one bincount of the later rank of each swept vertex's arcs
+gives every boundary. Candidates, listed by (prefix, row), go through
+``sweep``'s selection: winner, origin and work equal a sweep of each seed's
+walk.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ __all__ = [
 # Cells and swept arcs in one sweep block, and arcs in one walk chunk, of the global
 # search: its arrays take a few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
-_MAX_HORIZON = 1_000_000  # local walk step limit, as spectral's power-iteration cap
+_MAX_HORIZON = 1_000_000  # walk step limit of both searches, as spectral's power-iteration cap
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,28 @@ class GlobalParams:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.horizon_override is not None and self.horizon_override < 0:
             raise ValueError("horizon_override must be nonnegative")
+        steps = self.horizon_override
+        if steps is None:
+            try:  # the float before the ceil, as LocalParams tests it
+                steps = self._steps
+            except OverflowError:  # k**2 past the float range
+                steps = math.inf
+        if not steps <= _MAX_HORIZON:
+            raise ValueError(f"global horizon exceeds {_MAX_HORIZON} steps")
 
     @property
     def epsilon_effective(self) -> float:
         return min(self.epsilon, 0.01)
 
     @property
+    def _steps(self) -> float:
+        return self.epsilon_effective * self.k**2 * math.log(self.k) / 4.0
+
+    @property
     def horizon(self) -> int:
         if self.horizon_override is not None:
             return self.horizon_override
-        e = self.epsilon_effective
-        return math.ceil(e * self.k**2 * math.log(self.k) / 4.0)
+        return math.ceil(self._steps)
 
     @property
     def volume_cap(self) -> float:
@@ -233,27 +249,62 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
 
 
 def _block_candidates(
-    g: Graph, rows: np.ndarray, c: int, cap: float
+    g: Graph,
+    rows: np.ndarray,
+    c: int,
+    cap: float,
+    capped: np.ndarray | None = None,
+    positive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prefixes under the cap of each row's first c vertices in curve order.
 
-    Returns (order, row, size, boundaries, volumes): ``order`` is B x c, and
-    candidate i is the prefix of ``size[i]`` vertices of row ``row[i]``,
-    listed by size, then row.
+    Returns (order, row, size, boundaries, volumes): ``order`` is B x c, each
+    row's capped order followed by -1, and candidate i is the prefix of
+    ``size[i]`` vertices of row ``row[i]``, listed by size, then row.
+
+    Curve order is by key -p/d, ties by id. A partition finds each row's c-th
+    smallest key; a zero mass has key -0.0, at or above every positive entry's
+    key, so a row with fewer than c positive entries keeps them all. The
+    positive entries at most that key, ties included, go through one lexsort
+    by (row, key, id), and each row keeps its first c. ``capped`` holds each
+    row's capped order at the previous step, -1 past it, and is updated in
+    place: a row whose order repeats adds no candidate, since each of its
+    prefixes is one it had a step earlier, and loses to it. ``positive`` is
+    ``rows > 0``. Past the key and its partition, the arrays hold the kept
+    entries, B x c cells and the arcs of the rows profiled.
     """
-    key = np.divide(rows, -g.degrees, out=np.full(rows.shape, np.inf), where=rows > 0)
-    order = np.argsort(key, axis=1, kind="stable")[:, :c].copy()
-    del key  # no B x n float array outlives the sort
-    volumes = np.cumsum(g.degrees[order], axis=1)
-    fits = (np.take_along_axis(rows, order, axis=1) > 0) & (volumes <= cap)
+    b, n = rows.shape
+    if positive is None:
+        positive = rows > 0
+    key = rows / -g.degrees  # -0.0 at zero mass: no positive entry's key is larger
+    kth = max(c, 1) - 1  # for c = 0 any bound does: no place in a row is below 0
+    bound = np.partition(key, kth, axis=1)[:, [kth]]  # a copy: the partitioned array is freed
+    flat = np.flatnonzero(positive & (key <= bound))
+    by_key = np.lexsort((key.ravel()[flat], flat // n))  # stable: ids ascend within a key
+    del key  # no B x n float array outlives the selection
+    row, col = np.divmod(flat[by_key], n)
+    pos = np.arange(row.size) - np.searchsorted(row, row)  # place in the row's order
+    top = pos < c
+    row, pos, col = row[top], pos[top], col[top]
+    order = np.full((b, c), -1)
+    volumes = np.zeros((b, c), dtype=g.degrees.dtype)
+    order[row, pos] = col
+    volumes[row, pos] = g.degrees[col]
+    np.cumsum(volumes, axis=1, out=volumes)
+    fits = (order >= 0) & (volumes <= cap)
+    order[~fits] = -1
+    if capped is not None:
+        fits &= (order != capped).any(axis=1)[:, None]
+        capped[:] = order
     pos, row = np.nonzero(fits.T)
     swept = order[row, pos]
     rank = np.full(rows.shape, c, dtype=np.min_scalar_type(c))  # c: in no candidate
     rank[row, swept] = pos
     deg = g.degrees[swept]
     arc_row = np.repeat(row, deg)
-    last = np.maximum(np.repeat(pos, deg), rank[arc_row, _gather_rows(g, swept)])
-    joined = np.bincount(arc_row * (c + 1) + last, minlength=rows.shape[0] * (c + 1))
+    # the gather's arc arrays are freed before the repeat of pos is made
+    last = np.maximum(rank[arc_row, _gather_rows(g, swept)], np.repeat(pos, deg))
+    joined = np.bincount(arc_row * (c + 1) + last, minlength=b * (c + 1))
     inside = np.cumsum(joined.reshape(-1, c + 1)[:, :c], axis=1)
     return order, row, pos + 1, (volumes - inside)[row, pos], volumes[row, pos]
 
@@ -281,9 +332,12 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     work = 0
     for first in range(0, n, block):
         b = min(block, n - first)
-        rows = np.eye(b, n, first)
+        rows, capped = np.eye(b, n, first), np.full((b, c), -1)
         for t in range(params.horizon + 1):
-            order, row, size, boundaries, volumes = _block_candidates(g, rows, c, cap)
+            positive = rows > 0
+            order, row, size, boundaries, volumes = _block_candidates(
+                g, rows, c, cap, capped, positive
+            )
             if row.size:
                 pick = _select(boundaries, volumes)
                 bd, vol, i, j = (int(a[pick]) for a in (boundaries, volumes, row, size))
@@ -291,7 +345,7 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
                 if best_key is None or key < best_key:
                     best_key, best_members = key, order[i, :j].copy()
             if t < params.horizon:
-                work += int(np.dot(rows > 0, degrees).sum())
+                work += int(np.dot(positive, degrees).sum())
                 for s in range(0, b, chunk):
                     part = rows[s : s + chunk].ravel()  # a view: the chunk steps in place
                     part[:] = walk.lazy_step(copies if part.size == chunk * n else last, part)

@@ -20,7 +20,7 @@ ascending id order, so every sum rounds the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,12 +75,33 @@ def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, Graph]:
         raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    s, nb = members.size, _positions(members, _gather_rows(g, members))
+    sub = _induced(g, members, _positions(members, _gather_rows(g, members)))
+    return members, replace(sub, connected=_is_connected(sub.vertex_count, sub.indptr, sub.indices))
+
+
+def _ball_adjacency(g: Graph, members: np.ndarray, radius: int) -> tuple[np.ndarray, Graph]:
+    """The sorted ball of ``radius`` hops around a connected set and the subgraph it induces.
+
+    The ball is connected, as every vertex in it has a path to the set inside
+    it; each arc's target is read from one n-length table of ball positions.
+    """
+    ball = _ball(g, members, radius)
+    at = np.full(g.vertex_count, ball.size)  # ball.size: outside the ball
+    at[ball] = np.arange(ball.size)
+    return ball, _induced(g, ball, at[_gather_rows(g, ball)])
+
+
+def _induced(g: Graph, members: np.ndarray, nb: np.ndarray) -> Graph:
+    """The subgraph on sorted unique members, flagged connected, vertex i being the i-th member.
+
+    ``nb`` holds the members' arcs in order, each target as its member
+    position, or members.size if it is no member.
+    """
+    s = members.size
     inside = nb < s
     degrees = np.bincount(np.repeat(np.arange(s), g.degrees[members])[inside], minlength=s)
     indptr, arcs = np.concatenate([[0], np.cumsum(degrees)]), nb[inside]
-    connected = _is_connected(s, indptr, arcs)
-    return members, Graph(s, arcs.size // 2, indptr, arcs, degrees, arcs.size, connected)
+    return Graph(s, arcs.size // 2, indptr, arcs, degrees, arcs.size, True)
 
 
 def restricted_eigenpair(
@@ -179,7 +200,7 @@ def certify_lower_bound(
     pair = restricted_eigenpair(g, subset, tol=min(1e-13, tol / 100))
     members = pair.subset
     phi = cut_of(g, members).conductance
-    ball, walk_g = _restricted_adjacency(g, _ball(g, members, horizon // 2 + 1))
+    ball, walk_g = _ball_adjacency(g, members, horizon // 2 + 1)
     at = np.searchsorted(ball, members)
     p = np.zeros(ball.size, dtype=np.float64)
     p[at] = pair.seed_distribution
@@ -229,7 +250,7 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()
-    ball, walk_g = _restricted_adjacency(g, _ball(g, members, horizon // 2 + 1))
+    ball, walk_g = _ball_adjacency(g, members, horizon // 2 + 1)
     at = np.searchsorted(ball, members)
     p = np.zeros(ball.size, dtype=np.float64)
     p[at] = deg / vol

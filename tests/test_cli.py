@@ -173,12 +173,15 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
     # phi = 1e-320 overflowed the horizon's ceil, 1e-9 asked for 3e8 steps
     tiny = [local[:7] + [phi, "--epsilon", "0.2"] for phi in ("1e-320", "1e-9")]
     horizon = "local horizon exceeds 1000000 steps: raise phi"
+    # k = 100,000 asked for 287,823,137 steps from every vertex
+    large_k = ["global", graph, "--k", "100000", "--epsilon", "0.5"]
     for args, message in (
         (local + ["inf"], "epsilon must be finite"),
         (local + ["nan"], "epsilon must be finite"),
         (curve, "truncation threshold must be nonnegative"),
         (tiny[0], horizon),
         (tiny[1], horizon),
+        (large_k, "global horizon exceeds 1000000 steps"),
     ):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1, args

@@ -30,7 +30,14 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut import partition, walk
-from sparsecut.graph import Graph, _copies, _first_copies, _positions, prefix_cut_profile
+from sparsecut.graph import (
+    Graph,
+    _copies,
+    _first_copies,
+    _gather_rows,
+    _positions,
+    prefix_cut_profile,
+)
 from sparsecut.walk import SparseDistribution
 
 from conftest import relabel
@@ -150,6 +157,21 @@ def test_global_params_clamping_and_derived():
     assert params.horizon == math.ceil(0.01 * 100**2 * math.log(100) / 4)
     override = GlobalParams(k=100, epsilon=0.5, horizon_override=7)
     assert override.horizon == 7
+
+
+def test_global_params_bound_the_horizon():
+    # k = 100,000 asked for 287,823,137 steps from every vertex, 10,000 for
+    # 2,302,586; k = 10**200 overflows k**2 as a float
+    for k in (10_000, 100_000, 10**200):
+        with pytest.raises(ValueError, match="global horizon exceeds 1000000 steps"):
+            GlobalParams(k=k, epsilon=0.5)
+    edge = 4e6 / (10_000**2 * math.log(10_000))  # the epsilon whose horizon is 1,000,000 steps
+    assert GlobalParams(k=10_000, epsilon=edge * (1 - 1e-12)).horizon == 1_000_000
+    with pytest.raises(ValueError, match="global horizon"):
+        GlobalParams(k=10_000, epsilon=edge * (1 + 1e-12))
+    assert GlobalParams(k=2, epsilon=0.5, horizon_override=1_000_000).horizon == 1_000_000
+    with pytest.raises(ValueError, match="global horizon"):
+        GlobalParams(k=2, epsilon=0.5, horizon_override=1_000_001)
 
 
 def test_global_returns_zero_conductance_component():
@@ -482,6 +504,59 @@ def test_block_candidates_rank_past_255_prefixes():
         assert np.array_equal(boundaries[row == i], bnds)
 
 
+def reference_block_candidates(g, rows, c, cap):
+    """The block sweep by one stable argsort of every row's keys: the selection's reference."""
+    key = np.divide(rows, -g.degrees, out=np.full(rows.shape, np.inf), where=rows > 0)
+    order = np.argsort(key, axis=1, kind="stable")[:, :c].copy()
+    volumes = np.cumsum(g.degrees[order], axis=1)
+    fits = (np.take_along_axis(rows, order, axis=1) > 0) & (volumes <= cap)
+    pos, row = np.nonzero(fits.T)
+    swept = order[row, pos]
+    rank = np.full(rows.shape, c, dtype=np.min_scalar_type(c))
+    rank[row, swept] = pos
+    deg = g.degrees[swept]
+    arc_row = np.repeat(row, deg)
+    last = np.maximum(np.repeat(pos, deg), rank[arc_row, _gather_rows(g, swept)])
+    joined = np.bincount(arc_row * (c + 1) + last, minlength=rows.shape[0] * (c + 1))
+    inside = np.cumsum(joined.reshape(-1, c + 1)[:, :c], axis=1)
+    return order, fits, row, pos + 1, (volumes - inside)[row, pos], volumes[row, pos]
+
+
+def test_block_candidates_select_the_stable_argsort_prefix():
+    # the partition selection keeps each row's first c positive entries in
+    # stable argsort order of -p/d: ties by id, underflowed rates (-0.0),
+    # zero masses (the argsort's +inf keys), infinite masses, c = 0, c = n,
+    # and rows with fewer than c positive entries
+    rng = np.random.default_rng(17)
+    graphs = [ring_of_cliques(4, 5).graph, barbell(7).graph, erdos_renyi(40, 0.2, rng_seed=3)]
+    checked = short = 0
+    for trial in range(150):
+        g = graphs[trial % len(graphs)]
+        if np.any(g.degrees == 0):
+            continue
+        n = g.vertex_count
+        b = int(rng.integers(1, 9))
+        rows = np.round(rng.random((b, n)), 1) * g.degrees  # ties in p/d
+        rows *= rng.random((b, n)) < rng.uniform(0.05, 1.0)  # zero masses
+        rows[rng.random((b, n)) < 0.05] = 5e-324  # rates that underflow to -0.0
+        rows[rng.random((b, n)) < 0.01] = np.inf
+        rows[0] = 0.0 if trial % 5 == 0 else rows[0]  # a row with no mass
+        c = int(rng.choice([0, 1, n, int(rng.integers(0, n + 1))]))
+        cap = float(rng.choice([g.total_volume, rng.integers(1, g.total_volume + 1)]))
+        order, row, size, boundaries, volumes = partition._block_candidates(g, rows, c, cap)
+        want_order, fits, *want = reference_block_candidates(g, rows, c, cap)
+        assert order.shape == (b, c)
+        assert np.array_equal(order, np.where(fits, want_order, -1))
+        for got, expected in zip((row, size, boundaries, volumes), want):
+            assert np.array_equal(got, expected)
+        if cap == g.total_volume:  # every positive entry among the first c fits
+            positive = (rows > 0).sum(axis=1)
+            assert np.array_equal((order >= 0).sum(axis=1), np.minimum(positive, c))
+            short += int((positive < c).any())
+        checked += 1
+    assert checked >= 100 and short >= 20
+
+
 def equivalence_cases():
     cases = []
     for seed in (1, 2):
@@ -510,9 +585,9 @@ def record_block_calls(monkeypatch):
     sweeps, steps = [], []
     sweep_block, step = partition._block_candidates, walk.lazy_step
 
-    def sweeping(g, rows, c, cap):
+    def sweeping(g, rows, c, cap, *state):
         sweeps.append(rows.shape[0])
-        return sweep_block(g, rows, c, cap)
+        return sweep_block(g, rows, c, cap, *state)
 
     def stepping(g, p):
         steps.append(g)
@@ -600,6 +675,42 @@ def test_global_sweeps_each_step_of_a_block_in_one_call(monkeypatch):
     assert len(steps) == math.ceil(n / chunk) * horizon
     assert sum(copies.total_volume for copies in steps) == horizon * n * g.total_volume
     assert out.work == 11_819_232
+
+
+def test_global_profiles_only_rows_whose_capped_order_changed(monkeypatch):
+    # a row whose capped order repeats the previous step's has the same
+    # prefixes a step later, so it adds no candidate: on ring_of_cliques(12,
+    # 10), 1,346 of the 11,640 row-steps are profiled, with the same 97
+    # sweeps, 864 walk chunks and result
+    g = ring_of_cliques(12, 10).graph
+    params = GlobalParams(k=92, epsilon=0.01)
+    sweeps, steps = record_block_calls(monkeypatch)
+    recorded = partition._block_candidates
+    profiled = []
+
+    def tallying(g, rows, c, cap, capped, positive):
+        before = capped.copy()
+        order, row, *rest = recorded(g, rows, c, cap, capped, positive)
+        assert np.array_equal(capped, order)
+        changed = np.flatnonzero((order != before).any(axis=1))
+        assert np.array_equal(np.unique(row), changed)
+        profiled.append(changed.size)
+        return (order, row, *rest)
+
+    monkeypatch.setattr(partition, "_block_candidates", tallying)
+    out = global_sparsest_cut(g, params)
+    assert sweeps == [120] * 97
+    assert len(steps) == 864
+    assert sum(profiled) == 1346 and profiled[:2] == [120, 120]
+    assert (out.best.exact, out.origin, out.work) == (Fraction(1, 46), Origin(0, 1, 10), 11_819_232)
+    # each block starts from no order: vertex 0 hangs off a triangle, only
+    # one vertex fits the cap, and seed 0's order [0] never changes, yet its
+    # step-0 singleton wins
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    params = GlobalParams(k=2, epsilon=0.01, horizon_override=3)
+    out = global_sparsest_cut(g, params)
+    assert out.origin == Origin(seed=0, step=0, prefix=1)
+    assert (out.best, out.origin, out.work) == per_seed_global(g, params)
 
 
 def test_load_memory_stays_bounded(tmp_path):
