@@ -90,7 +90,7 @@ _MAX_EXACT_VERTICES = 22  # exact_phi_k's enumeration cap
 
 
 def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
-    """G(n, p) with a fixed seed; disconnected samples are kept and flagged."""
+    """G(n, p) with a fixed seed; disconnected samples are kept (``connected`` is False)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 <= p <= 1.0:

@@ -13,6 +13,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -40,19 +41,16 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph in compressed sparse row form.
 
-    Neighbor lists are sorted and symmetric: w appears in u's list iff u
-    appears in w's. ``total_volume`` equals the degree sum, i.e. twice the
-    edge count. ``connected`` and ``duplicate_edges`` are load metadata;
-    algorithms that need connectivity state it in their own contracts.
+    The graph is its two arrays: ``indices[indptr[v]:indptr[v + 1]]`` lists
+    v's neighbors, sorted and symmetric (w appears in u's list iff u appears
+    in w's). Counts, degrees and connectivity are read from them on first
+    use and cached, so a graph built for one walk never runs a connectivity
+    pass. ``duplicate_edges`` is load metadata; algorithms that need
+    connectivity state it in their own contracts.
     """
 
-    vertex_count: int
-    edge_count: int
     indptr: np.ndarray
     indices: np.ndarray
-    degrees: np.ndarray
-    total_volume: int
-    connected: bool
     duplicate_edges: int = 0
 
     @classmethod
@@ -82,17 +80,28 @@ class Graph:
         arcs = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
         indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
         arcs %= n  # src*n+dst keys -> dst, row by row
-        degrees = np.diff(indptr)
-        return cls(
-            vertex_count=n,
-            edge_count=keys.size,
-            indptr=indptr,
-            indices=arcs,
-            degrees=degrees,
-            total_volume=int(arcs.size),
-            connected=_is_connected(n, indptr, arcs),
-            duplicate_edges=u.size - keys.size,
-        )
+        return cls(indptr, arcs, duplicate_edges=u.size - keys.size)
+
+    @cached_property
+    def vertex_count(self) -> int:
+        return self.indptr.size - 1
+
+    @cached_property
+    def edge_count(self) -> int:
+        return self.indices.size // 2
+
+    @cached_property
+    def total_volume(self) -> int:
+        """The degree sum, twice the edge count."""
+        return self.indices.size
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def connected(self) -> bool:
+        return _is_connected(self.vertex_count, self.indptr, self.indices)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -194,7 +203,7 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
     with '#' are ignored. Ids are compacted to 0..n-1 in first-seen order.
     Duplicate edges are collapsed (counted in the result), self-loops and
     malformed lines raise GraphFormatError with the line number.
-    Connectivity is not required; the flag is recorded on the Graph.
+    Connectivity is not required; the Graph reports it as ``connected``.
 
     The text is read once and parsed in bulk with numpy. Whatever the bulk
     scan declines (errors, but also ``+5`` or 19-digit ids) goes to the
@@ -273,22 +282,13 @@ def _copies(g: Graph, b: int) -> Graph:
     """b disjoint copies of g, vertex v of copy r being r * n + v; offset rows need no sort."""
     n, arcs = g.vertex_count, g.total_volume
     shift = np.arange(b)[:, None]
-    return Graph(
-        vertex_count=b * n,
-        edge_count=b * g.edge_count,
-        indptr=np.append((g.indptr[:-1] + arcs * shift).ravel(), b * arcs),
-        indices=(g.indices + n * shift).ravel(),
-        degrees=np.tile(g.degrees, b),
-        total_volume=b * arcs,
-        connected=g.connected and b == 1,
-    )
+    indptr = np.append((g.indptr[:-1] + arcs * shift).ravel(), b * arcs)
+    return Graph(indptr, (g.indices + n * shift).ravel())
 
 
 def _first_copies(copies: Graph, g: Graph, w: int) -> Graph:
     """The first w copies in ``copies = _copies(g, b)``, b >= w, as views; equals _copies(g, w)."""
-    n, arcs = g.vertex_count, g.total_volume
-    head = (copies.indptr[: w * n + 1], copies.indices[: w * arcs], copies.degrees[: w * n])
-    return Graph(w * n, w * g.edge_count, *head, w * arcs, g.connected and w == 1)
+    return Graph(copies.indptr[: w * g.vertex_count + 1], copies.indices[: w * g.total_volume])
 
 
 def _positions(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from . import walk
 from .curve import build_curve
 from .graph import Cut, Graph, _copies, _first_copies, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
-from .walk import WalkSchedule, run_walk
+from .walk import _MAX_HORIZON, WalkSchedule, run_walk
 
 __all__ = [
     "GlobalParams",
@@ -59,7 +59,6 @@ __all__ = [
 # Cells and swept arcs in one sweep block, and arcs in one walk chunk, of the global
 # search: its arrays take a few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
-_MAX_HORIZON = 1_000_000  # walk step limit of both searches, as spectral's power-iteration cap
 
 
 @dataclass(frozen=True)
@@ -253,8 +252,8 @@ def _block_candidates(
     rows: np.ndarray,
     c: int,
     cap: float,
-    capped: np.ndarray | None = None,
-    positive: np.ndarray | None = None,
+    capped: np.ndarray,
+    positive: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prefixes under the cap of each row's first c vertices in curve order.
 
@@ -274,8 +273,6 @@ def _block_candidates(
     entries, B x c cells and the arcs of the rows profiled.
     """
     b, n = rows.shape
-    if positive is None:
-        positive = rows > 0
     key = rows / -g.degrees  # -0.0 at zero mass: no positive entry's key is larger
     kth = max(c, 1) - 1  # for c = 0 any bound does: no place in a row is below 0
     bound = np.partition(key, kth, axis=1)[:, [kth]]  # a copy: the partitioned array is freed
@@ -293,9 +290,8 @@ def _block_candidates(
     np.cumsum(volumes, axis=1, out=volumes)
     fits = (order >= 0) & (volumes <= cap)
     order[~fits] = -1
-    if capped is not None:
-        fits &= (order != capped).any(axis=1)[:, None]
-        capped[:] = order
+    fits &= (order != capped).any(axis=1)[:, None]
+    capped[:] = order
     pos, row = np.nonzero(fits.T)
     swept = order[row, pos]
     rank = np.full(rows.shape, c, dtype=np.min_scalar_type(c))  # c: in no candidate

@@ -20,12 +20,12 @@ ascending id order, so every sum rounds the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _ball, _gather_rows, _is_connected, _positions, cut_of
-from .walk import lazy_step
+from .graph import Graph, _ball, _gather_rows, cut_of
+from .walk import _check_horizon, lazy_step
 
 __all__ = [
     "LocalEigenpair",
@@ -75,33 +75,21 @@ def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, Graph]:
         raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    sub = _induced(g, members, _positions(members, _gather_rows(g, members)))
-    return members, replace(sub, connected=_is_connected(sub.vertex_count, sub.indptr, sub.indices))
+    return members, _induced(g, members)
 
 
-def _ball_adjacency(g: Graph, members: np.ndarray, radius: int) -> tuple[np.ndarray, Graph]:
-    """The sorted ball of ``radius`` hops around a connected set and the subgraph it induces.
+def _induced(g: Graph, members: np.ndarray) -> Graph:
+    """The subgraph induced on sorted unique members, vertex i being the i-th member.
 
-    The ball is connected, as every vertex in it has a path to the set inside
-    it; each arc's target is read from one n-length table of ball positions.
-    """
-    ball = _ball(g, members, radius)
-    at = np.full(g.vertex_count, ball.size)  # ball.size: outside the ball
-    at[ball] = np.arange(ball.size)
-    return ball, _induced(g, ball, at[_gather_rows(g, ball)])
-
-
-def _induced(g: Graph, members: np.ndarray, nb: np.ndarray) -> Graph:
-    """The subgraph on sorted unique members, flagged connected, vertex i being the i-th member.
-
-    ``nb`` holds the members' arcs in order, each target as its member
-    position, or members.size if it is no member.
+    Each arc's target is read from one n-length table of member positions.
     """
     s = members.size
+    at = np.full(g.vertex_count, s)  # s: no member
+    at[members] = np.arange(s)
+    nb = at[_gather_rows(g, members)]
     inside = nb < s
     degrees = np.bincount(np.repeat(np.arange(s), g.degrees[members])[inside], minlength=s)
-    indptr, arcs = np.concatenate([[0], np.cumsum(degrees)]), nb[inside]
-    return Graph(s, arcs.size // 2, indptr, arcs, degrees, arcs.size, True)
+    return Graph(np.concatenate([[0], np.cumsum(degrees)]), nb[inside])
 
 
 def restricted_eigenpair(
@@ -191,8 +179,7 @@ def certify_lower_bound(
     it can only mean a bug. The walk steps the (horizon//2 + 1)-hop ball of
     the subset, which reads on the subset as the whole graph, bit for bit.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     # eigenpair residual enters the margins scaled by roughly horizon, so
@@ -200,7 +187,8 @@ def certify_lower_bound(
     pair = restricted_eigenpair(g, subset, tol=min(1e-13, tol / 100))
     members = pair.subset
     phi = cut_of(g, members).conductance
-    ball, walk_g = _ball_adjacency(g, members, horizon // 2 + 1)
+    ball = _ball(g, members, horizon // 2 + 1)
+    walk_g = _induced(g, ball)
     at = np.searchsorted(ball, members)
     p = np.zeros(ball.size, dtype=np.float64)
     p[at] = pair.seed_distribution
@@ -242,15 +230,15 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     1 - t * conductance(S)/2 at each step t; the returned mass must meet
     (1 - conductance(S)/2)^horizon.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     members, sub = _restricted_adjacency(g, subset)
     if not sub.connected:
         raise ValueError("subset induces a disconnected subgraph")
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()
-    ball, walk_g = _ball_adjacency(g, members, horizon // 2 + 1)
+    ball = _ball(g, members, horizon // 2 + 1)
+    walk_g = _induced(g, ball)
     at = np.searchsorted(ball, members)
     p = np.zeros(ball.size, dtype=np.float64)
     p[at] = deg / vol

@@ -34,6 +34,15 @@ __all__ = [
     "run_walk",
 ]
 
+_MAX_HORIZON = 1_000_000  # step limit of every walk and search, as spectral's power-iteration cap
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if not horizon <= _MAX_HORIZON:
+        raise ValueError(f"horizon exceeds {_MAX_HORIZON} steps")
+
 
 @dataclass(eq=False)
 class SparseDistribution:
@@ -77,14 +86,13 @@ class SparseDistribution:
 
 @dataclass(frozen=True)
 class WalkSchedule:
-    """Horizon and truncation threshold for a walk; threshold 0 means exact."""
+    """Horizon of at most 1,000,000 steps and truncation threshold; threshold 0 means exact."""
 
     horizon: int
     truncation: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        _check_horizon(self.horizon)
         if not self.truncation >= 0:
             raise ValueError("truncation threshold must be nonnegative")
 

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -101,3 +102,8 @@ def dense_walk(g, p0, steps):
     for _ in range(steps):
         out.append(lazy_step(g, out[-1]))
     return out
+
+
+def raises_message(message):
+    """pytest.raises for a ValueError whose message is exactly ``message``."""
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")

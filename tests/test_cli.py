@@ -175,6 +175,11 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
     horizon = "local horizon exceeds 1000000 steps: raise phi"
     # k = 100,000 asked for 287,823,137 steps from every vertex
     large_k = ["global", graph, "--k", "100000", "--epsilon", "0.5"]
+    # 2,000,000 certificate steps were still walking after 4 s
+    set_file = tmp_path / "set.txt"
+    set_file.write_text("0\n1\n2\n")
+    long_curve = ["curve", graph, "--seed", "0", "--steps", "1000001"]
+    long_certify = ["certify", "--set-file", str(set_file), "--horizon", "1000001", graph]
     for args, message in (
         (local + ["inf"], "epsilon must be finite"),
         (local + ["nan"], "epsilon must be finite"),
@@ -182,6 +187,8 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
         (tiny[0], horizon),
         (tiny[1], horizon),
         (large_k, "global horizon exceeds 1000000 steps"),
+        (long_curve, "horizon exceeds 1000000 steps"),
+        (long_certify, "horizon exceeds 1000000 steps"),
     ):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1, args

@@ -19,7 +19,7 @@ from sparsecut import (
 )
 from sparsecut.graph import prefix_cut_profile
 
-from conftest import dense_walk
+from conftest import dense_walk, raises_message
 
 
 def stationary(g):
@@ -258,3 +258,16 @@ def test_envelope_bounds_curve_end_to_end(family_graphs):
             curve = build_curve(g, dist)
             for x in np.linspace(1.0, cap, 8):
                 assert evaluate(curve, x) <= envelope_value(env, x) + 1e-9
+
+
+def test_curve_checks_pin_their_messages():
+    g = path(4)
+    for call, message in (
+        (lambda: Envelope(cap=0.5, phi1=0.1, steps=1), "cap must be at least 1"),
+        (lambda: Envelope(cap=2.0, phi1=1.5, steps=1), "phi1 must lie in [0, 1]"),
+        (lambda: Envelope(cap=2.0, phi1=0.1, steps=-1), "steps must be nonnegative"),
+        (lambda: envelope_value(Envelope(2.0, 0.1, 1), -1.0), "x must be nonnegative"),
+        (lambda: build_curve(g, np.ones(5)), "distribution length does not match vertex count"),
+    ):
+        with raises_message(message):
+            call()

@@ -15,6 +15,8 @@ from sparsecut import (
 from sparsecut import generators
 from sparsecut.graph import Graph
 
+from conftest import raises_message
+
 
 def test_ring_of_cliques_small():
     inst = ring_of_cliques(3, 3)
@@ -155,3 +157,17 @@ def test_erdos_renyi_chunks_match_bulk_draw(monkeypatch, chunk):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert (got.edge_count, got.connected) == (want.edge_count, want.connected)
+
+
+def test_generator_checks_pin_their_messages():
+    for call, message in (
+        (lambda: ring_of_cliques(2, 3), "need r >= 3 and s >= 3"),
+        (lambda: barbell(2), "need s >= 3"),
+        (lambda: path(0), "need n >= 1"),
+        (lambda: complete(0), "need n >= 1"),
+        (lambda: erdos_renyi(0, 0.5, rng_seed=1), "need n >= 1"),
+        (lambda: erdos_renyi(4, 1.5, rng_seed=1), "p must lie in [0, 1]"),
+        (lambda: exact_phi_k(path(4), 0), "k must be at least 1"),
+    ):
+        with raises_message(message):
+            call()

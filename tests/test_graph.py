@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut.graph import _is_connected, _scan_edge_list, prefix_cut_profile
+
+from conftest import raises_message
 
 
 def test_load_triangle():
@@ -94,10 +97,14 @@ def test_cut_whole_graph_has_zero_conductance(barbell3):
 
 
 def test_cut_rejects_empty_and_out_of_range(barbell3):
-    with pytest.raises(ValueError):
-        cut_of(barbell3.graph, [])
-    with pytest.raises(ValueError):
-        cut_of(barbell3.graph, [99])
+    isolated = Graph.from_edges(3, [(0, 1)])
+    for g, members, message in (
+        (barbell3.graph, [], "vertex set must be nonempty"),
+        (barbell3.graph, [99], "vertex id out of range"),
+        (isolated, [2], "vertex set has zero volume; conductance undefined"),
+    ):
+        with raises_message(message):
+            cut_of(g, members)
 
 
 def test_brute_force_oracle_confirms_barbell_count(barbell3):
@@ -212,7 +219,7 @@ def test_from_edges_rejects_self_loop():
 
 
 def reference_from_edges(n, edges):
-    """The set-and-lexsort builder with a DFS connectivity flag."""
+    """The set-and-lexsort builder: its arrays, loop-computed counts and a DFS connectivity flag."""
     seen, duplicates = set(), 0
     for u, v in edges:
         u, v = int(u), int(v)
@@ -231,7 +238,7 @@ def reference_from_edges(n, edges):
     degrees = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    return Graph(
+    return SimpleNamespace(
         vertex_count=n,
         edge_count=len(seen),
         indptr=indptr,

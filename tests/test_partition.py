@@ -40,7 +40,7 @@ from sparsecut.graph import (
 )
 from sparsecut.walk import SparseDistribution
 
-from conftest import relabel
+from conftest import raises_message, relabel
 
 
 def stationary(g):
@@ -450,6 +450,10 @@ def test_first_copies_are_views_equal_to_fewer_copies():
         copies = _copies(g, b)
         for w in range(1, b + 1):
             head, fresh = _first_copies(copies, g, w), _copies(g, w)
+            # the record is its arrays and the load metadata; the rest is derived
+            assert [f.name for f in dataclasses.fields(Graph)] == [
+                "indptr", "indices", "duplicate_edges"
+            ]
             for field in dataclasses.fields(Graph):
                 got, want = getattr(head, field.name), getattr(fresh, field.name)
                 if isinstance(want, np.ndarray):
@@ -457,6 +461,10 @@ def test_first_copies_are_views_equal_to_fewer_copies():
                     assert np.shares_memory(got, getattr(copies, field.name))
                 else:
                     assert got == want, field.name
+            for name in ("vertex_count", "edge_count", "total_volume"):
+                assert getattr(head, name) == getattr(fresh, name), name
+            assert head.degrees.dtype == fresh.degrees.dtype
+            assert np.array_equal(head.degrees, fresh.degrees)
             rows = rng.random((w, n)) * (rng.random((w, n)) < 0.6)
             rows[:, : n // 3] *= 1e-310  # subnormal masses
             out = lazy_step(head, rows.ravel()).reshape(w, n)
@@ -478,7 +486,10 @@ def test_block_candidates_follow_build_curve():
     rates = rows / g.degrees
     assert rates[0, 1] == 0.0 < rows[0, 1]
     cap = g.total_volume
-    order, row, size, boundaries, volumes = partition._block_candidates(g, rows, n, cap)
+    # no previous step: every row with a fitting prefix is profiled
+    order, row, size, boundaries, volumes = partition._block_candidates(
+        g, rows, n, cap, np.full((rows.shape[0], n), -1), rows > 0
+    )
     for i in range(rows.shape[0]):
         curve_order = build_curve(g, rows[i]).vertex_order
         assert np.array_equal(order[i, : curve_order.size], curve_order)
@@ -497,7 +508,9 @@ def test_block_candidates_rank_past_255_prefixes():
     g = Graph.from_edges(300, [(v, (v + 1) % 300) for v in range(300)])
     rows = np.random.default_rng(5).random((3, 300))
     rows[2, ::7] = 0.0
-    order, row, size, boundaries, volumes = partition._block_candidates(g, rows, 300, 600.0)
+    order, row, size, boundaries, volumes = partition._block_candidates(
+        g, rows, 300, 600.0, np.full((3, 300), -1), rows > 0
+    )
     for i in range(3):
         vols, bnds = prefix_cut_profile(g, build_curve(g, rows[i]).vertex_order)
         assert np.array_equal(volumes[row == i], vols)
@@ -543,7 +556,9 @@ def test_block_candidates_select_the_stable_argsort_prefix():
         rows[0] = 0.0 if trial % 5 == 0 else rows[0]  # a row with no mass
         c = int(rng.choice([0, 1, n, int(rng.integers(0, n + 1))]))
         cap = float(rng.choice([g.total_volume, rng.integers(1, g.total_volume + 1)]))
-        order, row, size, boundaries, volumes = partition._block_candidates(g, rows, c, cap)
+        order, row, size, boundaries, volumes = partition._block_candidates(
+            g, rows, c, cap, np.full((b, c), -1), rows > 0
+        )
         want_order, fits, *want = reference_block_candidates(g, rows, c, cap)
         assert order.shape == (b, c)
         assert np.array_equal(order, np.where(fits, want_order, -1))
@@ -834,3 +849,33 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
     assert out.best.exact == Fraction(2, 1146)
     assert out.origin == Origin(seed=5, step=3, prefix=60)
     assert out.work == 132_189
+
+
+def test_parameter_and_input_checks_pin_their_messages(barbell3):
+    g = barbell3.graph  # total volume 14; the triangle {0, 1, 2} has conductance 1/7
+    good = dict(seed=0, k=7, phi=0.1, epsilon=0.5)
+    for call, message in (
+        (lambda: GlobalParams(k=1, epsilon=0.5), "k must be at least 2"),
+        (lambda: GlobalParams(k=10, epsilon=0.0), "epsilon must lie in (0, 1]"),
+        (lambda: GlobalParams(k=10, epsilon=1.5), "epsilon must lie in (0, 1]"),
+        (
+            lambda: GlobalParams(k=10, epsilon=0.5, horizon_override=-1),
+            "horizon_override must be nonnegative",
+        ),
+        (lambda: LocalParams(**{**good, "seed": -1}), "seed must be nonnegative"),
+        (lambda: LocalParams(**{**good, "k": 1}), "k must be at least 2"),
+        (lambda: LocalParams(**{**good, "phi": 0.0}), "phi must lie in (0, 1]"),
+        (lambda: LocalParams(**{**good, "phi": 1.5}), "phi must lie in (0, 1]"),
+        (lambda: global_sparsest_cut_tight_volume(g, 1, 0.5), "k must be at least 2"),
+        (lambda: sweep(g, [], 5.0), "trajectory must be nonempty"),
+        (
+            lambda: global_sparsest_cut(g, GlobalParams(k=15, epsilon=0.5)),
+            "k exceeds the total volume",
+        ),
+        (
+            lambda: find_local_seed(g, [0, 1, 2], LocalParams(**good)),
+            "set conductance exceeds the target phi",
+        ),
+    ):
+        with raises_message(message):
+            call()

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from sparsecut import (
     restricted_eigenpair,
     ring_of_cliques,
 )
-from sparsecut.graph import _ball
+from sparsecut.graph import Graph, _ball, _is_connected, load_edge_list
 
-from conftest import random_connected_subset, relabel
+from conftest import raises_message, random_connected_subset, relabel
 
 
 def dense_lambda(g, members):
@@ -379,3 +380,61 @@ def test_certificate_work_does_not_grow_with_n(monkeypatch):
     assert seen[0] == seen[1]
     steps, stepped = seen[0][3:]
     assert steps == 3 * 114 and stepped < steps * ring_of_cliques(200, 20).graph.total_volume
+
+
+def test_spectral_checks_pin_their_messages():
+    g = ring_of_cliques(4, 5).graph
+    isolated = Graph.from_edges(3, [(0, 1)])
+    for call, message in (
+        (lambda: restricted_eigenpair(g, []), "subset must be nonempty"),
+        (lambda: restricted_eigenpair(g, [0, 99]), "vertex id out of range"),
+        (
+            lambda: restricted_eigenpair(isolated, [2]),
+            "zero-degree vertex: restricted walk matrix undefined",
+        ),
+        (lambda: certify_lower_bound(g, range(5), -1), "horizon must be nonnegative"),
+    ):
+        with raises_message(message):
+            call()
+
+
+def test_certificates_reject_a_horizon_past_the_step_limit(monkeypatch):
+    # 2,000,000 steps were still walking after 4 s; the limit is checked
+    # before the subset's subgraph is built
+    def no_work(g, subset):
+        raise AssertionError("the subset's subgraph was built")
+
+    monkeypatch.setattr(spectral, "_restricted_adjacency", no_work)
+    g = ring_of_cliques(4, 5).graph
+    for certify in (certify_lower_bound, best_seed_vertex):
+        with raises_message("horizon exceeds 1000000 steps"):
+            certify(g, range(5), 1_000_001)
+
+
+def test_connectivity_runs_only_where_read(monkeypatch):
+    # a graph is its arrays: only a read of ``connected`` runs the pass, once
+    # a graph, and the certificates read it for S, never for the ball
+    sizes = []
+
+    def counting(n, indptr, indices):
+        sizes.append(n)
+        return _is_connected(n, indptr, indices)
+
+    monkeypatch.setattr("sparsecut.graph._is_connected", counting)
+    built = Graph.from_edges(4, [(0, 1), (2, 3)])
+    loaded = load_edge_list(io.StringIO("0 1\n1 2\n"))
+    assert sizes == []
+    assert (built.connected, loaded.connected) == (False, True)
+    assert sizes == [4, 3]
+    assert (built.connected, loaded.connected) == (False, True)
+    assert sizes == [4, 3]
+    g = ring_of_cliques(6, 5).graph
+    members = list(range(5))
+    assert _ball(g, np.array(members), 9 // 2 + 1).size > len(members)
+    for certify in (certify_lower_bound, best_seed_vertex):
+        sizes.clear()
+        certify(g, members, 9)
+        assert sizes == [len(members)], certify.__name__
+    split = spectral._induced(g, np.array([0, 1, 10]))
+    assert split.connected is False
+    assert spectral._induced(g, np.array([0, 1, 2])).connected is True

@@ -15,7 +15,7 @@ from sparsecut import (
 )
 from sparsecut.graph import Graph, _gather_rows, prefix_cut_profile
 
-from conftest import dense_walk, relabel
+from conftest import dense_walk, raises_message, relabel
 
 
 def stationary(g):
@@ -377,3 +377,16 @@ def test_plan_follows_the_support_array():
     for a, b in zip(truncated_step(g, held, 0.0), reference_truncated_step(g, held, 0.0)):
         assert np.array_equal(a.support, b.support)
         assert a.mass.tobytes() == b.mass.tobytes()
+
+
+def test_walk_checks_pin_their_messages():
+    g = path(4)
+    assert WalkSchedule(horizon=1_000_000).horizon == 1_000_000
+    for call, message in (
+        (lambda: lazy_step(g, np.ones(5)), "distribution length does not match vertex count"),
+        (lambda: SparseDistribution([0, 1], [1.0], 4), "support and mass lengths differ"),
+        (lambda: WalkSchedule(horizon=-1), "horizon must be nonnegative"),
+        (lambda: WalkSchedule(horizon=1_000_001), "horizon exceeds 1000000 steps"),
+    ):
+        with raises_message(message):
+            call()
