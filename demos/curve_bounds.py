@@ -23,8 +23,9 @@ inst = barbell(6)
 g = inst.graph
 steps = 30
 
-trace = run_walk(g, seed=0, schedule=WalkSchedule(steps, 0.0))
-curves = [build_curve(g, d) for d in trace]
+# a walk is one pass; this demo reads each step twice, so it keeps them
+walk = list(run_walk(g, seed=0, schedule=WalkSchedule(steps, 0.0)))
+curves = [build_curve(g, d) for d in walk]
 
 violations = 0
 for prev, nxt in zip(curves, curves[1:]):
@@ -32,7 +33,7 @@ for prev, nxt in zip(curves, curves[1:]):
 print(f"chord bound: {violations} violations over {steps} consecutive steps")
 
 cap = g.edge_count
-outcome = sweep(g, trace, cap)
+outcome = sweep(g, walk, cap)
 phi1 = 1.0
 print()
 print(f"{'t':>4} {'phi1 (running min)':>20} {'C_t(cap)':>10} {'envelope(cap)':>14}")

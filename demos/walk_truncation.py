@@ -22,14 +22,14 @@ print(f"ring of 10 cliques of size 10: n={g.vertex_count}, 2m={g.total_volume}")
 print(f"threshold eps={eps}, so per-step touched volume must stay <= {1/eps:.0f}")
 print()
 print(f"{'t':>4} {'support':>8} {'touched_vol':>12} {'lost_mass':>10} {'max_gap':>10}")
-for t in range(steps + 1):
-    approx = trace[t].to_dense()
+for t, dist in enumerate(trace):  # each step is taken as the loop reads it
+    approx = dist.to_dense()
     gap = exact - approx
     touched = trace.touched_volume[t - 1] if t >= 1 else g.degree(0)
     if t % 10 == 0:
         print(
-            f"{t:>4} {trace[t].support.size:>8} {touched:>12} "
-            f"{1 - trace[t].total():>10.2e} {gap.max():>10.2e}"
+            f"{t:>4} {dist.support.size:>8} {touched:>12} "
+            f"{1 - dist.total():>10.2e} {gap.max():>10.2e}"
         )
     assert gap.min() >= 0, "thresholding may only remove mass"
     assert np.all(gap <= eps * t * g.degrees + 1e-12), "deficit bound"

@@ -197,8 +197,9 @@ def _cmd_local(args, out: IO[str]) -> int:
 def _cmd_curve(args, out: IO[str]) -> int:
     g = load_edge_list(args.graph)
     schedule = WalkSchedule(horizon=args.steps, truncation=args.truncation)
-    trace = run_walk(g, args.seed, schedule)
-    curve = build_curve(g, trace[args.steps])
+    for p in run_walk(g, args.seed, schedule):  # one pass to step T, one distribution held
+        pass
+    curve = build_curve(g, p)
     for x, y in zip(curve.x, curve.y):
         out.write(f"{int(x)}\t{float(y)!r}\n")
     return 0

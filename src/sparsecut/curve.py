@@ -59,7 +59,7 @@ class Envelope:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.cap < 1:
+        if not self.cap >= 1:
             raise ValueError("cap must be at least 1")
         if not 0.0 <= self.phi1 <= 1.0:
             raise ValueError("phi1 must lie in [0, 1]")
@@ -68,7 +68,7 @@ class Envelope:
 
 
 def envelope_value(env: Envelope, x: float) -> float:
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     return x / env.cap + math.sqrt(x) * (1.0 - env.phi1**2 / 8.0) ** env.steps
 
@@ -97,7 +97,7 @@ def build_curve(g: Graph, p: np.ndarray | SparseDistribution) -> LSCurve:
 def evaluate(curve: LSCurve, x: float) -> float:
     """Curve value at x by linear interpolation between extreme points."""
     total_volume = int(curve.x[-1])
-    if x < 0 or x > total_volume:
+    if not 0 <= x <= total_volume:
         raise ValueError(f"x={x} outside [0, {total_volume}]")
     return float(np.interp(x, curve.x, curve.y))
 

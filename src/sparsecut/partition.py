@@ -6,9 +6,9 @@ one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
 and reports not-found when nothing beats the acceptance threshold
 8*sqrt(phi/eps). All tie-breaking is total, so identical inputs always
 return the identical outcome. The local driver's walk, curves, prefix
-profiles and cut touch only the walk's support and its neighbors, so its
-memory follows the work done, not the vertex count; the sweep profiles a
-step's level sets through the support merge its walk step already holds.
+profiles and cut touch only the walk's support and its neighbors. The sweep
+reads each step as it is taken and profiles its level sets through the walk
+step's support merge, so memory follows the support, plus a pair a step.
 
 The global driver keeps one block of B start vertices, B x n walk rows of at
 most ``BLOCK_ARCS`` cells and swept arcs, and the winner's members. A block
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -199,27 +199,24 @@ def _select(boundaries: np.ndarray, volumes: np.ndarray) -> int:
     return best
 
 
-def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
+def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     """Lowest-conductance level set across all steps of a trajectory.
 
-    Ties break toward smaller volume, then earlier step, then shorter
-    prefix. Work is taken from the trajectory when it carries accounting
-    (a WalkTrace); the outcome records per-step minima. A step whose capped
-    order equals the previous step's has the same prefixes, so it repeats
-    that step's minimum without a profile: being later, it cannot win. A
-    sparse step is profiled through its walk plan, built here if it has none.
+    The trajectory is read once, so a WalkTrace is swept as it steps. Ties
+    break toward smaller volume, then earlier step, then shorter prefix.
+    Work is the trajectory's ``total_work`` after the pass (0 for a list);
+    the outcome records per-step minima. A step whose capped order equals
+    the previous step's has the same prefixes, so it repeats that step's
+    minimum without a profile: being later, it cannot win. A sparse step is
+    profiled through its walk plan, built here if it has none.
     """
-    if vol_cap < 1:
+    if not vol_cap >= 1:
         raise ValueError("vol_cap must be at least 1")
-    distributions = list(trajectory)
-    if not distributions:
-        raise ValueError("trajectory must be nonempty")
-    work = int(getattr(trajectory, "total_work", 0))
     best_key: tuple[Fraction, int, int, int] | None = None
     best_order = None
     step_min: list[tuple[int, int] | None] = []
     capped = None
-    for t, dist in enumerate(distributions):
+    for t, dist in enumerate(trajectory):
         curve = build_curve(g, dist)
         order = curve.vertex_order
         # the prefixes that fit the cap; a prefix's profile does not depend
@@ -240,6 +237,9 @@ def sweep(g: Graph, trajectory: Sequence, vol_cap: float) -> SweepOutcome:
         key = (Fraction(bd, vol), vol, t, j + 1)
         if best_key is None or key < best_key:
             best_key, best_order = key, order
+    if not step_min:
+        raise ValueError("trajectory must be nonempty")
+    work = int(getattr(trajectory, "total_work", 0))  # complete only after the pass
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work, step_min_cut=step_min)
     _, _, t, j = best_key

@@ -14,6 +14,8 @@ and the thresholded walk never exceeds the exact one even in floating
 point. No array of length n is made. The merge is the support's plan, built
 once per support array and shared by a kept distribution of the same set:
 a settled walk redoes no merge, and the sweep profiles its level sets by it.
+A walk is one pass that takes each step as it is read, so a run holds its
+current distribution, not its history.
 """
 
 from __future__ import annotations
@@ -161,55 +163,51 @@ def truncated_step(
     return stepped, kept
 
 
-@dataclass(eq=False)
 class WalkTrace:
-    """Distributions p_0..p_T of one walk plus per-step work accounting.
+    """One pass over p_0..p_T of a walk, each step taken as it is read.
 
-    ``touched_volume[t-1]`` is the support volume that step t had to touch.
-    Iterating or indexing the trace yields the distributions.
+    A second pass yields nothing. ``touched_volume[t-1]`` is the support
+    volume that step t had to touch, appended as the step is taken, so
+    ``total_work``, their sum, is complete only after the pass.
     """
 
-    distributions: list = field(default_factory=list)
-    touched_volume: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.distributions)
-
-    def __getitem__(self, t):
-        return self.distributions[t]
+    def __init__(self, g: Graph, seed: int, schedule: WalkSchedule) -> None:
+        self.touched_volume: list[int] = []
+        self._steps = _steps(g, seed, schedule, self.touched_volume)
 
     def __iter__(self) -> Iterator:
-        return iter(self.distributions)
+        return self._steps
 
     @property
     def total_work(self) -> int:
         return int(sum(self.touched_volume))
 
 
+def _steps(g: Graph, seed: int, schedule: WalkSchedule, touched: list[int]) -> Iterator:
+    """p_0..p_T, each step taken when asked for and its support volume appended to touched."""
+    threshold = schedule.truncation
+    exact = threshold == 0.0
+    if exact:
+        p = np.zeros(g.vertex_count, dtype=np.float64)
+        p[seed] = 1.0
+    else:
+        live = int(1.0 >= threshold * g.degree(seed))  # the start is thresholded too
+        p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
+    yield p
+    for _ in range(schedule.horizon):
+        touched.append(int(g.degrees[p > 0].sum()) if exact else p.support_volume(g))
+        p = lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
+        yield p
+
+
 def run_walk(g: Graph, seed: int, schedule: WalkSchedule) -> WalkTrace:
     """Walk from a single-vertex start for the scheduled number of steps.
 
-    With truncation 0 the trace holds dense arrays and the walk is exact;
-    otherwise it holds SparseDistributions with the threshold applied after
-    every step (including to the start distribution).
+    The trace yields p_0..p_T in one pass. With truncation 0 it yields dense
+    arrays and the walk is exact; otherwise it yields SparseDistributions
+    with the threshold applied after every step (including to the start
+    distribution). The seed is checked at the call, before any step.
     """
     if not (0 <= seed < g.vertex_count):
         raise ValueError("seed out of range")
-    trace = WalkTrace()
-    if schedule.truncation == 0.0:
-        p = np.zeros(g.vertex_count, dtype=np.float64)
-        p[seed] = 1.0
-        trace.distributions.append(p)
-        for _ in range(schedule.horizon):
-            prev = trace.distributions[-1]
-            trace.touched_volume.append(int(g.degrees[prev > 0].sum()))
-            trace.distributions.append(lazy_step(g, prev))
-        return trace
-    live = int(1.0 >= schedule.truncation * g.degree(seed))  # the start is thresholded too
-    trace.distributions.append(SparseDistribution([seed][:live], [1.0][:live], g.vertex_count))
-    for _ in range(schedule.horizon):
-        prev = trace.distributions[-1]
-        trace.touched_volume.append(prev.support_volume(g))
-        _, kept = truncated_step(g, prev, schedule.truncation)
-        trace.distributions.append(kept)
-    return trace
+    return WalkTrace(g, seed, schedule)

@@ -63,9 +63,9 @@ def test_criterion_1_truncation_sandwich():
         p0[seed] = 1.0
         exact = dense_walk(g, p0, steps)
         for eps in (1e-3, 1e-4):
-            trace = run_walk(g, seed, WalkSchedule(steps, eps))
+            dists = list(run_walk(g, seed, WalkSchedule(steps, eps)))
             for t in range(steps + 1):
-                gap = exact[t] - trace[t].to_dense()
+                gap = exact[t] - dists[t].to_dense()
                 assert gap.min() >= 0.0, (name, eps, t, gap.min())
                 excess = gap - (eps * t * g.degrees + 1e-12)
                 assert excess.max() <= 0.0, (name, eps, t, excess.max())
@@ -80,11 +80,12 @@ def test_criterion_2_truncated_support_cost():
     for name, (g, seed) in sandwich_instances().items():
         for eps in (1e-3, 1e-4):
             trace = run_walk(g, seed, WalkSchedule(100, eps))
+            dists = list(trace)
             budget = 1.0 / eps
             for t, touched in enumerate(trace.touched_volume, start=1):
                 assert touched <= budget, (name, eps, t, touched)
                 total_steps += 1
-            for dist in trace.distributions[1:]:
+            for dist in dists[1:]:
                 assert dist.support_volume(g) <= budget
     report(2, f"touched volume stayed within 1/eps over {total_steps} steps")
 
@@ -118,10 +119,10 @@ def test_criterion_4_curve_envelope():
     points = 0
     for name, g in five_families().items():
         cap = g.edge_count
-        trace = run_walk(g, 0, WalkSchedule(30, 0.0))
-        outcome = sweep(g, trace, cap)
+        dists = list(run_walk(g, 0, WalkSchedule(30, 0.0)))
+        outcome = sweep(g, dists, cap)
         phi1 = 1.0
-        for t, dist in enumerate(trace):
+        for t, dist in enumerate(dists):
             pair = outcome.step_min_cut[t]
             if pair is not None:
                 phi1 = min(phi1, pair[0] / pair[1])

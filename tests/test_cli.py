@@ -1,7 +1,10 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+
+from sparsecut import cli, load_edge_list
 
 from conftest import cli_env
 
@@ -137,6 +140,30 @@ def test_curve_tsv(tmp_path, ring_file):
     xs = [int(line.split("\t")[0]) for line in lines]
     assert xs == sorted(xs)
     assert xs[-1] == 88  # total volume of ring_of_cliques(4, 5)
+
+
+def test_curve_holds_one_distribution(tmp_path):
+    # curve --steps T prints step T only: past loading the graph, it holds
+    # one distribution at a time, not the T + 1 steps of the walk
+    graph, out = tmp_path / "ring.txt", str(tmp_path / "curve.tsv")
+    res = run_cli(
+        ["generate", "ring-of-cliques", "--r", "200", "--s", "20", "--out", str(graph)],
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert cli.main(["-o", out, "curve", str(graph), "--seed", "0", "--steps", "1"]) == 0
+    load = peak(lambda: load_edge_list(graph))
+    argv = ["-o", out, "curve", str(graph), "--seed", "0", "--steps", "500"]
+    assert peak(lambda: cli.main(argv)) <= load + 1_000_000
 
 
 def test_certify_output(tmp_path, ring_file):

@@ -229,12 +229,12 @@ def test_exact_curves_dominate_monotonically():
 def test_truncated_curve_dominated_by_exact():
     g = ring_of_cliques(6, 5).graph
     eps = 1e-3
-    trace = run_walk(g, 0, WalkSchedule(40, eps))
+    dists = list(run_walk(g, 0, WalkSchedule(40, eps)))
     p0 = np.zeros(g.vertex_count)
     p0[0] = 1.0
     exact = dense_walk(g, p0, 40)
     for t in [5, 20, 40]:
-        truncated_curve = build_curve(g, trace[t])
+        truncated_curve = build_curve(g, dists[t])
         exact_curve = build_curve(g, exact[t])
         for x in truncated_curve.x:
             assert evaluate(truncated_curve, x) <= evaluate(exact_curve, x) + 1e-12
@@ -247,10 +247,10 @@ def test_envelope_bounds_curve_end_to_end(family_graphs):
 
     for g in family_graphs.values():
         cap = g.edge_count
-        trace = run_walk(g, 0, WalkSchedule(30, 0.0))
-        outcome = sweep(g, trace, cap)
+        dists = list(run_walk(g, 0, WalkSchedule(30, 0.0)))
+        outcome = sweep(g, dists, cap)
         running = 1.0
-        for t, dist in enumerate(trace):
+        for t, dist in enumerate(dists):
             pair = outcome.step_min_cut[t]
             if pair is not None:
                 running = min(running, pair[0] / pair[1])
@@ -264,9 +264,12 @@ def test_curve_checks_pin_their_messages():
     g = path(4)
     for call, message in (
         (lambda: Envelope(cap=0.5, phi1=0.1, steps=1), "cap must be at least 1"),
+        (lambda: Envelope(cap=float("nan"), phi1=0.1, steps=1), "cap must be at least 1"),
         (lambda: Envelope(cap=2.0, phi1=1.5, steps=1), "phi1 must lie in [0, 1]"),
         (lambda: Envelope(cap=2.0, phi1=0.1, steps=-1), "steps must be nonnegative"),
         (lambda: envelope_value(Envelope(2.0, 0.1, 1), -1.0), "x must be nonnegative"),
+        (lambda: envelope_value(Envelope(2.0, 0.1, 1), float("nan")), "x must be nonnegative"),
+        (lambda: evaluate(build_curve(g, np.ones(4) / 4), float("nan")), "x=nan outside [0, 6]"),
         (lambda: build_curve(g, np.ones(5)), "distribution length does not match vertex count"),
     ):
         with raises_message(message):

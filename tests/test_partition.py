@@ -365,6 +365,7 @@ def test_local_work_matches_trace_accounting():
     trace = run_walk(
         inst.graph, 0, WalkSchedule(params.horizon, params.truncation)
     )
+    list(trace)
     assert out.work == trace.total_work
     assert out.work <= params.horizon / params.truncation  # vol(support) <= 1/eps'
 
@@ -377,10 +378,10 @@ def test_sweep_builds_each_curve_once(monkeypatch, barbell3):
         return build_curve(g, p)
 
     monkeypatch.setattr(partition, "build_curve", counting)
-    trace = run_walk(barbell3.graph, 0, WalkSchedule(20, 0.0))
-    out = sweep(barbell3.graph, trace, 7)
+    dists = list(run_walk(barbell3.graph, 0, WalkSchedule(20, 0.0)))
+    out = sweep(barbell3.graph, dists, 7)
     assert out.found
-    assert len(calls) == len(trace)
+    assert len(calls) == len(dists)
 
 
 def test_capped_sweep_matches_uncapped_profile(monkeypatch):
@@ -397,10 +398,10 @@ def test_capped_sweep_matches_uncapped_profile(monkeypatch):
 
     monkeypatch.setattr(partition, "prefix_cut_profile", recording)
     for schedule in (WalkSchedule(30, 0.0), WalkSchedule(30, 1e-4)):
-        trace = run_walk(g, 5, schedule)
-        out = sweep(g, trace, cap)
+        dists = list(run_walk(g, 5, schedule))
+        out = sweep(g, dists, cap)
         expected = []
-        for dist in trace:
+        for dist in dists:
             volumes, boundaries = prefix_cut_profile(g, build_curve(g, dist).vertex_order)
             fits = [
                 (Fraction(int(b), int(v)), int(v), j, int(b))
@@ -769,6 +770,50 @@ def test_local_query_memory_does_not_grow_with_n():
     assert abs(big_peak - small_peak) < 64 * 1024
 
 
+def test_local_query_memory_does_not_grow_with_the_horizon():
+    # the sweep reads the walk as it steps: at horizon 3,634 the query holds
+    # one distribution and a (boundary, volume) pair a step, not 3,635 steps
+    g = ring_of_cliques(200, 20).graph
+    g.degrees  # cached before the count: the graph's own arrays are not the query's
+    params = LocalParams(seed=5, k=382, phi=2 / 382 / 32, epsilon=0.2)
+    assert params.horizon == 3634
+    tracemalloc.start()
+    try:
+        out = local_partition(g, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.step_min_cut) == params.horizon + 1
+    assert peak < 2_000_000
+
+
+def test_walk_trace_is_one_pass_that_sweep_reads_as_it_steps(monkeypatch, barbell3):
+    g = barbell3.graph
+    steps = []
+    for name in ("lazy_step", "truncated_step"):
+        step = getattr(walk, name)
+        monkeypatch.setattr(walk, name, lambda *args, step=step: steps.append(1) or step(*args))
+    for truncation in (0.0, 1e-3):
+        schedule = WalkSchedule(20, truncation)
+        steps.clear()
+        trace = run_walk(g, 0, schedule)
+        assert trace.touched_volume == [] and trace.total_work == 0
+        assert not hasattr(trace, "distributions")
+        first = next(iter(trace))  # p_0 takes no step
+        assert not steps
+        dists = [first, *trace]
+        assert len(dists) == 21 and len(trace.touched_volume) == 20 == len(steps)
+        assert list(trace) == []  # a second pass yields nothing
+        with raises_message("trajectory must be nonempty"):
+            sweep(g, trace, 7)
+        stream = run_walk(g, 0, schedule)
+        out, ref = sweep(g, stream, 7), sweep(g, dists, 7)
+        assert out.found
+        assert (out.best, out.origin, out.step_min_cut) == (ref.best, ref.origin, ref.step_min_cut)
+        assert out.work == stream.total_work == trace.total_work > 0
+        assert ref.work == 0  # a list carries no accounting
+
+
 def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
     # the sweep skips the profile of a step whose capped order repeats the
     # previous step's; every field must equal the profile-every-step loop
@@ -782,9 +827,8 @@ def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
     trajectories = [(star, [leaves, point, leaves, leaves, point, point, leaves], 5)]
     rng = np.random.default_rng(11)
     for seed, truncation in ((5, 1e-4), (hub, 1e-3), (0, 0.0), (9, 2e-3)):
-        trace = run_walk(g, seed, WalkSchedule(25, truncation))
-        trajectories.append((g, trace, cap))
-        dists = list(trace)
+        dists = list(run_walk(g, seed, WalkSchedule(25, truncation)))
+        trajectories.append((g, dists, cap))
         # repeated identical distributions, and equal orders with other masses
         padded = [dists[0], dists[0]]
         for d in dists[1:8]:
@@ -868,6 +912,7 @@ def test_parameter_and_input_checks_pin_their_messages(barbell3):
         (lambda: LocalParams(**{**good, "phi": 1.5}), "phi must lie in (0, 1]"),
         (lambda: global_sparsest_cut_tight_volume(g, 1, 0.5), "k must be at least 2"),
         (lambda: sweep(g, [], 5.0), "trajectory must be nonempty"),
+        (lambda: sweep(g, run_walk(g, 0, WalkSchedule(2)), math.nan), "vol_cap must be at least 1"),
         (
             lambda: global_sparsest_cut(g, GlobalParams(k=15, epsilon=0.5)),
             "k exceeds the total volume",

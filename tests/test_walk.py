@@ -236,21 +236,21 @@ def test_support_spreads_one_hop_only():
 
 def test_run_walk_horizon_zero():
     g = complete(4)
-    trace = run_walk(g, 2, WalkSchedule(0, 0.0))
-    assert len(trace) == 1
-    assert list(trace[0]) == [0.0, 0.0, 1.0, 0.0]
+    dists = list(run_walk(g, 2, WalkSchedule(0, 0.0)))
+    assert len(dists) == 1
+    assert list(dists[0]) == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_run_walk_sandwich_against_dense_oracle():
     g = erdos_renyi(200, 0.05, rng_seed=42)
     eps = 1e-4
     steps = 50
-    trace = run_walk(g, 0, WalkSchedule(steps, eps))
+    dists = list(run_walk(g, 0, WalkSchedule(steps, eps)))
     p0 = np.zeros(g.vertex_count)
     p0[0] = 1.0
     exact = dense_walk(g, p0, steps)
     for t in range(steps + 1):
-        approx = trace[t].to_dense()
+        approx = dists[t].to_dense()
         gap = exact[t] - approx
         assert gap.min() >= 0.0
         assert np.all(gap <= eps * t * g.degrees + 1e-12)
@@ -260,9 +260,10 @@ def test_truncated_mass_nonincreasing_and_support_volume_bounded():
     g = ring_of_cliques(10, 10).graph
     eps = 1e-3
     trace = run_walk(g, 0, WalkSchedule(60, eps))
-    totals = [d.total() for d in trace]
+    dists = list(trace)
+    totals = [d.total() for d in dists]
     assert all(a >= b - 1e-15 for a, b in zip(totals, totals[1:]))
-    for dist in trace.distributions[1:]:
+    for dist in dists[1:]:
         assert dist.support_volume(g) <= 1 / eps
     assert all(v <= 1 / eps for v in trace.touched_volume)
 
@@ -276,6 +277,7 @@ def test_run_walk_rejects_bad_seed():
 def test_walk_trace_work_accounting():
     g = complete(6)
     trace = run_walk(g, 0, WalkSchedule(3, 0.0))
+    list(trace)
     # step 1 touches only the seed, later steps the full clique
     assert trace.touched_volume[0] == g.degree(0)
     assert trace.total_work == sum(trace.touched_volume)
