@@ -1,19 +1,25 @@
 """Command-line entry point with stable, scriptable tab-separated output.
 
 Results go to stdout (or --output) as ``key<TAB>value`` lines with a fixed
-key set per subcommand; diagnostics go to stderr. Exit status 0 covers
-success including a local not-found, 2 flags usage errors, 1 runtime errors.
-Identical invocations produce byte-identical output.
+key set per subcommand (``curve`` and ``certify`` add numbered rows);
+diagnostics go to stderr. A subcommand computes all its lines before it
+returns them, and ``main`` alone writes them, so a failed run writes no
+result and leaves --output as it was. Exit status 0 covers success including
+a local not-found, 2 flags usage errors, 1 runtime errors. Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Sequence
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable, Sequence
 
 from . import generators
-from .graph import Cut, load_edge_list, write_edge_list
+from .curve import build_curve
+from .graph import Cut, GraphFormatError, load_edge_list, write_edge_list
 from .partition import (
     GlobalParams,
     LocalParams,
@@ -21,220 +27,198 @@ from .partition import (
     global_sparsest_cut,
     global_sparsest_cut_tight_volume,
     local_partition,
+    tight_volume_exponent,
 )
 from .spectral import certify_lower_bound
 from .walk import WalkSchedule, run_walk
-from .curve import build_curve
 
-def _emit(out: IO[str], pairs: Sequence[tuple[str, object]]) -> None:
-    for key, value in pairs:
-        out.write(f"{key}\t{value}\n")
+Rows = Iterable[Sequence[object]]
+
+_CUT_KEYS = ("status", "conductance", "boundary", "volume", "member_count",
+             "origin_seed", "origin_step", "origin_prefix")
+
+
+def _format(rows: Rows) -> Iterable[str]:
+    """One tab-separated line a row, formatted as it is written."""
+    return ("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_members(path: str | None, cut: Cut | None) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        if cut is not None:
-            for v in cut.members:
-                fh.write(f"{v}\n")
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{v}\n" for v in (cut.members if cut is not None else ()))
 
 
-def _cut_fields(outcome: SweepOutcome) -> list[tuple[str, object]]:
+def _cut_record(outcome: SweepOutcome) -> list[tuple[str, object]]:
+    values = ("not-found", "-", "-", "-", 0, "-", "-", "-")
     if outcome.found:
-        cut = outcome.best
-        origin = outcome.origin
-        return [
-            ("status", "ok"),
-            ("conductance", repr(cut.conductance)),
-            ("boundary", cut.boundary),
-            ("volume", cut.volume),
-            ("member_count", len(cut.members)),
-            ("origin_seed", origin.seed),
-            ("origin_step", origin.step),
-            ("origin_prefix", origin.prefix),
-            ("work", outcome.work),
-        ]
+        cut, origin = outcome.best, outcome.origin
+        values = ("ok", repr(cut.conductance), cut.boundary, cut.volume, len(cut.members),
+                  origin.seed, origin.step, origin.prefix)
+    return [*zip(_CUT_KEYS, values), ("work", outcome.work)]
+
+
+def _cmd_load(args) -> Rows:
+    g = load_edge_list(args.graph)
     return [
-        ("status", "not-found"),
-        ("conductance", "-"),
-        ("boundary", "-"),
-        ("volume", "-"),
-        ("member_count", 0),
-        ("origin_seed", "-"),
-        ("origin_step", "-"),
-        ("origin_prefix", "-"),
-        ("work", outcome.work),
+        ("vertices", g.vertex_count),
+        ("edges", g.edge_count),
+        ("total_volume", g.total_volume),
+        ("min_degree", int(g.degrees.min()) if g.vertex_count else 0),
+        ("max_degree", int(g.degrees.max()) if g.vertex_count else 0),
+        ("connected", str(g.connected).lower()),
+        ("duplicate_edges", g.duplicate_edges),
     ]
 
 
-def _cmd_load(args, out: IO[str]) -> int:
-    g = load_edge_list(args.graph)
-    degs = g.degrees
-    _emit(
-        out,
-        [
-            ("vertices", g.vertex_count),
-            ("edges", g.edge_count),
-            ("total_volume", g.total_volume),
-            ("min_degree", int(degs.min()) if g.vertex_count else 0),
-            ("max_degree", int(degs.max()) if g.vertex_count else 0),
-            ("connected", str(g.connected).lower()),
-            ("duplicate_edges", g.duplicate_edges),
-        ],
-    )
-    return 0
+# family -> (constructor, its size options); a trailing "!" marks a required option
+_FAMILIES = {
+    "ring-of-cliques": (generators.ring_of_cliques, "--r! --s!"),
+    "barbell": (generators.barbell, "--s!"),
+    "path": (generators.path, "--n!"),
+    "complete": (generators.complete, "--n!"),
+    "erdos-renyi": (generators.erdos_renyi, "--n! --p! --rng-seed"),
+}
 
 
-def _cmd_generate(args, out: IO[str]) -> int:
-    planted: Cut | None = None
-    if args.family == "ring-of-cliques":
-        inst = generators.ring_of_cliques(args.r, args.s)
-        g, planted = inst.graph, inst.planted
-    elif args.family == "barbell":
-        inst = generators.barbell(args.s)
-        g, planted = inst.graph, inst.planted
-    elif args.family == "path":
-        g = generators.path(args.n)
-    elif args.family == "complete":
-        g = generators.complete(args.n)
-    else:
-        g = generators.erdos_renyi(args.n, args.p, args.rng_seed)
+def _cmd_generate(args) -> Rows:
+    make, sizes = _FAMILIES[args.family]
+    made = make(*(getattr(args, o.strip("-!").replace("-", "_")) for o in sizes.split()))
+    planted = made.planted if isinstance(made, generators.PlantedInstance) else None
+    g = made.graph if planted is not None else made
     with open(args.out, "w", encoding="utf-8") as fh:
         write_edge_list(g, fh)
+    phi = "-" if planted is None else f"{planted.boundary}/{planted.volume}"
+    head = [("family", args.family), ("vertices", g.vertex_count), ("edges", g.edge_count)]
+    meta = head + [("connected", str(g.connected).lower())]
+    if planted is not None:
+        members = ",".join(map(str, planted.members))
+        meta += [("planted_conductance", phi), ("planted_members", members)]
     meta_path = args.meta_out or args.out + ".meta"
     with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(f"family\t{args.family}\n")
-        fh.write(f"vertices\t{g.vertex_count}\n")
-        fh.write(f"edges\t{g.edge_count}\n")
-        fh.write(f"connected\t{str(g.connected).lower()}\n")
-        if planted is not None:
-            fh.write(f"planted_conductance\t{planted.boundary}/{planted.volume}\n")
-            fh.write("planted_members\t" + ",".join(map(str, planted.members)) + "\n")
-    _emit(
-        out,
-        [
-            ("family", args.family),
-            ("vertices", g.vertex_count),
-            ("edges", g.edge_count),
-            ("out", args.out),
-            ("meta_out", meta_path),
-            (
-                "planted_conductance",
-                f"{planted.boundary}/{planted.volume}" if planted else "-",
-            ),
-        ],
-    )
-    return 0
+        fh.writelines(_format(meta))
+    return head + [("out", args.out), ("meta_out", meta_path), ("planted_conductance", phi)]
 
 
-def _cmd_global(args, out: IO[str]) -> int:
+def _cmd_global(args) -> Rows:
+    """``global`` and ``global-tight``; the tight record adds epsilon_reduced."""
     g = load_edge_list(args.graph)
-    params = GlobalParams(
-        k=args.k, epsilon=args.epsilon, horizon_override=args.horizon
-    )
-    outcome = global_sparsest_cut(g, params)
+    reduced = []
+    if args.command == "global":
+        params = GlobalParams(k=args.k, epsilon=args.epsilon, horizon_override=args.horizon)
+        outcome = global_sparsest_cut(g, params)
+    else:
+        outcome = global_sparsest_cut_tight_volume(g, args.k, args.epsilon)
+        params = GlobalParams(k=args.k, epsilon=tight_volume_exponent(args.k, args.epsilon))
+        reduced = [("epsilon_reduced", repr(params.epsilon))]
     _write_members(args.members_out, outcome.best)
-    _emit(
-        out,
-        [
-            ("k", params.k),
-            ("epsilon", repr(params.epsilon)),
-            ("epsilon_effective", repr(params.epsilon_effective)),
-            ("horizon", params.horizon),
-            ("volume_cap", repr(params.volume_cap)),
-        ]
-        + _cut_fields(outcome),
-    )
-    return 0
+    return [
+        ("k", args.k),
+        ("epsilon", repr(args.epsilon)),
+        *reduced,
+        ("epsilon_effective", repr(params.epsilon_effective)),
+        ("horizon", params.horizon),
+        ("volume_cap", repr(params.volume_cap)),
+        *_cut_record(outcome),
+    ]
 
 
-def _cmd_global_tight(args, out: IO[str]) -> int:
-    g = load_edge_list(args.graph)
-    outcome = global_sparsest_cut_tight_volume(g, args.k, args.epsilon)
-    _write_members(args.members_out, outcome.best)
-    from .partition import tight_volume_exponent
-
-    reduced = tight_volume_exponent(args.k, args.epsilon)
-    params = GlobalParams(k=args.k, epsilon=reduced)
-    _emit(
-        out,
-        [
-            ("k", args.k),
-            ("epsilon", repr(args.epsilon)),
-            ("epsilon_reduced", repr(reduced)),
-            ("epsilon_effective", repr(params.epsilon_effective)),
-            ("horizon", params.horizon),
-            ("volume_cap", repr(params.volume_cap)),
-        ]
-        + _cut_fields(outcome),
-    )
-    return 0
-
-
-def _cmd_local(args, out: IO[str]) -> int:
+def _cmd_local(args) -> Rows:
     g = load_edge_list(args.graph)
     params = LocalParams(seed=args.seed, k=args.k, phi=args.phi, epsilon=args.epsilon)
     outcome = local_partition(g, params)
     _write_members(args.members_out, outcome.best)
-    _emit(
-        out,
-        [
-            ("seed", params.seed),
-            ("k", params.k),
-            ("phi", repr(params.phi)),
-            ("epsilon", repr(params.epsilon)),
-            ("horizon", params.horizon),
-            ("truncation", repr(params.truncation)),
-            ("volume_cap", repr(params.volume_cap)),
-            ("threshold", repr(params.conductance_threshold)),
-        ]
-        + _cut_fields(outcome),
-    )
-    return 0
+    return [
+        ("seed", params.seed),
+        ("k", params.k),
+        ("phi", repr(params.phi)),
+        ("epsilon", repr(params.epsilon)),
+        ("horizon", params.horizon),
+        ("truncation", repr(params.truncation)),
+        ("volume_cap", repr(params.volume_cap)),
+        ("threshold", repr(params.conductance_threshold)),
+        *_cut_record(outcome),
+    ]
 
 
-def _cmd_curve(args, out: IO[str]) -> int:
+def _cmd_curve(args) -> Rows:
     g = load_edge_list(args.graph)
     schedule = WalkSchedule(horizon=args.steps, truncation=args.truncation)
     for p in run_walk(g, args.seed, schedule):  # one pass to step T, one distribution held
         pass
     curve = build_curve(g, p)
-    for x, y in zip(curve.x, curve.y):
-        out.write(f"{int(x)}\t{float(y)!r}\n")
-    return 0
+    return ((int(x), repr(float(y))) for x, y in zip(curve.x, curve.y))
 
 
-def _cmd_certify(args, out: IO[str]) -> int:
+def _read_set(path: str) -> list[int]:
+    members = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            line = raw_line.strip()
+            if line:
+                try:
+                    members.append(int(line))
+                except ValueError:
+                    raise GraphFormatError(f"non-integer vertex id {line!r}", lineno) from None
+    return members
+
+
+def _cmd_certify(args) -> Rows:
     g = load_edge_list(args.graph)
-    with open(args.set_file, "r", encoding="utf-8") as fh:
-        members = [int(line) for line in fh if line.strip()]
-    report = certify_lower_bound(g, members, args.horizon)
-    out.write(f"lambda\t{float(report.eigenpair.value)!r}\n")
-    out.write(f"phi\t{float(report.conductance)!r}\n")
-    for t in range(report.horizon + 1):
-        out.write(
-            f"{t}\t{float(report.mass_margins[t])!r}"
-            f"\t{float(report.component_margins[t])!r}\n"
-        )
-    return 0
-
-
-def _cmd_oracle(args, out: IO[str]) -> int:
-    g = load_edge_list(args.graph)
-    phi_k, witness = generators.exact_phi_k(g, args.k)
-    _write_members(args.members_out, witness)
-    _emit(
-        out,
-        [
-            ("k", args.k),
-            ("phi_k", f"{witness.boundary}/{witness.volume}"),
-            ("boundary", witness.boundary),
-            ("volume", witness.volume),
-            ("member_count", len(witness.members)),
-        ],
+    report = certify_lower_bound(g, _read_set(args.set_file), args.horizon)
+    margins = zip(range(report.horizon + 1), report.mass_margins, report.component_margins)
+    return chain(
+        [("lambda", repr(float(report.eigenpair.value))), ("phi", repr(float(report.conductance)))],
+        ((t, repr(float(mass)), repr(float(component))) for t, mass, component in margins),
     )
-    return 0
+
+
+def _cmd_oracle(args) -> Rows:
+    g = load_edge_list(args.graph)
+    _, witness = generators.exact_phi_k(g, args.k)
+    _write_members(args.members_out, witness)
+    return [
+        ("k", args.k),
+        ("phi_k", f"{witness.boundary}/{witness.volume}"),
+        ("boundary", witness.boundary),
+        ("volume", witness.volume),
+        ("member_count", len(witness.members)),
+    ]
+
+
+# subcommand -> (help, function, options); a trailing "!" marks a required option
+_COMMANDS = {
+    "load": ("load a graph and print its stats", _cmd_load, "graph"),
+    "generate": ("write a synthetic edge list", _cmd_generate, "--out! --meta-out"),
+    "global": ("bicriteria sweep from every vertex", _cmd_global,
+               "graph --k! --epsilon! --horizon --members-out"),
+    "global-tight": ("volume-tight bicriteria sweep", _cmd_global,
+                     "graph --k! --epsilon! --members-out"),
+    "local": ("thresholded walk from one seed", _cmd_local,
+              "graph --seed! --k! --phi! --epsilon! --members-out"),
+    "curve": ("dump curve extreme points as TSV", _cmd_curve,
+              "graph --seed! --steps! --truncation"),
+    "certify": ("eigenvalue and retention margins of a set", _cmd_certify,
+                "graph --set-file! --horizon!"),
+    "oracle": ("exhaustive minimum conductance (small n)", _cmd_oracle, "graph --k! --members-out"),
+}
+_TYPES = {
+    "--k": int, "--epsilon": float, "--horizon": int, "--seed": int, "--phi": float,
+    "--steps": int, "--truncation": float, "--r": int, "--s": int, "--n": int,
+    "--p": float, "--rng-seed": int,
+}
+_DEFAULTS = {"--truncation": 0.0, "--rng-seed": 0}
+
+
+def _add_options(parser: argparse.ArgumentParser, options: str, func) -> None:
+    for option in options.split():
+        name = option.rstrip("!")
+        if name.startswith("-"):
+            required, default = option.endswith("!"), _DEFAULTS.get(name)
+            parser.add_argument(name, type=_TYPES.get(name), required=required, default=default)
+        else:
+            parser.add_argument(name)
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,87 +230,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default=None, help="write the result here instead of stdout"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("load", help="load a graph and print its stats")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_load)
-
-    p = sub.add_parser("generate", help="write a synthetic edge list")
-    fam = p.add_subparsers(dest="family", required=True)
-    f = fam.add_parser("ring-of-cliques")
-    f.add_argument("--r", type=int, required=True)
-    f.add_argument("--s", type=int, required=True)
-    f = fam.add_parser("barbell")
-    f.add_argument("--s", type=int, required=True)
-    f = fam.add_parser("path")
-    f.add_argument("--n", type=int, required=True)
-    f = fam.add_parser("complete")
-    f.add_argument("--n", type=int, required=True)
-    f = fam.add_parser("erdos-renyi")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("--p", type=float, required=True)
-    f.add_argument("--rng-seed", type=int, default=0)
-    for name, f in fam.choices.items():
-        f.add_argument("--out", required=True)
-        f.add_argument("--meta-out", default=None)
-        f.set_defaults(func=_cmd_generate, family=name)
-
-    p = sub.add_parser("global", help="bicriteria sweep from every vertex")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--members-out", default=None)
-    p.set_defaults(func=_cmd_global)
-
-    p = sub.add_parser("global-tight", help="volume-tight bicriteria sweep")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--members-out", default=None)
-    p.set_defaults(func=_cmd_global_tight)
-
-    p = sub.add_parser("local", help="thresholded walk from one seed")
-    p.add_argument("graph")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--members-out", default=None)
-    p.set_defaults(func=_cmd_local)
-
-    p = sub.add_parser("curve", help="dump curve extreme points as TSV")
-    p.add_argument("graph")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--truncation", type=float, default=0.0)
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("certify", help="eigenvalue and retention margins of a set")
-    p.add_argument("graph")
-    p.add_argument("--set-file", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("oracle", help="exhaustive minimum conductance (small n)")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--members-out", default=None)
-    p.set_defaults(func=_cmd_oracle)
+    for command, (help_text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command != "generate":
+            _add_options(p, options, func)
+            continue
+        families = p.add_subparsers(dest="family", required=True)
+        for family, (_, sizes) in _FAMILIES.items():
+            _add_options(families.add_parser(family), f"{sizes} {options}", func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        rows = args.func(args)  # every row is computed before the sink is opened
+        sink = nullcontext(sys.stdout)
         if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+            sink = open(args.output, "w", encoding="utf-8")
+        with sink as out:
+            out.writelines(_format(rows))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"sparsecut: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

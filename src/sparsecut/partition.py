@@ -31,6 +31,7 @@ walk.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
@@ -133,6 +134,12 @@ class LocalParams:
             raise ValueError("phi must lie in (0, 1]")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
+        try:
+            cap = self.volume_cap
+        except OverflowError:  # float(k), or its power, past the float range
+            cap = math.inf
+        if cap == math.inf:
+            raise ValueError("volume cap 5*k^(1+epsilon) overflows a float")
         if self.epsilon <= 2.0 / self.k:
             raise ValueError("epsilon must exceed 2/k")
         if not self.epsilon * math.log(self.k) / (2.0 * self.phi) <= _MAX_HORIZON:
@@ -367,6 +374,8 @@ def global_sparsest_cut_tight_volume(g: Graph, k: int, epsilon: float) -> SweepO
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if k > sys.float_info.max:  # the cap, at least k, would not be a float
+        raise ValueError("k overflows a float")
     if epsilon <= 2.0 * math.log(k) / k:
         raise ValueError("epsilon must exceed 2 ln(k)/k")
     params = GlobalParams(k=k, epsilon=tight_volume_exponent(k, epsilon))

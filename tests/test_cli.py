@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 import tracemalloc
@@ -207,6 +208,11 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
     set_file.write_text("0\n1\n2\n")
     long_curve = ["curve", graph, "--seed", "0", "--steps", "1000001"]
     long_certify = ["certify", "--set-file", str(set_file), "--horizon", "1000001", graph]
+    # a k past the float range raised OverflowError; 10**250 first walked 288 exact steps
+    huge, cap = "1" + "0" * 400, "volume cap 5*k^(1+epsilon) overflows a float"
+    huge_local = local[:5] + [huge, "--phi", "0.1", "--epsilon", "0.2"]
+    huge_cap = local[:5] + [str(10**250), "--phi", "0.5", "--epsilon", "0.5"]
+    huge_tight = ["global-tight", graph, "--k", huge, "--epsilon", "0.5"]
     for args, message in (
         (local + ["inf"], "epsilon must be finite"),
         (local + ["nan"], "epsilon must be finite"),
@@ -216,6 +222,9 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
         (large_k, "global horizon exceeds 1000000 steps"),
         (long_curve, "horizon exceeds 1000000 steps"),
         (long_certify, "horizon exceeds 1000000 steps"),
+        (huge_local, cap),
+        (huge_cap, cap),
+        (huge_tight, "k overflows a float"),
     ):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1, args
@@ -229,6 +238,32 @@ def test_self_loop_reports_line_number(tmp_path):
     res = run_cli(["load", str(bad)], cwd=tmp_path)
     assert res.returncode == 1
     assert b"line 2" in res.stderr
+
+
+def test_bad_set_file_line_reports_line_number(tmp_path, ring_file):
+    set_file = tmp_path / "set.txt"
+    set_file.write_text("0\n\nx\n2\n")
+    res = run_cli(
+        ["certify", "--set-file", str(set_file), "--horizon", "5", str(ring_file)],
+        cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stdout == b""
+    assert res.stderr == b"sparsecut: error: line 3: non-integer vertex id 'x'\n"
+
+
+def test_failed_run_keeps_output_file(tmp_path, ring_file):
+    # the file is opened only once the result is computed; seed 99 is out of range
+    prev = tmp_path / "prev.txt"
+    prev.write_bytes(b"earlier result\n")
+    for argv in (
+        ["local", str(ring_file), "--seed", "99", "--k", "22", "--phi", "0.1", "--epsilon", "0.2"],
+        ["curve", str(ring_file), "--seed", "99", "--steps", "4"],
+    ):
+        res = run_cli(["-o", str(prev), *argv], cwd=tmp_path)
+        assert res.returncode == 1, argv
+        assert res.stderr == b"sparsecut: error: seed out of range\n"
+        assert prev.read_bytes() == b"earlier result\n", argv
 
 
 def test_output_flag_writes_file(tmp_path, ring_file):
@@ -247,6 +282,58 @@ def test_global_rejects_workers_flag(tmp_path, ring_file):
     )
     assert res.returncode == 2
     assert res.stdout == b""
+
+
+# parser path -> (option strings or positional name, type, required, default), in order
+GRAPH = ("graph", None, True, None)
+MEMBERS = ("--members-out", None, False, None)
+OUT = [("--out", None, True, None), ("--meta-out", None, False, None)]
+PARSER = {
+    (): [("--output -o", None, False, None)],
+    ("load",): [GRAPH],
+    ("generate",): [],
+    ("generate", "ring-of-cliques"): [("--r", int, True, None), ("--s", int, True, None), *OUT],
+    ("generate", "barbell"): [("--s", int, True, None), *OUT],
+    ("generate", "path"): [("--n", int, True, None), *OUT],
+    ("generate", "complete"): [("--n", int, True, None), *OUT],
+    ("generate", "erdos-renyi"): [
+        ("--n", int, True, None), ("--p", float, True, None), ("--rng-seed", int, False, 0), *OUT
+    ],
+    ("global",): [
+        GRAPH, ("--k", int, True, None), ("--epsilon", float, True, None),
+        ("--horizon", int, False, None), MEMBERS,
+    ],
+    ("global-tight",): [
+        GRAPH, ("--k", int, True, None), ("--epsilon", float, True, None), MEMBERS
+    ],
+    ("local",): [
+        GRAPH, ("--seed", int, True, None), ("--k", int, True, None),
+        ("--phi", float, True, None), ("--epsilon", float, True, None), MEMBERS,
+    ],
+    ("curve",): [
+        GRAPH, ("--seed", int, True, None), ("--steps", int, True, None),
+        ("--truncation", float, False, 0.0),
+    ],
+    ("certify",): [GRAPH, ("--set-file", None, True, None), ("--horizon", int, True, None)],
+    ("oracle",): [GRAPH, ("--k", int, True, None), MEMBERS],
+}
+
+
+def test_parser_options_are_pinned():
+    found = {}
+
+    def read(parser, path):
+        rows = found.setdefault(path, [])
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    read(child, path + (name,))
+            elif not isinstance(action, argparse._HelpAction):
+                name = " ".join(action.option_strings) or action.dest
+                rows.append((name, action.type, action.required, action.default))
+
+    read(cli.build_parser(), ())
+    assert list(found.items()) == list(PARSER.items())  # the -h order too
 
 
 def test_every_subcommand_deterministic(tmp_path, ring_file):

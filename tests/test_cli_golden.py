@@ -75,6 +75,34 @@ COMMANDS = {
         ["curve", "path.txt", "--seed", "0", "--steps", "700", "--truncation", "1e-6"],
         {"out": "391819d7f0d9f6e368aea495acb485d4c801f1676535983413c1df75e07a9f2e"},
     ),
+    "load-ring": (
+        ["load", "ring.txt"],
+        {"out": "64ab413ae1bf4c3287054a6fd2c766952ab401436cd75f2ad53037345c9af570"},
+    ),
+    "load-barbell": (
+        ["load", "barbell.txt"],
+        {"out": "5da1775cf8e99455678bdc7fc75d0768063ad2c6d5ca14f8674c62654b1f7a73"},
+    ),
+    "load-path": (
+        ["load", "path.txt"],
+        {"out": "572c5b2a5dcf574913a2bdc4976095763b33dc253e67a6e8b96cf5dc2884fc95"},
+    ),
+    "load-er": (
+        ["load", "er.txt"],
+        {"out": "a3dd46e1ed9124cd1fd5250fdcd95c5703d38b47dea5ac6fb8db97f32714b61a"},
+    ),
+    "load-empty": (
+        ["load", "empty.txt"],
+        {"out": "33451a08945fec7dff4945f3c3f23d90098905299a479568a666cf3fba73f125"},
+    ),
+    # er.txt has 25 vertices, past the 22 that exhaustive enumeration allows
+    "oracle": (
+        ["oracle", "ring.txt", "--k", "30", "--members-out", "members"],
+        {
+            "out": "052ca06babd1ae4d1fb26ae62c04027817738d5438c35b1416ba7cb203714815",
+            "members": "026d8ad3dfa1f2aa9da7964947ddedd4e83c6fc008206ebf898699dea80f9804",
+        },
+    ),
 }
 
 GENERATED = {
@@ -102,6 +130,7 @@ def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, family in GRAPHS.items():
         assert cli.main(["--output", name + ".out", "generate", *family, "--out", name]) == 0
+    (tmp_path / "empty.txt").write_bytes(b"")
     return tmp_path
 
 
