@@ -260,9 +260,9 @@ def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offsets = np.zeros(vertices.size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(offsets, deg)
-    return g.indices[np.repeat(g.indptr[vertices], deg) + pos]
+    deg[:-1].cumsum(out=offsets[1:])
+    pos = np.arange(total, dtype=np.int64) - offsets.repeat(deg)
+    return g.indices[g.indptr[vertices].repeat(deg) + pos]
 
 
 def _ball(g: Graph, ids: np.ndarray, radius: int) -> np.ndarray:
@@ -346,10 +346,10 @@ def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = Non
         merge = Merge(ids, g.degrees[ids], ids, np.arange(s), arc_slot)
     else:  # rank s: a merged id outside the ordering
         rank = np.full(merge.ids.size, s)
-        rank[np.searchsorted(merge.ids, order)] = np.arange(s)
+        rank[merge.ids.searchsorted(order)] = np.arange(s)
     slot_rank = np.full(merge.union.size + 1, s)
     slot_rank[merge.id_slot] = rank
-    last = np.maximum(np.repeat(rank, merge.deg), slot_rank[merge.arc_slot])
-    volumes = np.cumsum(g.degrees[order])
-    inside = np.cumsum(np.bincount(last, minlength=s + 1)[:s])
+    last = np.maximum(rank.repeat(merge.deg), slot_rank[merge.arc_slot])
+    volumes = g.degrees[order].cumsum()
+    inside = np.bincount(last, minlength=s + 1)[:s].cumsum()
     return volumes, volumes - inside

@@ -2,13 +2,13 @@
 
 The global driver runs an exact walk from every vertex and keeps the lowest
 conductance level set under a volume cap of k^(1+eps); the local driver runs
-one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
-and reports not-found when nothing beats the acceptance threshold
-8*sqrt(phi/eps). All tie-breaking is total, so identical inputs always
-return the identical outcome. The local driver's walk, curves, prefix
-profiles and cut touch only the walk's support and its neighbors. The sweep
-reads each step as it is taken and profiles its level sets through the walk
-step's support merge, so memory follows the support, plus a pair a step.
+one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps)
+short of the whole graph, and reports not-found when nothing beats the
+acceptance threshold 8*sqrt(phi/eps). All tie-breaking is total, so
+identical inputs always return the identical outcome. The local driver's
+walk, orders, profiles and cut touch only the walk's support and its
+neighbors. The sweep reads each step as it is taken and orders and profiles
+it through its walk plan, so memory follows the support, plus a pair a step.
 
 The global driver keeps one block of B start vertices, B x n walk rows of at
 most ``BLOCK_ARCS`` cells and swept arcs, and the winner's members. A block
@@ -62,6 +62,15 @@ __all__ = [
 BLOCK_ARCS = 1 << 14
 
 
+def _check_cap(params, formula: str) -> None:
+    try:
+        cap = params.volume_cap
+    except OverflowError:  # float(k), or its power, past the float range
+        cap = math.inf
+    if cap == math.inf:
+        raise ValueError(f"volume cap {formula} overflows a float")
+
+
 @dataclass(frozen=True)
 class GlobalParams:
     """Volume budget k, tradeoff exponent, and optional horizon override.
@@ -82,6 +91,7 @@ class GlobalParams:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.horizon_override is not None and self.horizon_override < 0:
             raise ValueError("horizon_override must be nonnegative")
+        _check_cap(self, "k^(1+epsilon)")
         steps = self.horizon_override
         if steps is None:
             try:  # the float before the ceil, as LocalParams tests it
@@ -134,12 +144,7 @@ class LocalParams:
             raise ValueError("phi must lie in (0, 1]")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
-        try:
-            cap = self.volume_cap
-        except OverflowError:  # float(k), or its power, past the float range
-            cap = math.inf
-        if cap == math.inf:
-            raise ValueError("volume cap 5*k^(1+epsilon) overflows a float")
+        _check_cap(self, "5*k^(1+epsilon)")
         if self.epsilon <= 2.0 / self.k:
             raise ValueError("epsilon must exceed 2/k")
         if not self.epsilon * math.log(self.k) / (2.0 * self.phi) <= _MAX_HORIZON:
@@ -197,7 +202,9 @@ def _select(boundaries: np.ndarray, volumes: np.ndarray) -> int:
     phi = boundaries / volumes
     # floats pick a window of near-minimal candidates, exact integer
     # comparison settles the order inside it
-    close = np.flatnonzero(phi <= phi.min() * (1.0 + 1e-12) + 1e-300)
+    close = (phi <= phi.min() * (1.0 + 1e-12) + 1e-300).nonzero()[0]
+    if close.size == 1:
+        return int(close[0])
     window = zip(close.tolist(), boundaries[close].tolist(), volumes[close].tolist())
     best, bd, vol = next(window)
     for idx, b, v in window:
@@ -215,7 +222,8 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     the outcome records per-step minima. A step whose capped order equals
     the previous step's has the same prefixes, so it repeats that step's
     minimum without a profile: being later, it cannot win. A sparse step is
-    profiled through its walk plan, built here if it has none.
+    ordered (``build_curve``'s order: a stable sort of -p/d over the ascending
+    support) and profiled through its walk plan, built here if it has none.
     """
     if not vol_cap >= 1:
         raise ValueError("vol_cap must be at least 1")
@@ -224,11 +232,18 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     step_min: list[tuple[int, int] | None] = []
     capped = None
     for t, dist in enumerate(trajectory):
-        curve = build_curve(g, dist)
-        order = curve.vertex_order
+        if isinstance(dist, walk.SparseDistribution):
+            merge, _, isolated, _ = walk._plan_of(g, dist)
+            if isolated:
+                raise ValueError("mass on a zero-degree vertex has no volume ordering")
+            rank = (-dist.mass / merge.deg).argsort(kind="stable")
+            order, prefix_volumes = merge.ids[rank], merge.deg[rank].cumsum()
+        else:
+            merge, curve = None, build_curve(g, dist)
+            order, prefix_volumes = curve.vertex_order, curve.x[1 : curve.vertex_order.size + 1]
         # the prefixes that fit the cap; a prefix's profile does not depend
         # on the vertices after it
-        c = int(np.searchsorted(curve.x[1 : order.size + 1], vol_cap, side="right"))
+        c = int(prefix_volumes.searchsorted(vol_cap, side="right"))
         if capped is not None and capped.size == c and (capped == order[:c]).all():
             step_min.append(step_min[-1])
             continue
@@ -236,7 +251,6 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
         if c == 0:
             step_min.append(None)
             continue
-        merge = walk._plan_of(g, dist)[0] if isinstance(dist, walk.SparseDistribution) else None
         volumes, boundaries = prefix_cut_profile(g, capped, merge)
         j = _select(boundaries, volumes)
         bd, vol = int(boundaries[j]), int(volumes[j])
@@ -383,7 +397,7 @@ def global_sparsest_cut_tight_volume(g: Graph, k: int, epsilon: float) -> SweepO
 
 
 def local_partition(g: Graph, params: LocalParams) -> SweepOutcome:
-    """Thresholded walk from one seed; sweep under cap 5*k^(1+eps).
+    """Thresholded walk from one seed; sweep under cap min(5*k^(1+eps), 2m - 1).
 
     Returns the best level set if its conductance is at most
     8*sqrt(phi/eps), else a not-found outcome (best None) that still carries
@@ -392,7 +406,8 @@ def local_partition(g: Graph, params: LocalParams) -> SweepOutcome:
     """
     schedule = WalkSchedule(horizon=params.horizon, truncation=params.truncation)
     trace = run_walk(g, params.seed, schedule)
-    outcome = sweep(g, trace, params.volume_cap)
+    # the whole graph is no cut; an edgeless graph fails on its zero degrees
+    outcome = sweep(g, trace, min(params.volume_cap, max(g.total_volume - 1, 1)))
     if outcome.found and outcome.best.conductance <= params.conductance_threshold:
         outcome.origin = replace(outcome.origin, seed=params.seed)
     else:

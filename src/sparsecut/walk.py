@@ -13,7 +13,8 @@ exact zeros, so until a truncation fires the two paths agree bit for bit
 and the thresholded walk never exceeds the exact one even in floating
 point. No array of length n is made. The merge is the support's plan, built
 once per support array and shared by a kept distribution of the same set:
-a settled walk redoes no merge, and the sweep profiles its level sets by it.
+a settled walk redoes no merge, the plan carries the support volume that
+the walk accounts for, and the sweep orders and profiles a step through it.
 A walk is one pass that takes each step as it is read, so a run holds its
 current distribution, not its history.
 """
@@ -117,13 +118,14 @@ def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
 
 
 def _plan_of(g: Graph, dist: SparseDistribution) -> tuple:
-    """(merge, union degrees, has a zero-degree id) of dist's support, built once per array."""
+    """(merge, union degrees, has a zero-degree id, volume) of dist's support, once per array."""
     sup, plan = dist.support, dist._plan
     if plan is None or plan[0].ids is not sup:
-        if np.any(sup[1:] <= sup[:-1]):
+        if (sup[1:] <= sup[:-1]).any():
             raise ValueError("support must be strictly increasing")
         merge = _merge(g, sup)
-        plan = dist._plan = (merge, g.degrees[merge.union], not merge.deg.all())
+        deg = merge.deg
+        plan = dist._plan = (merge, g.degrees[merge.union], not deg.all(), int(deg.sum()))
     return plan
 
 
@@ -145,21 +147,23 @@ def truncated_step(
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    merge, out_deg, isolated = _plan_of(g, dist)
+    merge, out_deg, isolated, _ = _plan_of(g, dist)
     mass, deg, slot = dist.mass, merge.deg, merge.id_slot
     rates = mass / (np.maximum(deg, 1) if isolated else deg)  # deg 0: nothing is sent
     # bincount sums the incoming mass in arc order, as lazy_step does, and
     # the kept half comes after; with no arcs it counts integer zeros
-    out_mass = np.bincount(merge.arc_slot, np.repeat(0.5 * rates, deg), merge.union.size)
+    out_mass = np.bincount(merge.arc_slot, (0.5 * rates).repeat(deg), merge.union.size)
     out_mass = out_mass.astype(np.float64, copy=False)
     out_mass[slot] += 0.5 * mass
     if isolated:
         out_mass[slot[deg == 0]] += 0.5 * mass[deg == 0]
     stepped = SparseDistribution(merge.union, out_mass, dist.size)
     keep = out_mass >= threshold * out_deg if threshold else out_mass > 0
-    kept = SparseDistribution(merge.union[keep], out_mass[keep], dist.size)
-    if kept.support.size == merge.ids.size and keep[slot].all():  # the same set
-        kept.support, kept._plan = merge.ids, dist._plan
+    if np.count_nonzero(keep) == merge.ids.size and keep[slot].all():  # the same set
+        kept = SparseDistribution(merge.ids, out_mass[slot], dist.size)
+        kept._plan = dist._plan
+    else:
+        kept = SparseDistribution(merge.union[keep], out_mass[keep], dist.size)
     return stepped, kept
 
 
@@ -195,8 +199,9 @@ def _steps(g: Graph, seed: int, schedule: WalkSchedule, touched: list[int]) -> I
         p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
     yield p
     for _ in range(schedule.horizon):
-        touched.append(int(g.degrees[p > 0].sum()) if exact else p.support_volume(g))
-        p = lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
+        prev, p = p, lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
+        # the step built prev's plan, which holds its support volume
+        touched.append(int(g.degrees[prev > 0].sum()) if exact else _plan_of(g, prev)[3])
         yield p
 
 

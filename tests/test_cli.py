@@ -131,6 +131,22 @@ def test_local_not_found_exits_zero(tmp_path):
     assert int(record["work"]) > 0
 
 
+def test_local_never_returns_the_whole_graph(tmp_path):
+    # the cap 5 * 10^1.5 = 158.1 is past K12's total volume 132, and the
+    # whole graph was printed as a cut of conductance 0
+    out = tmp_path / "comp.txt"
+    res = run_cli(["generate", "complete", "--n", "12", "--out", str(out)], cwd=tmp_path)
+    assert res.returncode == 0
+    res = run_cli(
+        ["local", str(out), "--seed", "0", "--k", "10", "--phi", "0.002", "--epsilon", "0.5"],
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    record = parse_record(res.stdout)
+    assert record["status"] == "ok"
+    assert (record["volume"], record["boundary"], record["member_count"]) == ("121", "11", "11")
+
+
 def test_curve_tsv(tmp_path, ring_file):
     res = run_cli(
         ["curve", "--seed", "0", "--steps", "4", str(ring_file)], cwd=tmp_path

@@ -23,6 +23,7 @@ from sparsecut import (
     lazy_step,
     load_edge_list,
     local_partition,
+    path,
     ring_of_cliques,
     run_walk,
     sweep,
@@ -371,6 +372,9 @@ def test_local_work_matches_trace_accounting():
 
 
 def test_sweep_builds_each_curve_once(monkeypatch, barbell3):
+    # a dense step's order comes from its curve, a sparse walk step's from
+    # its walk plan, with no curve built
+    g = barbell3.graph
     calls = []
 
     def counting(g, p):
@@ -378,10 +382,18 @@ def test_sweep_builds_each_curve_once(monkeypatch, barbell3):
         return build_curve(g, p)
 
     monkeypatch.setattr(partition, "build_curve", counting)
-    dists = list(run_walk(barbell3.graph, 0, WalkSchedule(20, 0.0)))
-    out = sweep(barbell3.graph, dists, 7)
-    assert out.found
-    assert len(calls) == len(dists)
+    dense = list(run_walk(g, 0, WalkSchedule(20, 0.0)))
+    sparse = list(run_walk(g, 0, WalkSchedule(20, 1e-3)))
+    for trajectory, curves in ((dense, 21), (sparse, 0), (dense[:5] + sparse[5:], 5)):
+        calls.clear()
+        out = sweep(g, trajectory, 7)
+        assert out.found
+        assert len(calls) == curves
+        ref = reference_sweep(g, trajectory, 7)
+        assert (out.best, out.origin, out.step_min_cut) == (ref.best, ref.origin, ref.step_min_cut)
+    calls.clear()
+    assert local_partition(g, LocalParams(seed=0, k=7, phi=0.1, epsilon=0.5)).found
+    assert not calls
 
 
 def test_capped_sweep_matches_uncapped_profile(monkeypatch):
@@ -895,9 +907,118 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
     assert out.work == 132_189
 
 
+@dataclasses.dataclass(frozen=True)
+class ScheduledParams(LocalParams):
+    """LocalParams with a given horizon and walk threshold in place of derived ones."""
+
+    steps: int = 0
+    threshold: float = 0.0
+
+    @property
+    def horizon(self):
+        return self.steps
+
+    @property
+    def truncation(self):
+        return self.threshold
+
+
+def test_local_partition_equals_reference_sweep():
+    # the sweep orders a sparse step through its walk plan, not build_curve,
+    # and the local cap leaves the whole graph out: every field must equal
+    # the build_curve loop's under that cap, on supports that change often
+    rng = np.random.default_rng(18)
+    graphs = [
+        relabel(ring_of_cliques(10, 6), 5).graph,
+        relabel(ring_of_cliques(12, 4), 6).graph,
+        relabel(barbell(5), 7).graph,
+        relabel(barbell(12), 8).graph,
+        erdos_renyi(60, 0.1, rng_seed=9),
+        erdos_renyi(120, 0.04, rng_seed=10),
+    ]
+    steps = changed = whole = 0
+    found = []
+    for case in range(36):
+        g = graphs[case % len(graphs)]
+        seed = int(rng.choice(np.flatnonzero(g.degrees)))
+        truncation = 0.0 if case % 9 == 0 else float(10 ** rng.uniform(-5, -2.5))
+        params = ScheduledParams(
+            seed=seed,
+            k=int(rng.integers(5, 30)),
+            phi=float(10 ** rng.uniform(-5, -0.7)),
+            epsilon=0.5,
+            steps=int(rng.integers(5, 20)),
+            threshold=truncation,
+        )
+        out = local_partition(g, params)
+        trace = run_walk(g, seed, WalkSchedule(params.horizon, truncation))
+        dists = list(trace)
+        whole += params.volume_cap >= g.total_volume
+        ref = reference_sweep(g, dists, min(params.volume_cap, g.total_volume - 1))
+        accepted = ref.found and ref.best.conductance <= params.conductance_threshold
+        assert out.best == (ref.best if accepted else None)
+        assert out.origin == (dataclasses.replace(ref.origin, seed=seed) if accepted else None)
+        assert out.work == trace.total_work
+        assert out.step_min_cut == ref.step_min_cut
+        found.append(accepted)
+        if truncation:  # each step's touched volume is its plan's support volume
+            assert trace.touched_volume == [d.support_volume(g) for d in dists[:-1]]
+            steps += len(dists) - 1
+            changed += sum(a.support is not b.support for a, b in zip(dists, dists[1:]))
+    assert any(found) and not all(found)
+    assert 5 <= whole <= 31 and changed > steps // 4
+
+
+def test_sparse_sweep_orders_ties_as_build_curve(monkeypatch):
+    # masses that are multiples of the degree give many vertices the same
+    # p/d; the plan's stable sort over the ascending support must list them
+    # by id, as build_curve's lexsort does
+    rng = np.random.default_rng(19)
+    graphs = [
+        relabel(ring_of_cliques(5, 5), 3).graph,
+        relabel(barbell(6), 2).graph,
+        erdos_renyi(30, 0.2, rng_seed=4),
+    ]
+    orders = []
+
+    def recording(g, order, merge=None):
+        orders.append(order)
+        return prefix_cut_profile(g, order, merge)
+
+    monkeypatch.setattr(partition, "prefix_cut_profile", recording)
+    for g in graphs:
+        live = np.flatnonzero(g.degrees)
+        for _ in range(10):
+            support = np.sort(rng.choice(live, int(rng.integers(4, live.size + 1)), replace=False))
+            mass = g.degrees[support] * rng.integers(1, 4, support.size) / 64.0
+            dist = SparseDistribution(support, mass, g.vertex_count)
+            assert np.unique(mass / g.degrees[support]).size < support.size  # ties
+            orders.clear()
+            sweep(g, [dist], g.total_volume)  # every prefix fits: the whole order is profiled
+            assert orders[0].tolist() == build_curve(g, dist).vertex_order.tolist()
+
+
+def test_local_never_returns_the_whole_graph():
+    # on K12 the cap 5 * 10^1.5 = 158.1 is past the total volume 132, and the
+    # whole graph, of conductance 0, was the cut returned
+    g = complete(12)
+    for k in (10, 66, 132, 10**6):
+        out = local_partition(g, LocalParams(seed=0, k=k, phi=0.002, epsilon=0.5))
+        assert (out.best.volume, out.best.boundary) == (121, 11)
+        assert all(vol < g.total_volume for _, vol in filter(None, out.step_min_cut))
+    # a component is a cut: the triangle beside a K5 still comes out whole
+    out = local_partition(two_components(), LocalParams(seed=0, k=10, phi=0.002, epsilon=0.5))
+    assert (out.best.members, out.best.boundary) == ((0, 1, 2), 0)
+    # one edge: each end alone is the only cut left
+    out = local_partition(path(2), LocalParams(seed=0, k=10, phi=0.1, epsilon=0.5))
+    assert out.best.members == (0,)
+
+
 def test_parameter_and_input_checks_pin_their_messages(barbell3):
     g = barbell3.graph  # total volume 14; the triangle {0, 1, 2} has conductance 1/7
     good = dict(seed=0, k=7, phi=0.1, epsilon=0.5)
+    lonely = Graph.from_edges(3, [(0, 1)])  # vertex 2 has no edge
+    zero_degree = "mass on a zero-degree vertex has no volume ordering"
     for call, message in (
         (lambda: GlobalParams(k=1, epsilon=0.5), "k must be at least 2"),
         (lambda: GlobalParams(k=10, epsilon=0.0), "epsilon must lie in (0, 1]"),
@@ -921,6 +1042,13 @@ def test_parameter_and_input_checks_pin_their_messages(barbell3):
             lambda: find_local_seed(g, [0, 1, 2], LocalParams(**good)),
             "set conductance exceeds the target phi",
         ),
+        (
+            lambda: GlobalParams(k=10**400, epsilon=0.5, horizon_override=1),
+            "volume cap k^(1+epsilon) overflows a float",
+        ),
+        (lambda: sweep(lonely, [SparseDistribution([2], [1.0], 3)], 5.0), zero_degree),
+        (lambda: local_partition(lonely, LocalParams(**{**good, "seed": 2})), zero_degree),
+        (lambda: local_partition(Graph.from_edges(3, []), LocalParams(**good)), zero_degree),
     ):
         with raises_message(message):
             call()
