@@ -286,20 +286,9 @@ def _copies(g: Graph, b: int) -> Graph:
     return Graph(indptr, (g.indices + n * shift).ravel())
 
 
-def _first_copies(copies: Graph, g: Graph, w: int) -> Graph:
-    """The first w copies in ``copies = _copies(g, b)``, b >= w, as views; equals _copies(g, w)."""
-    return Graph(copies.indptr[: w * g.vertex_count + 1], copies.indices[: w * g.total_volume])
-
-
-def _positions(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Index of each vertex in the nonempty sorted unique ``ids``; ids.size if absent."""
-    pos = np.searchsorted(ids, vertices)
-    return np.where(ids.take(pos, mode="clip") == vertices, pos, ids.size)
-
-
 # A support merge: sorted unique ids and their degrees, the sorted union of the ids
-# and their arc targets, and each id's and arc's slot in it (arcs row by row). A
-# bare profile's lookup lists the ids alone; slot len(union) is then outside it.
+# and their arc targets, and each id's and arc's slot in it (arcs row by row). It is
+# the one lookup of every prefix profile, a walk step's plan or a bare ordering's.
 Merge = namedtuple("Merge", "ids deg union id_slot arc_slot")
 
 
@@ -325,29 +314,27 @@ def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = Non
 
     Returns (volumes, boundaries), each of length len(order), where entry
     j-1 describes the prefix of the first j vertices. Ranks are read through
-    ``merge``, taken on trust to merge a sorted superset of the ordering (a
-    sparse walk step's plan for its support); a bare call looks arc targets
-    up in a sorted copy of the ordering. No array of length n is made. A
-    prefix's boundary is its volume minus the arcs inside it, and an arc is
-    inside every prefix past its later endpoint: one bincount of later ranks.
+    one lookup, ``merge``: taken on trust to merge a sorted superset of the
+    ordering (a sparse walk step's plan for its support), or, in a bare
+    call, a merge of the sorted ordering itself. No array of length n is
+    made. A prefix's boundary is its volume minus the arcs inside it, and an
+    arc is inside every prefix past its later endpoint: one bincount of
+    later ranks.
     """
     order = np.asarray(order, dtype=np.int64)
     s = order.size
     if s == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if merge is None:
-        rank = np.argsort(order, kind="stable")  # each sorted id's rank
-        ids = order[rank]
+        ids = np.sort(order)
         if ids[0] < 0 or ids[-1] >= g.vertex_count:
             raise ValueError("vertex id out of range")
         if (ids[1:] == ids[:-1]).any():
             raise ValueError("ordering contains repeated vertices")
-        arc_slot = _positions(ids, _gather_rows(g, ids))
-        merge = Merge(ids, g.degrees[ids], ids, np.arange(s), arc_slot)
-    else:  # rank s: a merged id outside the ordering
-        rank = np.full(merge.ids.size, s)
-        rank[merge.ids.searchsorted(order)] = np.arange(s)
-    slot_rank = np.full(merge.union.size + 1, s)
+        merge = _merge(g, ids)
+    rank = np.full(merge.ids.size, s)  # rank s: a merged id outside the ordering
+    rank[merge.ids.searchsorted(order)] = np.arange(s)
+    slot_rank = np.full(merge.union.size, s)
     slot_rank[merge.id_slot] = rank
     last = np.maximum(rank.repeat(merge.deg), slot_rank[merge.arc_slot])
     volumes = g.degrees[order].cumsum()

@@ -2,18 +2,20 @@
 
 The global driver runs an exact walk from every vertex and keeps the lowest
 conductance level set under a volume cap of k^(1+eps); the local driver runs
-one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps)
-short of the whole graph, and reports not-found when nothing beats the
-acceptance threshold 8*sqrt(phi/eps). All tie-breaking is total, so
-identical inputs always return the identical outcome. The local driver's
-walk, orders, profiles and cut touch only the walk's support and its
-neighbors. The sweep reads each step as it is taken and orders and profiles
-it through its walk plan, so memory follows the support, plus a pair a step.
+one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
+and reports not-found when nothing beats the acceptance threshold
+8*sqrt(phi/eps); both caps stop short of the whole graph. All tie-breaking
+is total, so identical inputs always return the identical outcome. The
+local driver's walk, orders, profiles and cut touch only the walk's support
+and its neighbors. The sweep reads each step as it is taken and orders and
+profiles it through its walk plan, so memory follows the support, plus a
+pair a step.
 
 The global driver keeps one block of B start vertices, B x n walk rows of at
 most ``BLOCK_ARCS`` cells and swept arcs, and the winner's members. A block
 steps in chunks, each one ``lazy_step`` of disjoint graph copies, a copy a row,
-at most ``BLOCK_ARCS`` arcs: each copy adds its incoming mass in arc order, as
+at most ``BLOCK_ARCS`` arcs, and a shorter last chunk through copies of its
+own, as many as its rows: each copy adds its incoming mass in arc order, as
 the graph alone does, so every row is its seed's own walk bit for bit. Each
 step takes each row's first c vertices in ``build_curve`` order, as no prefix
 past the c smallest degrees fits the cap: a partition finds each row's c-th
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _copies, _first_copies, _gather_rows, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _copies, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import _MAX_HORIZON, WalkSchedule, run_walk
 
@@ -327,24 +329,25 @@ def _block_candidates(
 
 
 def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
-    """Exact-walk sweep from every start vertex under cap k^(1+eps).
+    """Exact-walk sweep from every start vertex under cap min(k^(1+eps), 2m - 1).
 
-    Whenever some set of volume at most k has conductance phi_k below the
-    (effective) exponent, the winner satisfies
-    conductance <= 4 * sqrt(phi_k / eps); the volume cap holds always.
-    Candidates from different seeds are ranked by (conductance, volume,
-    step, prefix, seed).
+    The whole graph is no cut, as in ``local_partition``. Whenever some
+    set of volume at most k has conductance phi_k below the (effective)
+    exponent, the winner satisfies conductance <= 4 * sqrt(phi_k / eps);
+    the volume cap holds always. Candidates from different seeds are ranked
+    by (conductance, volume, step, prefix, seed).
     """
     if params.k > g.total_volume:
         raise ValueError("k exceeds the total volume")
-    n, degrees, cap = g.vertex_count, g.degrees, params.volume_cap
+    n, degrees = g.vertex_count, g.degrees
+    cap = min(params.volume_cap, g.total_volume - 1)
     if np.any(degrees == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
     chunk = max(1, min(n, BLOCK_ARCS // g.total_volume))
     block = chunk * max(1, BLOCK_ARCS // (chunk * max(n, int(cap))))  # a row sweeps <= cap arcs
     copies = _copies(g, chunk)
-    last = _first_copies(copies, g, (n - 1) % chunk + 1)  # the last chunk of the last block
+    last = _copies(g, (n - 1) % chunk + 1)  # the last chunk of the last block
     best_key = best_members = None
     work = 0
     for first in range(0, n, block):

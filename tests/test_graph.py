@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from types import SimpleNamespace
 
@@ -15,7 +16,9 @@ from sparsecut import (
     ring_of_cliques,
     write_edge_list,
 )
+from sparsecut import walk
 from sparsecut.graph import _is_connected, _scan_edge_list, prefix_cut_profile
+from sparsecut.walk import SparseDistribution
 
 from conftest import raises_message
 
@@ -208,6 +211,38 @@ def test_prefix_profile_rejects_out_of_range_ids():
     for order in ([-20], [0, -20], [-1, 3], [20], [3, 20], [0, 1 << 40]):
         with pytest.raises(ValueError, match="vertex id out of range"):
             prefix_cut_profile(g, order)
+
+
+def test_bare_profile_equals_the_profile_through_a_support_plan():
+    # a bare call merges the sorted ordering, a sparse step's plan merges its
+    # support: on random labels, with vertices of no neighbor and orderings
+    # that fill the support or leave some of it out, both give the same arrays
+    rng = np.random.default_rng(31)
+    strict = 0
+    for trial in range(40):
+        er = erdos_renyi(25, float(rng.uniform(0.05, 0.4)), rng_seed=trial)
+        label = rng.permutation(30)  # the labels label[25:] have no neighbors
+        src = np.repeat(np.arange(25), er.degrees)
+        forward = src < er.indices
+        g = Graph.from_edges(30, zip(label[src[forward]], label[er.indices[forward]]))
+        support = np.sort(rng.choice(30, size=int(rng.integers(1, 31)), replace=False))
+        merge = walk._plan_of(g, SparseDistribution(support, rng.random(support.size), 30))[0]
+        order = rng.choice(support, size=int(rng.integers(1, support.size + 1)), replace=False)
+        strict += order.size < support.size
+        for got, want in zip(prefix_cut_profile(g, order), prefix_cut_profile(g, order, merge)):
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        # the bare call still checks the ordering it merges
+        at = int(rng.integers(order.size + 1))
+        with raises_message("vertex id out of range"):
+            prefix_cut_profile(g, np.insert(order, at, rng.choice([-1, -30, 30, 1 << 40])))
+        with raises_message("ordering contains repeated vertices"):
+            prefix_cut_profile(g, np.insert(order, at, rng.choice(order)))
+    assert strict >= 20
+
+
+def test_graph_record_is_its_arrays_and_load_metadata():
+    # counts, degrees and connectivity are derived from the arrays, not stored
+    assert [f.name for f in dataclasses.fields(Graph)] == ["indptr", "indices", "duplicate_edges"]
 
 
 def test_from_edges_rejects_self_loop():

@@ -1,11 +1,13 @@
-"""Every name a module imports is referenced in that module, and the library
-imports only at module level.
+"""Every name a module imports is referenced in that module, the library
+imports only at module level, and its private names serve the library.
 
 Parses the library modules (bar ``__init__.py``, whose imports are its
 exports), the tests and the demos, and reports each imported name that no
 expression, decorator, annotation or ``__all__`` entry refers to. In the
 library it also reports each import inside a function body, which hides a
-dependency from the top of its module.
+dependency from the top of its module, and each module-level private name
+that no other statement of the library refers to: a helper kept alive only
+by its own test.
 """
 
 import ast
@@ -75,3 +77,49 @@ def test_checker_flags_an_import_in_a_function():
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_imports_in_library_functions(path):
     assert function_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` of the sources that no other top-level statement names."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(statement, "targets", None) or [statement.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            nodes = list(ast.walk(statement))
+            reads.append(
+                {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            )
+            defined += [
+                (module, name, len(reads) - 1)
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+    unread = (
+        f"{module}: {name}"
+        for module, name, own in defined
+        if not any(name in read for i, read in enumerate(reads) if i != own)
+    )
+    return list(dict.fromkeys(unread))  # a name bound twice is listed once
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    sources = {
+        "a.py": (
+            "def _kept(x):\n    return x\n\ndef _alone(n):\n    return _alone(n - 1)\n\n"
+            "_TABLE = {}\n_UNUSED, __all__ = 1, []\n_UNUSED = 2\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _kept\n\ndef f():\n    return _kept(a._TABLE)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _alone", "a.py: _UNUSED"]
+
+
+def test_every_library_private_name_is_referenced_elsewhere_in_the_library():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
+    assert unreferenced_private_names(sources) == []

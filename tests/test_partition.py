@@ -30,15 +30,8 @@ from sparsecut import (
     tight_volume_exponent,
     write_edge_list,
 )
-from sparsecut import partition, walk
-from sparsecut.graph import (
-    Graph,
-    _copies,
-    _first_copies,
-    _gather_rows,
-    _positions,
-    prefix_cut_profile,
-)
+from sparsecut import graph, partition, walk
+from sparsecut.graph import Graph, _copies, _gather_rows, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
 from conftest import raises_message, relabel
@@ -86,13 +79,14 @@ def per_seed_global(g, params):
     """Loop reference for global_sparsest_cut: one sweep of each seed's own walk.
 
     Returns (best, origin, work), the winner taken by (conductance, volume,
-    step, prefix, seed).
+    step, prefix, seed), under the driver's cap: the whole graph is no cut.
     """
     schedule = WalkSchedule(params.horizon, 0.0)
+    cap = min(params.volume_cap, g.total_volume - 1)
     best_key = best = None
     work = 0
     for seed in range(g.vertex_count):
-        out = sweep(g, run_walk(g, seed, schedule), params.volume_cap)
+        out = sweep(g, run_walk(g, seed, schedule), cap)
         work += out.work
         if out.found:
             key = (out.best.exact, out.best.volume, out.origin.step, out.origin.prefix, seed)
@@ -453,36 +447,6 @@ def test_copies_step_every_row_as_lazy_step():
         out = lazy_step(copies, rows.ravel()).reshape(b, n)
         for row, got in zip(rows, out):
             assert got.tobytes() == lazy_step(g, row).tobytes()
-
-
-def test_first_copies_are_views_equal_to_fewer_copies():
-    rng = np.random.default_rng(9)
-    for g in copies_cases(rng):
-        n = g.vertex_count
-        b = int(rng.integers(1, 6))
-        copies = _copies(g, b)
-        for w in range(1, b + 1):
-            head, fresh = _first_copies(copies, g, w), _copies(g, w)
-            # the record is its arrays and the load metadata; the rest is derived
-            assert [f.name for f in dataclasses.fields(Graph)] == [
-                "indptr", "indices", "duplicate_edges"
-            ]
-            for field in dataclasses.fields(Graph):
-                got, want = getattr(head, field.name), getattr(fresh, field.name)
-                if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
-                    assert np.shares_memory(got, getattr(copies, field.name))
-                else:
-                    assert got == want, field.name
-            for name in ("vertex_count", "edge_count", "total_volume"):
-                assert getattr(head, name) == getattr(fresh, name), name
-            assert head.degrees.dtype == fresh.degrees.dtype
-            assert np.array_equal(head.degrees, fresh.degrees)
-            rows = rng.random((w, n)) * (rng.random((w, n)) < 0.6)
-            rows[:, : n // 3] *= 1e-310  # subnormal masses
-            out = lazy_step(head, rows.ravel()).reshape(w, n)
-            for row, got in zip(rows, out):
-                assert got.tobytes() == lazy_step(g, row).tobytes()
 
 
 def test_block_candidates_follow_build_curve():
@@ -882,7 +846,7 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
     # support once per run of equal supports and the sweep profiles an order
     # once per run of equal capped orders, where a step-by-step run makes 114
     # merges and 115 profiles; every profile reads the walk's plan, so only
-    # the winner's cut_of looks its members up in a sorted copy
+    # the winner's cut_of merges its members outside the walk
     g = ring_of_cliques(200, 20).graph
     params = LocalParams(seed=5, k=382, phi=2 / 382, epsilon=0.2)
     counts = {"merge": 0, "profile": 0, "lookup": 0}
@@ -895,7 +859,7 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(walk, "_merge", counted("merge", walk._merge))
-    monkeypatch.setattr("sparsecut.graph._positions", counted("lookup", _positions))
+    monkeypatch.setattr(graph, "_merge", counted("lookup", graph._merge))
     monkeypatch.setattr(
         partition, "prefix_cut_profile", counted("profile", partition.prefix_cut_profile)
     )
@@ -1011,6 +975,23 @@ def test_local_never_returns_the_whole_graph():
     assert (out.best.members, out.best.boundary) == ((0, 1, 2), 0)
     # one edge: each end alone is the only cut left
     out = local_partition(path(2), LocalParams(seed=0, k=10, phi=0.1, epsilon=0.5))
+    assert out.best.members == (0,)
+
+
+def test_global_never_returns_the_whole_graph():
+    # on K12 with k = 132 = 2m the cap 132^1.01 is past the total volume, and
+    # on K5 the tight cap 20^1.01 is past 2m = 20: the whole graph, of
+    # conductance 0, was the cut returned
+    g, params = complete(12), GlobalParams(k=132, epsilon=0.5, horizon_override=5)
+    out = global_sparsest_cut(g, params)
+    assert out.best.volume < g.total_volume
+    assert (out.best, out.origin, out.work) == per_seed_global(g, params)
+    out = global_sparsest_cut_tight_volume(complete(5), 20, 1.0)
+    assert out.best.volume < 20
+    # a component is a cut, and each end of one edge is the only cut left
+    out = global_sparsest_cut(two_components(), GlobalParams(k=26, epsilon=0.5))
+    assert (out.best.members, out.best.boundary) == ((0, 1, 2), 0)
+    out = global_sparsest_cut(path(2), GlobalParams(k=2, epsilon=0.5, horizon_override=3))
     assert out.best.members == (0,)
 
 
