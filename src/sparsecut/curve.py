@@ -123,19 +123,19 @@ def check_chord_bound(
     phi = conductance(S), checks
     C_next(x) <= (C_prev(x - phi*x) + C_prev(x + phi*x)) / 2 + tol.
     Holds for exact steps and for thresholded steps (removing mass can only
-    lower the later curve). Returns the violations, expected empty.
+    lower the later curve). The earlier curve is interpolated at every
+    capped prefix at once. Returns the violations, expected empty.
     """
     order = nxt.vertex_order
     # the prefixes under the cap, counted as sweep counts them
     limit = min(g.edge_count, vol_cap)
     c = int(np.searchsorted(nxt.x[1 : order.size + 1], limit, side="right"))
     volumes, boundaries = prefix_cut_profile(g, order[:c])
-    violations = []
-    for j in range(1, c + 1):
-        x = int(volumes[j - 1])
-        reach = (int(boundaries[j - 1]) / x) * x  # phi * x in floats, as stated
-        allowed = 0.5 * (evaluate(prev, x - reach) + evaluate(prev, x + reach))
-        observed = float(nxt.y[j])
-        if observed > allowed + tol:
-            violations.append(ChordViolation(x=x, observed=observed, allowed=allowed))
-    return violations
+    reach = boundaries / volumes * volumes  # phi * x in floats, as stated
+    below, above = np.interp([volumes - reach, volumes + reach], prev.x, prev.y)
+    allowed = 0.5 * (below + above)
+    observed = nxt.y[1 : c + 1]
+    return [
+        ChordViolation(x=int(volumes[j]), observed=float(observed[j]), allowed=float(allowed[j]))
+        for j in np.flatnonzero(observed > allowed + tol)
+    ]

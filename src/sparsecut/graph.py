@@ -184,15 +184,12 @@ def _scan_edge_list(text: str) -> np.ndarray | None:
 
 
 def _first_seen_labels(raw: np.ndarray) -> int:
-    """Relabel raw ids in place to 0..n-1 in first-seen order; return n."""
+    """Relabel raw ids in place to 0..n-1 by the rank of each id's first position; return n."""
     flat = raw.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    group = flat[order]
-    head = np.diff(group, prepend=-1) != 0
-    first = order[head]  # stable sort: the first position of each id
-    seen = np.zeros(flat.size, dtype=bool)
-    seen[first] = True
-    flat[order] = (np.cumsum(seen) - 1)[first][np.cumsum(head) - 1]
+    _, first, slot = np.unique(flat, return_index=True, return_inverse=True)
+    label = np.empty_like(first)
+    label[first.argsort()] = np.arange(first.size)
+    flat[:] = label[slot]
     return first.size
 
 
@@ -256,12 +253,9 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
 def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of the given vertices, in vertex order."""
     deg = g.degrees[vertices]
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     offsets = np.zeros(vertices.size, dtype=np.int64)
     deg[:-1].cumsum(out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64) - offsets.repeat(deg)
+    pos = np.arange(int(deg.sum()), dtype=np.int64) - offsets.repeat(deg)
     return g.indices[g.indptr[vertices].repeat(deg) + pos]
 
 
@@ -316,7 +310,8 @@ def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = Non
     j-1 describes the prefix of the first j vertices. Ranks are read through
     one lookup, ``merge``: taken on trust to merge a sorted superset of the
     ordering (a sparse walk step's plan for its support), or, in a bare
-    call, a merge of the sorted ordering itself. No array of length n is
+    call, a merge of the sorted ordering itself. One rank array over the
+    merge's union serves both ends of every arc, so no array of length n is
     made. A prefix's boundary is its volume minus the arcs inside it, and an
     arc is inside every prefix past its later endpoint: one bincount of
     later ranks.
@@ -332,11 +327,9 @@ def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = Non
         if (ids[1:] == ids[:-1]).any():
             raise ValueError("ordering contains repeated vertices")
         merge = _merge(g, ids)
-    rank = np.full(merge.ids.size, s)  # rank s: a merged id outside the ordering
-    rank[merge.ids.searchsorted(order)] = np.arange(s)
-    slot_rank = np.full(merge.union.size, s)
-    slot_rank[merge.id_slot] = rank
-    last = np.maximum(rank.repeat(merge.deg), slot_rank[merge.arc_slot])
+    rank = np.full(merge.union.size, s)  # rank s: a merged id outside the ordering
+    rank[merge.id_slot[merge.ids.searchsorted(order)]] = np.arange(s)
+    last = np.maximum(rank[merge.id_slot].repeat(merge.deg), rank[merge.arc_slot])
     volumes = g.degrees[order].cumsum()
     inside = np.bincount(last, minlength=s + 1)[:s].cumsum()
     return volumes, volumes - inside

@@ -66,8 +66,11 @@ class LocalEigenpair:
     seed_distribution: np.ndarray
 
 
-def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, Graph]:
-    """The sorted unique subset and the subgraph it induces, vertex i being its i-th id."""
+def _restricted_adjacency(g: Graph, subset, disconnected: str) -> tuple[np.ndarray, Graph]:
+    """The sorted unique subset and the subgraph it induces, vertex i being its i-th id.
+
+    A disconnected subgraph raises ValueError with the message ``disconnected``.
+    """
     members = np.unique(np.asarray(list(subset), dtype=np.int64))
     if members.size == 0:
         raise ValueError("subset must be nonempty")
@@ -75,7 +78,10 @@ def _restricted_adjacency(g: Graph, subset) -> tuple[np.ndarray, Graph]:
         raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    return members, _induced(g, members)
+    sub = _induced(g, members)
+    if not sub.connected:
+        raise ValueError(disconnected)
+    return members, sub
 
 
 def _induced(g: Graph, members: np.ndarray) -> Graph:
@@ -109,12 +115,10 @@ def restricted_eigenpair(
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    members, sub = _restricted_adjacency(g, subset)
-    if not sub.connected:
-        raise ValueError(
-            "subset induces a disconnected subgraph; "
-            "compute one eigenpair per component instead"
-        )
+    disconnected = (
+        "subset induces a disconnected subgraph; compute one eigenpair per component instead"
+    )
+    members, sub = _restricted_adjacency(g, subset, disconnected)
     deg = g.degrees[members].astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
     row_of_arc = np.repeat(np.arange(members.size), sub.degrees)
@@ -231,9 +235,7 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     (1 - conductance(S)/2)^horizon.
     """
     _check_horizon(horizon)
-    members, sub = _restricted_adjacency(g, subset)
-    if not sub.connected:
-        raise ValueError("subset induces a disconnected subgraph")
+    members, _ = _restricted_adjacency(g, subset, "subset induces a disconnected subgraph")
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()

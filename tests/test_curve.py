@@ -153,6 +153,9 @@ def test_chord_bound_stationary_is_equality():
     pi = stationary(g)
     c = build_curve(g, pi)
     assert check_chord_bound(g, c, c, g.total_volume) == []
+    # every degree is 3 or 4: under a cap of 2 no prefix is inspected, and
+    # tol=-10 would report any that were
+    assert check_chord_bound(g, c, c, 2, tol=-10.0) == []
 
 
 @pytest.mark.parametrize("truncation", [0.0, 1e-4])

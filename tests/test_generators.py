@@ -168,6 +168,9 @@ def test_generator_checks_pin_their_messages():
         (lambda: erdos_renyi(0, 0.5, rng_seed=1), "need n >= 1"),
         (lambda: erdos_renyi(4, 1.5, rng_seed=1), "p must lie in [0, 1]"),
         (lambda: exact_phi_k(path(4), 0), "k must be at least 1"),
+        (lambda: exact_phi_k(path(23), 1), "exhaustive enumeration refused for n=23 > 22"),
+        (lambda: exact_phi_k(complete(4), 2), "no nonempty set fits the volume budget"),
+        (lambda: exact_phi_k(Graph.from_edges(3, []), 1), "no nonempty set fits the volume budget"),
     ):
         with raises_message(message):
             call()

@@ -17,7 +17,13 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut import walk
-from sparsecut.graph import _is_connected, _scan_edge_list, prefix_cut_profile
+from sparsecut.graph import (
+    _first_seen_labels,
+    _gather_rows,
+    _is_connected,
+    _scan_edge_list,
+    prefix_cut_profile,
+)
 from sparsecut.walk import SparseDistribution
 
 from conftest import raises_message
@@ -45,6 +51,18 @@ def test_load_compacts_ids_first_seen():
     # 7 -> 0, 3 -> 1, 9 -> 2
     assert g.vertex_count == 3
     assert set(g.neighbors(1).tolist()) == {0, 2}
+    # the bulk relabel against a first-seen dict, on repeats, 18-digit ids
+    # and no ids at all
+    rng = np.random.default_rng(3)
+    for raw in (
+        rng.integers(0, 50, size=(200, 2)),
+        rng.choice([0, 1, 10**18 - 1, 10**17, 5], size=(40, 2)),
+        np.empty((0, 2), dtype=np.int64),
+    ):
+        seen = {}
+        want = [seen.setdefault(v, len(seen)) for v in raw.ravel().tolist()]
+        assert _first_seen_labels(raw) == len(seen)
+        assert raw.ravel().tolist() == want
 
 
 def test_load_rejects_self_loop_with_line():
@@ -203,6 +221,10 @@ def test_prefix_profile_matches_edge_pair_recount():
         repeated = np.insert(order, int(rng.integers(0, size + 1)), order[rng.integers(size)])
         with pytest.raises(ValueError, match="repeated"):
             prefix_cut_profile(g, repeated)
+    # no selection, or only vertices of no neighbor, gathers no arc
+    for none in (np.empty(0, dtype=np.int64), np.arange(25, 30)):
+        arcs = _gather_rows(g, none)
+        assert arcs.dtype == np.int64 and arcs.size == 0
 
 
 def test_prefix_profile_rejects_out_of_range_ids():

@@ -7,7 +7,8 @@ expression, decorator, annotation or ``__all__`` entry refers to. In the
 library it also reports each import inside a function body, which hides a
 dependency from the top of its module, and each module-level private name
 that no other statement of the library refers to: a helper kept alive only
-by its own test.
+by its own test. Last, each message the library raises as ValueError or
+GraphFormatError must be named by some test.
 """
 
 import ast
@@ -123,3 +124,60 @@ def test_checker_flags_an_unreferenced_private_name():
 def test_every_library_private_name_is_referenced_elsewhere_in_the_library():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
     assert unreferenced_private_names(sources) == []
+
+
+def unpinned_messages(library: dict[str, str], tests: list[str]) -> list[str]:
+    """ValueError and GraphFormatError messages of the library that no test string holds.
+
+    A message is the raise's first argument when it is a string literal, or
+    the leading literal of an f-string; a message passed in a variable is
+    not seen.
+    """
+    pinned = [
+        node.value
+        for source in tests
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    found = []
+    for module, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id in ("ValueError", "GraphFormatError")
+                and call.args
+            ):
+                continue
+            message = call.args[0]
+            if isinstance(message, ast.JoinedStr) and message.values:
+                message = message.values[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                if not any(message.value in text for text in pinned):
+                    found.append(f"{module} line {node.lineno}: {message.value}")
+    return found
+
+
+def test_checker_flags_an_unpinned_message():
+    library = {
+        "a.py": (
+            "def f(x, n):\n    if x:\n        raise ValueError('x must be pinned')\n"
+            "    if n < 0:\n        raise GraphFormatError(f'bad id {n}', 1)\n"
+            "    if n > 9:\n        raise ValueError(f'n={n} > 9')\n"
+            "    raise RuntimeError('not a ValueError')\n"
+        ),
+        "b.py": "def g(m):\n    raise ValueError(m)\n\ndef h():\n    raise ValueError('pinned')\n",
+    }
+    tests = ["def test_h():\n    with raises_message('pinned'):\n        h()\n"]
+    assert unpinned_messages(library, tests) == [
+        "a.py line 3: x must be pinned",
+        "a.py line 5: bad id ",
+        "a.py line 7: n=",
+    ]
+
+
+def test_every_library_error_message_is_pinned_by_a_test():
+    library = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
+    tests = [p.read_text() for p in (ROOT / "tests").glob("*.py")]
+    assert unpinned_messages(library, tests) == []

@@ -1012,6 +1012,8 @@ def test_parameter_and_input_checks_pin_their_messages(barbell3):
         (lambda: LocalParams(**{**good, "k": 1}), "k must be at least 2"),
         (lambda: LocalParams(**{**good, "phi": 0.0}), "phi must lie in (0, 1]"),
         (lambda: LocalParams(**{**good, "phi": 1.5}), "phi must lie in (0, 1]"),
+        (lambda: LocalParams(**{**good, "epsilon": 0.2}), "epsilon must exceed 2/k"),
+        (lambda: global_sparsest_cut_tight_volume(g, 7, 0.5), "epsilon must exceed 2 ln(k)/k"),
         (lambda: global_sparsest_cut_tight_volume(g, 1, 0.5), "k must be at least 2"),
         (lambda: sweep(g, [], 5.0), "trajectory must be nonempty"),
         (lambda: sweep(g, run_walk(g, 0, WalkSchedule(2)), math.nan), "vol_cap must be at least 1"),
@@ -1022,6 +1024,10 @@ def test_parameter_and_input_checks_pin_their_messages(barbell3):
         (
             lambda: find_local_seed(g, [0, 1, 2], LocalParams(**good)),
             "set conductance exceeds the target phi",
+        ),
+        (
+            lambda: find_local_seed(g, [0, 1, 2, 3], LocalParams(**good)),
+            "set volume exceeds the budget k",
         ),
         (
             lambda: GlobalParams(k=10**400, epsilon=0.5, horizon_override=1),

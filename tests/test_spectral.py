@@ -393,6 +393,16 @@ def test_spectral_checks_pin_their_messages():
             "zero-degree vertex: restricted walk matrix undefined",
         ),
         (lambda: certify_lower_bound(g, range(5), -1), "horizon must be nonnegative"),
+        (lambda: restricted_eigenpair(g, range(5), tol=0.0), "tol must be positive and finite"),
+        (
+            lambda: certify_lower_bound(g, range(5), 3, tol=np.inf),
+            "tol must be positive and finite",
+        ),
+        (
+            lambda: restricted_eigenpair(g, [0, 10]),
+            "subset induces a disconnected subgraph; compute one eigenpair per component instead",
+        ),
+        (lambda: best_seed_vertex(g, [0, 10], 3), "subset induces a disconnected subgraph"),
     ):
         with raises_message(message):
             call()
@@ -401,7 +411,7 @@ def test_spectral_checks_pin_their_messages():
 def test_certificates_reject_a_horizon_past_the_step_limit(monkeypatch):
     # 2,000,000 steps were still walking after 4 s; the limit is checked
     # before the subset's subgraph is built
-    def no_work(g, subset):
+    def no_work(*args):
         raise AssertionError("the subset's subgraph was built")
 
     monkeypatch.setattr(spectral, "_restricted_adjacency", no_work)

@@ -389,6 +389,11 @@ def test_walk_checks_pin_their_messages():
         (lambda: SparseDistribution([0, 1], [1.0], 4), "support and mass lengths differ"),
         (lambda: WalkSchedule(horizon=-1), "horizon must be nonnegative"),
         (lambda: WalkSchedule(horizon=1_000_001), "horizon exceeds 1000000 steps"),
+        (
+            lambda: truncated_step(g, SparseDistribution([1, 0], [0.5, 0.5], 4), 0.0),
+            "support must be strictly increasing",
+        ),
+        (lambda: run_walk(g, 4, WalkSchedule(horizon=1)), "seed out of range"),
     ):
         with raises_message(message):
             call()
