@@ -3,7 +3,7 @@
 The graph is simple (no self-loops, no parallel edges) and immutable after
 construction. Conductance of a vertex set S is boundary(S) / volume(S); the
 exact integer pair is kept on every Cut so comparisons can be done in
-rational arithmetic.
+rational arithmetic. An edge-list load peaks near text + CSR + one block.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ class Graph:
 
         The first bad pair in input order raises ValueError (a self-loop as
         such). One sort of min*n+max keys collapses and counts duplicates,
-        one sort of src*n+dst arc keys lays out the sorted rows.
+        one sort of src*n+dst arc keys lays out the sorted rows in place, in
+        the array that becomes ``indices``. Past the pairs, the build peaks
+        near 25 bytes an edge, 16 of them that array.
         """
         n = int(vertex_count)
         if n < 0:
@@ -68,19 +70,25 @@ class Graph:
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
         u, v = pairs.reshape(-1, 2).T
-        keys, hi = np.minimum(u, v), np.maximum(u, v)
-        bad = (keys == hi) | (keys < 0) | (hi >= n)
+        bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
         if bad.any():
             a, b = int(u[np.argmax(bad)]), int(v[np.argmax(bad)])
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-        keys = np.sort(keys * n + hi)
-        keys = keys[np.diff(keys, prepend=-1) != 0]  # distinct edges, ascending
-        arcs = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+        keys = np.minimum(u, v) * n
+        keys += np.maximum(u, v)
+        keys.sort()
+        keys = keys[np.append(keys[:1] == keys[:1], keys[1:] != keys[:-1])]  # distinct edges
+        arcs = np.concatenate([keys, keys])  # each edge's arc keys, then the reversed ones
+        del keys
+        low, high = np.split(arcs, 2)
+        np.multiply(low % n, n, out=high)
+        high += low // n
+        arcs.sort()
         indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
         arcs %= n  # src*n+dst keys -> dst, row by row
-        return cls(indptr, arcs, duplicate_edges=u.size - keys.size)
+        return cls(indptr, arcs, duplicate_edges=u.size - arcs.size // 2)
 
     @cached_property
     def vertex_count(self) -> int:
@@ -147,49 +155,66 @@ def _is_connected(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
     return not parent.any()
 
 
+_BLOCK_CHARS = 1 << 20  # a bulk-scan block's size; its arrays take about 12 times this
+
+
 def _scan_edge_list(text: str) -> np.ndarray | None:
     """Raw (u, v) ids of a plain edge list, or None for the line parser.
 
     Takes blank lines, comment lines and lines of two distinct ids of at most
     18 ASCII digits (so each fits in int64) between ASCII blanks. A carriage
     return must precede a newline or end the text: streams may split at one.
+    Lines go in blocks of about ``_BLOCK_CHARS`` characters to one int64 row
+    each: past the text and those rows, the scan holds one block's arrays.
     """
     if not text.isascii():
         return None
-    # newlines around the text: every word has a blank on each side, and its
-    # 18 digit columns stay inside the buffer
-    buf = np.frombuffer((f"\n{text}" + "\n" * 18).encode("ascii"), dtype=np.uint8)
-    if (buf[np.flatnonzero(buf == 13) + 1] != 10).any():
-        return None
-    # words are runs of non-blank bytes (blank: space, or tab through \r)
-    blank = (buf == 32) | ((buf >= 9) & (buf <= 13))
-    starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1
-    width = np.flatnonzero(blank[:-1] < blank[1:]) + 1 - starts
-    # a word opens a line when the blank run before it holds a newline
-    first = np.concatenate([[True], np.logical_or.reduceat(buf == 10, starts)[:-1]])
-    hashes = buf[starts] == 35
-    if hashes.any():  # drop every word of the lines that open with '#'
-        keep = ~hashes[first][np.cumsum(first) - 1]
-        starts, width, first = starts[keep], width[keep], first[keep]
-    if starts.size % 2 or not first[0::2].all() or first[1::2].any() or (width > 18).any():
-        return None
-    ids = np.zeros(starts.size, dtype=np.int64)
-    for k in range(int(width.max(initial=0))):  # Horner, one digit column a round
-        live = width > k
-        digit = buf[starts + k].astype(np.int64) - 48
-        if ((digit < 0) | (digit > 9))[live].any():
+    pairs = np.empty((text.count("\n") + 1, 2), dtype=np.int64)
+    rows = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        # newlines around the block: every word has a blank on each side, and
+        # its 18 digit columns stay inside the buffer
+        buf = np.frombuffer((f"\n{text[start:end]}" + "\n" * 18).encode("ascii"), dtype=np.uint8)
+        if (buf[np.flatnonzero(buf == 13) + 1] != 10).any():
             return None
-        ids = np.where(live, ids * 10 + digit, ids)
-    return None if (ids[0::2] == ids[1::2]).any() else ids.reshape(-1, 2)
+        # words are runs of non-blank bytes (blank: space, or tab through \r)
+        blank = (buf == 32) | ((buf >= 9) & (buf <= 13))
+        starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1
+        width = np.flatnonzero(blank[:-1] < blank[1:]) + 1 - starts
+        # a word opens a line when the blank run before it holds a newline
+        first = np.concatenate([[True], np.logical_or.reduceat(buf == 10, starts)[:-1]])
+        hashes = buf[starts] == 35
+        if hashes.any():  # drop every word of the lines that open with '#'
+            keep = ~hashes[first][np.cumsum(first) - 1]
+            starts, width, first = starts[keep], width[keep], first[keep]
+        if starts.size % 2 or not first[0::2].all() or first[1::2].any() or (width > 18).any():
+            return None
+        ids = np.zeros(starts.size, dtype=np.int64)
+        for k in range(int(width.max(initial=0))):  # Horner, one digit column a round
+            live = width > k
+            digit = buf[starts + k].astype(np.int64) - 48
+            if ((digit < 0) | (digit > 9))[live].any():
+                return None
+            ids = np.where(live, ids * 10 + digit, ids)
+        if (ids[0::2] == ids[1::2]).any():
+            return None
+        pairs[rows : rows + ids.size // 2] = ids.reshape(-1, 2)
+        rows, start = rows + ids.size // 2, end
+    return pairs[:rows]
 
 
 def _first_seen_labels(raw: np.ndarray) -> int:
     """Relabel raw ids in place to 0..n-1 by the rank of each id's first position; return n."""
     flat = raw.reshape(-1)
-    _, first, slot = np.unique(flat, return_index=True, return_inverse=True)
+    order = flat.argsort()  # each id's positions in a run, unordered within it
+    ids = flat[order]
+    heads = np.flatnonzero(np.append(ids[:1] == ids[:1], ids[1:] != ids[:-1]))  # run starts
+    del ids
+    first = np.minimum.reduceat(order, heads)  # each distinct id's first position, by id
     label = np.empty_like(first)
     label[first.argsort()] = np.arange(first.size)
-    flat[:] = label[slot]
+    flat[order] = label.repeat(np.diff(heads, append=order.size))
     return first.size
 
 
@@ -204,15 +229,17 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
 
     The text is read once and parsed in bulk with numpy. Whatever the bulk
     scan declines (errors, but also ``+5`` or 19-digit ids) goes to the
-    line-by-line parser, which raises the error or reads the odd line.
+    line-by-line parser, which raises the error or reads the odd line. The
+    text is dropped once scanned: a bulk load peaks near text + CSR + one
+    block, or at the relabel's three int64 arrays of the ids, if larger.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_edge_list(fh)
     start = source.tell() if source.seekable() else None
     text = source.read()
-    pairs = _scan_edge_list(text)
-    if pairs is not None:
+    if (pairs := _scan_edge_list(text)) is not None:
+        del text
         return Graph.from_edges(_first_seen_labels(pairs), pairs)
     if start is not None:
         source.seek(start)  # parse the stream's own lines
@@ -243,11 +270,14 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
     Lines are grouped by the larger endpoint, so whenever every vertex past
     the first has some smaller neighbor (true for all the bundled
     generators) ids first appear in natural order and a reload reproduces
-    the identical graph despite first-seen id compaction.
+    the identical graph despite first-seen id compaction. Past two int64
+    arrays of the arc count, it holds the strings of one 65k-line write.
     """
     src = np.repeat(np.arange(g.vertex_count), g.degrees)
     lower = g.indices < src  # rows ascend and each row is sorted
-    sink.write("".join(map("{} {}\n".format, g.indices[lower].tolist(), src[lower].tolist())))
+    lines = np.stack([g.indices[lower], src[lower]], axis=1)
+    for part in np.split(lines, range(1 << 16, len(lines), 1 << 16)):
+        sink.write("".join(map("{} {}\n".format, *part.T.tolist())))
 
 
 def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from sparsecut import (
     ring_of_cliques,
     write_edge_list,
 )
+from sparsecut import graph as graph_module
 from sparsecut import walk
 from sparsecut.graph import (
     _first_seen_labels,
@@ -412,33 +414,33 @@ def test_bulk_loader_matches_line_parser_on_random_texts():
     assert bulk > 200 and min(outcomes.values()) > 50
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "\n\n",
-        "# only a comment",
-        "  # indented comment\n\t#tabbed 5 6\n1 2",
-        "1 2\r\n2 3\r\n",
-        "1 2\r",
-        "1 2\r\r\n",
-        "007 7\n7 007",
-        "5 6\n6 5\n5 6",
-        f"{'9' * 18} 1\n1 {'9' * 17}",
-        f"{'9' * 19} 1",
-        "1\x0b2\n3\x0c4",
-        "1 2 # trailing comment",
-        "1 2\n#\n3 3",
-        "1 2",
-        "+5 3",
-        "1_0 2",
-        "1 2\r3 4\n",
-        "1\r2\n",
-        "3 4\n4 5 6",
-        "1\n2",
-        f"{2**64 + 2} 3\n1 2",
-    ],
-)
+BULK_EDGE_CASES = [
+    "",
+    "\n\n",
+    "# only a comment",
+    "  # indented comment\n\t#tabbed 5 6\n1 2",
+    "1 2\r\n2 3\r\n",
+    "1 2\r",
+    "1 2\r\r\n",
+    "007 7\n7 007",
+    "5 6\n6 5\n5 6",
+    f"{'9' * 18} 1\n1 {'9' * 17}",
+    f"{'9' * 19} 1",
+    "1\x0b2\n3\x0c4",
+    "1 2 # trailing comment",
+    "1 2\n#\n3 3",
+    "1 2",
+    "+5 3",
+    "1_0 2",
+    "1 2\r3 4\n",
+    "1\r2\n",
+    "3 4\n4 5 6",
+    "1\n2",
+    f"{2**64 + 2} 3\n1 2",
+]
+
+
+@pytest.mark.parametrize("text", BULK_EDGE_CASES)
 def test_bulk_loader_edge_cases(text):
     assert_loads_like_reference(text)
 
@@ -472,6 +474,72 @@ def test_load_follows_the_stream_line_ends():
         with pytest.raises(GraphFormatError) as err:
             load_edge_list(io.StringIO(text, newline=""))
         assert err.value.line == line
+
+
+# texts whose lines meet the edges of small scan blocks: a \r\n, a lone
+# trailing \r, a comment line, a line longer than a block, a late self-loop
+BLOCK_EDGE_TEXTS = [
+    "1 2\r\n2 3\r\n3 1",
+    "1 2\n2 3\r",
+    "1 2\n# 5 6 x\n2 3\n#\n3 1",
+    f"1{' ' * 70}2\n# {'x' * 70}\n2\t{'0' * 17}3",
+    "1 2\n2 3\n3 1\n4 4",
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_scan_matches_the_line_parser(monkeypatch, block):
+    whole = [_scan_edge_list(text) for text in BLOCK_EDGE_TEXTS]
+    monkeypatch.setattr(graph_module, "_BLOCK_CHARS", block)
+    rng = np.random.default_rng(20)
+    bulk = 0
+    for trial in range(400):
+        lines = int(rng.integers(0, 40))
+        text = random_edge_text(rng, lines, odd_rate=[0.0, 0.01, 0.05][trial % 3])
+        bulk += _scan_edge_list(text) is not None
+        assert_loads_like_reference(text)
+    assert bulk > 200  # most texts take the block scan
+    for text in BULK_EDGE_CASES:
+        assert_loads_like_reference(text)
+    # each text after a first line that moves it across one block's end
+    for text, pairs in zip(BLOCK_EDGE_TEXTS, whole):
+        for pad in range(block + 3):
+            assert_loads_like_reference(f"{' ' * pad}8 9\n{text}")
+        got = _scan_edge_list(text)
+        assert got is None if pairs is None else np.array_equal(got, pairs)
+    assert sum(pairs is None for pairs in whole) == 1  # the self-loop declines
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_load_peak_is_text_csr_and_one_block(tmp_path):
+    g = ring_of_cliques(2000, 20).graph
+    path = tmp_path / "ring.txt"
+    with open(path, "w") as sink:
+        write_edge_list(g, sink)
+    assert _scan_edge_list(path.read_text()) is not None  # the bulk path, no fall-back
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_edge_list(path)))
+    assert_same_graph(loaded[0], g)
+    # 382k edges: the scan's text (11 bytes an edge) and pairs (16) and one
+    # block's temporaries read 61 bytes an edge; a whole-text scan read 136
+    assert peak < 85 * g.edge_count
+
+
+def test_write_edge_list_peak_is_one_slice(tmp_path):
+    g = ring_of_cliques(1000, 20).graph
+    with open(tmp_path / "ring.txt", "w") as sink:
+        peak = traced_peak(lambda: write_edge_list(g, sink))
+    # 191k lines: int64 arrays of the edges and one slice of 65k lines'
+    # strings read 85 bytes an edge; one join of every line read 166
+    assert peak < 120 * g.edge_count
 
 
 def test_from_edges_matches_reference_on_random_edges():
