@@ -108,6 +108,15 @@ class Graph:
         return np.diff(self.indptr)
 
     @cached_property
+    def _slots(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(rank, sources): sources[j] lists the j-th neighbor of each vertex of degree above j."""
+        order = np.argsort(-self.degrees, kind="stable")  # by degree, descending
+        deg, start = self.degrees[order], self.indptr[order]
+        counts = np.searchsorted(-deg, -np.arange(deg.max(initial=0)))  # degrees above j
+        sources = [self.indices[start[:cnt] + j] for j, cnt in enumerate(counts.tolist())]
+        return np.argsort(order), sources
+
+    @cached_property
     def connected(self) -> bool:
         return _is_connected(self.vertex_count, self.indptr, self.indices)
 
@@ -302,14 +311,6 @@ def _ball(g: Graph, ids: np.ndarray, radius: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _copies(g: Graph, b: int) -> Graph:
-    """b disjoint copies of g, vertex v of copy r being r * n + v; offset rows need no sort."""
-    n, arcs = g.vertex_count, g.total_volume
-    shift = np.arange(b)[:, None]
-    indptr = np.append((g.indptr[:-1] + arcs * shift).ravel(), b * arcs)
-    return Graph(indptr, (g.indices + n * shift).ravel())
-
-
 # A support merge: sorted unique ids and their degrees, the sorted union of the ids
 # and their arc targets, and each id's and arc's slot in it (arcs row by row). It is
 # the one lookup of every prefix profile, a walk step's plan or a bare ordering's.
@@ -321,9 +322,16 @@ def _merge(g: Graph, ids: np.ndarray) -> Merge:
     return Merge(ids, g.degrees[ids], union, slot[: ids.size], slot[ids.size :])
 
 
+def _vertex_ids(ids) -> np.ndarray:
+    """The ids as int64; a non-integer dtype raises, as a cast would pick other vertices."""
+    if (ids := np.asarray(ids)).size and ids.dtype.kind not in "iu":
+        raise ValueError("vertex ids must be integers")
+    return ids.astype(np.int64, copy=False)
+
+
 def cut_of(g: Graph, members: Iterable[int]) -> Cut:
     """Exact volume, boundary edge count, and conductance of a vertex set."""
-    sel = np.unique(np.asarray(list(members), dtype=np.int64))
+    sel = np.unique(_vertex_ids(list(members)))
     if sel.size == 0:
         raise ValueError("vertex set must be nonempty")
     volumes, boundaries = prefix_cut_profile(g, sel)
@@ -346,7 +354,7 @@ def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = Non
     arc is inside every prefix past its later endpoint: one bincount of
     later ranks.
     """
-    order = np.asarray(order, dtype=np.int64)
+    order = _vertex_ids(order)
     s = order.size
     if s == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)

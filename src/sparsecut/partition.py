@@ -11,17 +11,14 @@ and its neighbors. The sweep reads each step as it is taken and orders and
 profiles it through its walk plan, so memory follows the support, plus a
 pair a step.
 
-The global driver keeps one block of B start vertices, B x n walk rows of at
-most ``BLOCK_ARCS`` cells and swept arcs, and the winner's members. A block
-steps in chunks, each one ``lazy_step`` of disjoint graph copies, a copy a row,
-at most ``BLOCK_ARCS`` arcs, and a shorter last chunk through copies of its
-own, as many as its rows: each copy adds its incoming mass in arc order, as
-the graph alone does, so every row is its seed's own walk bit for bit. Each
-step takes each row's first c vertices in ``build_curve`` order, as no prefix
-past the c smallest degrees fits the cap: a partition finds each row's c-th
-smallest key -p/d and one lexsort orders the entries up to it, so no B x n
-sort runs. A row whose capped order repeats the previous step's is not
-profiled, as ``sweep`` skips a repeated step: its prefixes are the ones it
+The global driver keeps the winner's members and one block of B seeds, n x B
+walks of at most ``BLOCK_ARCS`` cells and swept arcs, a seed a column, each
+step one ``lazy_step`` of the block: every column is its seed's own walk bit
+for bit. Each step takes each row's first c vertices in ``build_curve`` order,
+as no prefix past the c smallest degrees fits the cap: a partition finds each
+row's c-th smallest key -p/d and one lexsort orders the entries up to it, so
+no B x n sort runs. A row whose capped order repeats the previous step's is
+not profiled, as ``sweep`` skips a repeated step: its prefixes are the ones it
 had a step earlier, and being later they lose. A prefix's boundary is its
 volume minus the arcs inside it, and an arc is inside every prefix past its
 later endpoint, so one bincount of the later rank of each swept vertex's arcs
@@ -42,7 +39,7 @@ import numpy as np
 
 from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _copies, _gather_rows, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import _MAX_HORIZON, WalkSchedule, run_walk
 
@@ -59,8 +56,8 @@ __all__ = [
     "find_local_seed",
 ]
 
-# Cells and swept arcs in one sweep block, and arcs in one walk chunk, of the global
-# search: its arrays take a few times 8 * BLOCK_ARCS bytes, whatever the vertex count.
+# Cells and swept arcs in one n x B global-search block: its arrays take a few times 8x this
+# many bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
 
 
@@ -344,19 +341,16 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     if np.any(degrees == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
-    chunk = max(1, min(n, BLOCK_ARCS // g.total_volume))
-    block = chunk * max(1, BLOCK_ARCS // (chunk * max(n, int(cap))))  # a row sweeps <= cap arcs
-    copies = _copies(g, chunk)
-    last = _copies(g, (n - 1) % chunk + 1)  # the last chunk of the last block
+    block = max(1, BLOCK_ARCS // max(n, int(cap)))  # a row sweeps <= cap arcs
     best_key = best_members = None
     work = 0
     for first in range(0, n, block):
         b = min(block, n - first)
-        rows, capped = np.eye(b, n, first), np.full((b, c), -1)
+        walks, capped = np.eye(n, b, -first), np.full((b, c), -1)  # a seed a column
         for t in range(params.horizon + 1):
-            positive = rows > 0
+            positive = walks.T > 0
             order, row, size, boundaries, volumes = _block_candidates(
-                g, rows, c, cap, capped, positive
+                g, walks.T, c, cap, capped, positive
             )
             if row.size:
                 pick = _select(boundaries, volumes)
@@ -366,9 +360,7 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
                     best_key, best_members = key, order[i, :j].copy()
             if t < params.horizon:
                 work += int(np.dot(positive, degrees).sum())
-                for s in range(0, b, chunk):
-                    part = rows[s : s + chunk].ravel()  # a view: the chunk steps in place
-                    part[:] = walk.lazy_step(copies if part.size == chunk * n else last, part)
+                walks = walk.lazy_step(g, walks)
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work)
     _, _, t, size, seed = best_key

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _ball, _gather_rows, cut_of
+from .graph import Graph, _ball, _gather_rows, _vertex_ids, cut_of
 from .walk import _check_horizon, lazy_step
 
 __all__ = [
@@ -71,7 +71,7 @@ def _restricted_adjacency(g: Graph, subset, disconnected: str) -> tuple[np.ndarr
 
     A disconnected subgraph raises ValueError with the message ``disconnected``.
     """
-    members = np.unique(np.asarray(list(subset), dtype=np.int64))
+    members = np.unique(_vertex_ids(list(subset)))
     if members.size == 0:
         raise ValueError("subset must be nonempty")
     if members[0] < 0 or members[-1] >= g.vertex_count:

@@ -16,7 +16,10 @@ once per support array and shared by a kept distribution of the same set:
 a settled walk redoes no merge, the plan carries the support volume that
 the walk accounts for, and the sweep orders and profiles a step through it.
 A walk is one pass that takes each step as it is read, so a run holds its
-current distribution, not its history.
+current distribution, not its history. The exact step also takes an (n, B)
+block, a distribution a column: slot j adds each vertex's j-th neighbor's
+B-row, so a vertex adds its neighbors in ascending order, as bincount does,
+and each column is its own step bit for bit.
 """
 
 from __future__ import annotations
@@ -103,14 +106,23 @@ class WalkSchedule:
 def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
     """One exact lazy step: result = p * W with W = (I + D^-1 A) / 2.
 
-    Total mass is preserved up to roundoff. Vertices of degree zero keep all
-    their mass.
+    ``p`` is one distribution of shape (n,) or an (n, B) block stepped slot by
+    slot (``Graph._slots``), each column bit for bit as alone. Total mass is
+    preserved up to roundoff. Vertices of degree zero keep all their mass.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (g.vertex_count,):
+    if p.shape[:1] != (g.vertex_count,) or p.ndim > 2:
         raise ValueError("distribution length does not match vertex count")
-    rates = np.divide(p, g.degrees, out=np.zeros_like(p), where=g.degrees > 0)
-    out = 0.5 * p + np.bincount(g.indices, np.repeat(0.5 * rates, g.degrees), g.vertex_count)
+    deg = g.degrees if p.ndim == 1 else g.degrees[:, None]
+    half = 0.5 * np.divide(p, deg, out=np.zeros_like(p), where=deg > 0)
+    if p.ndim == 1:
+        out = 0.5 * p + np.bincount(g.indices, np.repeat(half, g.degrees), g.vertex_count)
+    else:
+        acc = np.zeros_like(p)  # rows in the slot order
+        for src in g._slots[1]:
+            acc[: src.size] += half[src]
+        out = np.take(acc, g._slots[0], axis=0, out=half)  # half is spent
+        out += np.multiply(p, 0.5, out=acc)
     isolated = g.degrees == 0
     if isolated.any():
         out[isolated] += 0.5 * p[isolated]

@@ -9,10 +9,13 @@ import pytest
 from sparsecut import (
     Graph,
     GraphFormatError,
+    LocalParams,
     barbell,
+    certify_lower_bound,
     complete,
     cut_of,
     erdos_renyi,
+    find_local_seed,
     load_edge_list,
     ring_of_cliques,
     write_edge_list,
@@ -128,6 +131,27 @@ def test_cut_rejects_empty_and_out_of_range(barbell3):
     ):
         with raises_message(message):
             cut_of(g, members)
+
+
+def test_vertex_sets_reject_non_integer_ids(barbell3):
+    # a cast to int64 would truncate 0.5 and 1.7 to {0, 1} and parse '1'
+    g = barbell3.graph
+    params = LocalParams(seed=0, k=8, phi=0.2, epsilon=0.5)
+    calls = (
+        lambda ids: cut_of(g, ids),
+        lambda ids: prefix_cut_profile(g, ids),
+        lambda ids: certify_lower_bound(g, ids, 3),
+        lambda ids: find_local_seed(g, ids, params),
+    )
+    bad = ([0.5, 1.7], ["1", "2"], np.array([0.0, 1.0]), [True, False], [0, 1.0])
+    for call in calls:
+        for ids in bad:
+            with raises_message("vertex ids must be integers"):
+                call(ids)
+    assert find_local_seed(g, [0, 1, 2], params) in (0, 1, 2)  # the integer ids still work
+    assert cut_of(g, np.array([0, 1, 2], dtype=np.uint8)) == cut_of(g, [0, 1, 2])
+    with raises_message("vertex set must be nonempty"):
+        cut_of(g, [])
 
 
 def test_brute_force_oracle_confirms_barbell_count(barbell3):

@@ -31,7 +31,7 @@ from sparsecut import (
     write_edge_list,
 )
 from sparsecut import graph, partition, walk
-from sparsecut.graph import Graph, _copies, _gather_rows, prefix_cut_profile
+from sparsecut.graph import Graph, _gather_rows, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
 from conftest import raises_message, relabel
@@ -420,33 +420,42 @@ def test_capped_sweep_matches_uncapped_profile(monkeypatch):
     assert 0 < max(profiled) <= cap
 
 
-def copies_cases(rng):
+def block_step_cases(rng):
     for trial in range(20):
         n = int(rng.integers(2, 40))
         yield erdos_renyi(n, float(rng.uniform(0.1, 0.8)), rng_seed=300 + trial)
     yield Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3)])  # 4 is isolated
+    yield hub_graph()
 
 
-def test_copies_step_every_row_as_lazy_step():
+def hub_graph():
+    """ER(120, 0.08) with vertex 0 joined to all others: most slots are partial."""
+    g = erdos_renyi(120, 0.08, rng_seed=3)
+    arcs = np.stack([np.repeat(np.arange(120), g.degrees), g.indices], axis=1)
+    spokes = np.stack([np.zeros(119, dtype=np.int64), np.arange(1, 120)], axis=1)
+    return Graph.from_edges(120, np.concatenate([arcs, spokes]))
+
+
+def test_block_step_every_column_as_lazy_step():
+    # a block is stepped slot by slot over the degree-sorted vertices, and
+    # each vertex adds its neighbors in ascending id order, as bincount does
     rng = np.random.default_rng(8)
-    for g in copies_cases(rng):
+    for g in block_step_cases(rng):
         n = g.vertex_count
-        b = int(rng.integers(1, 6))
-        copies = _copies(g, b)
-        assert copies.vertex_count == b * n and copies.edge_count == b * g.edge_count
-        assert copies.total_volume == b * g.total_volume
-        assert np.array_equal(copies.degrees, np.tile(g.degrees, b))
-        assert np.array_equal(np.diff(copies.indptr), copies.degrees)
-        src = np.repeat(np.arange(b * n), copies.degrees)
-        arcs = src * (b * n) + copies.indices
-        assert np.all(np.diff(arcs) > 0)  # rows in order, each sorted
-        assert np.array_equal(np.sort(copies.indices * (b * n) + src), arcs)  # symmetric
-        assert np.array_equal(copies.indices // n, src // n)  # copies stay disjoint
-        rows = rng.random((b, n)) * (rng.random((b, n)) < 0.6)
-        rows[:, : n // 3] *= 1e-310  # subnormal masses
-        out = lazy_step(copies, rows.ravel()).reshape(b, n)
-        for row, got in zip(rows, out):
-            assert got.tobytes() == lazy_step(g, row).tobytes()
+        rank, sources = g._slots
+        slots = [[sources[j][rank[v]] for j in range(g.degree(v))] for v in range(n)]
+        assert np.array_equal(np.array(sum(slots, []), dtype=np.int64), g.indices)
+        for b in range(1, 6):
+            block = rng.random((n, b)) * (rng.random((n, b)) < 0.6)
+            block[: n // 3] *= 1e-310  # subnormal masses
+            out = lazy_step(g, block)
+            assert out.shape == (n, b)
+            for col, got in zip(block.T, out.T):
+                assert got.tobytes() == lazy_step(g, col).tobytes()
+        for bad in (np.zeros((n + 1, 2)), np.zeros((n, 2, 2))):
+            with raises_message("distribution length does not match vertex count"):
+                lazy_step(g, bad)
+    assert g.degree(0) == 119 and sources[30].size == 1  # the hub graph came last
 
 
 def test_block_candidates_follow_build_curve():
@@ -560,6 +569,10 @@ def equivalence_cases():
     cases.append((inst.graph, params))
     cases.append((two_components(), GlobalParams(k=6, epsilon=0.01, horizon_override=5)))
     cases.append((complete(8), GlobalParams(k=4, epsilon=0.01)))  # cap below every degree
+    # partial slots: a hub over sparse rows, and two cliques of which two vertices hold the bridge
+    cases.append((hub_graph(), GlobalParams(k=40, epsilon=0.01, horizon_override=12)))
+    inst = barbell(15)
+    cases.append((inst.graph, GlobalParams(k=inst.planted.volume, epsilon=0.01)))
     rng = np.random.default_rng(12)
     horizons = (0, 1, 7, 40)
     for trial in range(16):
@@ -573,7 +586,7 @@ def equivalence_cases():
 
 
 def record_block_calls(monkeypatch):
-    """Lists that collect the rows of each global sweep and the graph of each lazy_step."""
+    """Lists of the rows of each global sweep and the (graph, block shape) of each lazy_step."""
     sweeps, steps = [], []
     sweep_block, step = partition._block_candidates, walk.lazy_step
 
@@ -582,7 +595,7 @@ def record_block_calls(monkeypatch):
         return sweep_block(g, rows, c, cap, *state)
 
     def stepping(g, p):
-        steps.append(g)
+        steps.append((g, p.shape))
         return step(g, p)
 
     monkeypatch.setattr(partition, "_block_candidates", sweeping)
@@ -594,26 +607,28 @@ def test_global_equals_per_seed_reference(monkeypatch):
     cases = equivalence_cases()
     assert len(cases) >= 20
     sweeps, steps = record_block_calls(monkeypatch)
-    several_chunks = 0
+    several_blocks = 0
     for g, params in cases:
         n = g.vertex_count
         expected = per_seed_global(g, params)
+        width = max(n, int(min(params.volume_cap, g.total_volume - 1)))  # a row's cells
         q = next(q for q in range(2, n) if n % q)
         # one row a block, a few rows a block, every seed in one block, and
-        # walk chunks of q >= 2 rows, the last one short, in the largest
-        # sweep blocks that keep the chunks at q rows
-        for block_arcs in (1, 3 * g.total_volume, 1 << 20, (q + 1) * g.total_volume - 1):
+        # blocks of q >= 2 rows, the last one short
+        for block_arcs in (1, 3 * g.total_volume, 1 << 20, (q + 1) * width - 1):
             monkeypatch.setattr(partition, "BLOCK_ARCS", block_arcs)
             sweeps.clear()
             steps.clear()
             out = global_sparsest_cut(g, params)
             assert (out.best, out.origin, out.work) == expected
-        if params.horizon > 0:
-            chunks = {copies.vertex_count for copies in steps}
-            assert chunks == {q * n, (n % q) * n}
-            several_chunks += max(sweeps) >= 2 * q
-    # most caps leave a sweep block room for two chunks or more
-    assert several_chunks >= 10
+            # one lazy_step of the whole block a step, on the graph itself
+            b = max(1, block_arcs // width)
+            blocks = [min(b, n - s) for s in range(0, n, b)]
+            assert sweeps == [b for b in blocks for _ in range(params.horizon + 1)]
+            assert steps == [(g, (n, b)) for b in blocks for _ in range(params.horizon)]
+        several_blocks += params.horizon > 0 and blocks == [q] * (n // q) + [n % q]
+    # most cases step several blocks of two rows or more
+    assert several_blocks >= 10
 
 
 def test_global_rejects_mass_on_isolated_vertex():
@@ -655,17 +670,16 @@ def test_global_memory_stays_bounded_under_a_large_cap():
 
 
 def test_global_sweeps_each_step_of_a_block_in_one_call(monkeypatch):
-    # ring_of_cliques(12, 10): 2m = 1104, so the walk steps 14-row chunks
-    # of one 120-row sweep block that holds every seed: 97 sweeps a solve
+    # ring_of_cliques(12, 10): one 120 x 120 block holds every seed, so a
+    # solve is 97 sweeps and 96 steps of the whole block
     g = ring_of_cliques(12, 10).graph
     params = GlobalParams(k=92, epsilon=0.01)
     sweeps, steps = record_block_calls(monkeypatch)
     out = global_sparsest_cut(g, params)
-    n, horizon, chunk = g.vertex_count, params.horizon, partition.BLOCK_ARCS // g.total_volume
-    assert (n, horizon, chunk) == (120, 96, 14)
+    n, horizon = g.vertex_count, params.horizon
+    assert (n, horizon, partition.BLOCK_ARCS // n) == (120, 96, 136)
     assert sweeps == [n] * (horizon + 1)
-    assert len(steps) == math.ceil(n / chunk) * horizon
-    assert sum(copies.total_volume for copies in steps) == horizon * n * g.total_volume
+    assert steps == [(g, (n, n))] * horizon
     assert out.work == 11_819_232
 
 
@@ -673,7 +687,7 @@ def test_global_profiles_only_rows_whose_capped_order_changed(monkeypatch):
     # a row whose capped order repeats the previous step's has the same
     # prefixes a step later, so it adds no candidate: on ring_of_cliques(12,
     # 10), 1,346 of the 11,640 row-steps are profiled, with the same 97
-    # sweeps, 864 walk chunks and result
+    # sweeps, 96 block steps and result
     g = ring_of_cliques(12, 10).graph
     params = GlobalParams(k=92, epsilon=0.01)
     sweeps, steps = record_block_calls(monkeypatch)
@@ -692,7 +706,7 @@ def test_global_profiles_only_rows_whose_capped_order_changed(monkeypatch):
     monkeypatch.setattr(partition, "_block_candidates", tallying)
     out = global_sparsest_cut(g, params)
     assert sweeps == [120] * 97
-    assert len(steps) == 864
+    assert len(steps) == 96
     assert sum(profiled) == 1346 and profiled[:2] == [120, 120]
     assert (out.best.exact, out.origin, out.work) == (Fraction(1, 46), Origin(0, 1, 10), 11_819_232)
     # each block starts from no order: vertex 0 hangs off a triangle, only
