@@ -152,7 +152,7 @@ def _cmd_curve(args) -> Rows:
 
 def _read_set(path: str) -> list[int]:
     members = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.strip()
             if line:

@@ -66,7 +66,7 @@ class Graph:
         n = int(vertex_count)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = _vertex_ids(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
         u, v = pairs.reshape(-1, 2).T
@@ -243,7 +243,7 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
     block, or at the relabel's three int64 arrays of the ids, if larger.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             return load_edge_list(fh)
     start = source.tell() if source.seekable() else None
     text = source.read()
@@ -311,15 +311,18 @@ def _ball(g: Graph, ids: np.ndarray, radius: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-# A support merge: sorted unique ids and their degrees, the sorted union of the ids
-# and their arc targets, and each id's and arc's slot in it (arcs row by row). It is
-# the one lookup of every prefix profile, a walk step's plan or a bare ordering's.
-Merge = namedtuple("Merge", "ids deg union id_slot arc_slot")
+# A support merge: sorted unique ids, their degrees, their volume and whether one has
+# degree 0; the sorted union of the ids and their arc targets, and its degrees; each
+# id's and arc's slot in the union (arcs row by row). It is the one lookup of every
+# prefix profile, and a sparse walk's plan: its step, its threshold and its work.
+Merge = namedtuple("Merge", "ids deg volume isolated union union_deg id_slot arc_slot")
 
 
 def _merge(g: Graph, ids: np.ndarray) -> Merge:
+    deg = g.degrees[ids]
     union, slot = np.unique(np.concatenate([ids, _gather_rows(g, ids)]), return_inverse=True)
-    return Merge(ids, g.degrees[ids], union, slot[: ids.size], slot[ids.size :])
+    return Merge(ids, deg, int(deg.sum()), not deg.all(), union, g.degrees[union],
+                 slot[: ids.size], slot[ids.size :])
 
 
 def _vertex_ids(ids) -> np.ndarray:

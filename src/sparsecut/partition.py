@@ -88,6 +88,8 @@ class GlobalParams:
             raise ValueError("k must be at least 2")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+        if not isinstance(self.horizon_override, (int, np.integer, type(None))):
+            raise ValueError("horizon_override must be an integer")
         if self.horizon_override is not None and self.horizon_override < 0:
             raise ValueError("horizon_override must be nonnegative")
         _check_cap(self, "k^(1+epsilon)")
@@ -232,8 +234,8 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     capped = None
     for t, dist in enumerate(trajectory):
         if isinstance(dist, walk.SparseDistribution):
-            merge, _, isolated, _ = walk._plan_of(g, dist)
-            if isolated:
+            merge = walk._plan_of(g, dist)
+            if merge.isolated:
                 raise ValueError("mass on a zero-degree vertex has no volume ordering")
             rank = (-dist.mass / merge.deg).argsort(kind="stable")
             order, prefix_volumes = merge.ids[rank], merge.deg[rank].cumsum()

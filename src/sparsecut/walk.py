@@ -11,15 +11,15 @@ each vertex's incoming mass in the dense step's (ascending-source) arc
 order and then adds the kept half; addition commutes and skipped terms are
 exact zeros, so until a truncation fires the two paths agree bit for bit
 and the thresholded walk never exceeds the exact one even in floating
-point. No array of length n is made. The merge is the support's plan, built
-once per support array and shared by a kept distribution of the same set:
-a settled walk redoes no merge, the plan carries the support volume that
-the walk accounts for, and the sweep orders and profiles a step through it.
-A walk is one pass that takes each step as it is read, so a run holds its
-current distribution, not its history. The exact step also takes an (n, B)
-block, a distribution a column: slot j adds each vertex's j-th neighbor's
-B-row, so a vertex adds its neighbors in ascending order, as bincount does,
-and each column is its own step bit for bit.
+point. No array of length n is made. The merge (``graph.Merge``) is the
+support's plan, its one record: built once per support array and shared by
+a kept distribution of the same set, it holds all that the step, its
+threshold, the walk's work and the sweep read from the support. A walk is
+one ``WalkTrace``, a pass that takes each step as it is read, so a run
+holds its current distribution, not its history. The exact step also takes
+an (n, B) block, a distribution a column: slot j adds each vertex's j-th
+neighbor's B-row, so a vertex adds its neighbors in ascending order, as
+bincount does, and each column is its own step bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, _merge
+from .graph import Graph, Merge, _merge, _vertex_ids
 
 __all__ = [
     "SparseDistribution",
@@ -44,6 +44,8 @@ _MAX_HORIZON = 1_000_000  # step limit of every walk and search, as spectral's p
 
 
 def _check_horizon(horizon: int) -> None:
+    if not isinstance(horizon, (int, np.integer)):
+        raise ValueError("horizon must be an integer")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if not horizon <= _MAX_HORIZON:
@@ -63,11 +65,11 @@ class SparseDistribution:
     support: np.ndarray
     mass: np.ndarray
     size: int
-    # _plan_of's record for ``support``, valid while _plan[0].ids is that array
-    _plan: tuple | None = field(default=None, init=False, repr=False)
+    # _plan_of's merge of ``support``, valid while _plan.ids is that array
+    _plan: Merge | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.support = np.asarray(self.support, dtype=np.int64)
+        self.support = _vertex_ids(self.support)
         self.mass = np.asarray(self.mass, dtype=np.float64)
         if self.support.shape != self.mass.shape:
             raise ValueError("support and mass lengths differ")
@@ -129,15 +131,13 @@ def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plan_of(g: Graph, dist: SparseDistribution) -> tuple:
-    """(merge, union degrees, has a zero-degree id, volume) of dist's support, once per array."""
+def _plan_of(g: Graph, dist: SparseDistribution) -> Merge:
+    """The merge of dist's support, built once per support array."""
     sup, plan = dist.support, dist._plan
-    if plan is None or plan[0].ids is not sup:
+    if plan is None or plan.ids is not sup:
         if (sup[1:] <= sup[:-1]).any():
             raise ValueError("support must be strictly increasing")
-        merge = _merge(g, sup)
-        deg = merge.deg
-        plan = dist._plan = (merge, g.degrees[merge.union], not deg.all(), int(deg.sum()))
+        plan = dist._plan = _merge(g, sup)
     return plan
 
 
@@ -159,37 +159,42 @@ def truncated_step(
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    merge, out_deg, isolated, _ = _plan_of(g, dist)
-    mass, deg, slot = dist.mass, merge.deg, merge.id_slot
-    rates = mass / (np.maximum(deg, 1) if isolated else deg)  # deg 0: nothing is sent
+    plan = _plan_of(g, dist)
+    mass, deg, slot = dist.mass, plan.deg, plan.id_slot
+    rates = mass / (np.maximum(deg, 1) if plan.isolated else deg)  # deg 0: nothing is sent
     # bincount sums the incoming mass in arc order, as lazy_step does, and
     # the kept half comes after; with no arcs it counts integer zeros
-    out_mass = np.bincount(merge.arc_slot, (0.5 * rates).repeat(deg), merge.union.size)
+    out_mass = np.bincount(plan.arc_slot, (0.5 * rates).repeat(deg), plan.union.size)
     out_mass = out_mass.astype(np.float64, copy=False)
     out_mass[slot] += 0.5 * mass
-    if isolated:
+    if plan.isolated:
         out_mass[slot[deg == 0]] += 0.5 * mass[deg == 0]
-    stepped = SparseDistribution(merge.union, out_mass, dist.size)
-    keep = out_mass >= threshold * out_deg if threshold else out_mass > 0
-    if np.count_nonzero(keep) == merge.ids.size and keep[slot].all():  # the same set
-        kept = SparseDistribution(merge.ids, out_mass[slot], dist.size)
-        kept._plan = dist._plan
+    stepped = SparseDistribution(plan.union, out_mass, dist.size)
+    keep = out_mass >= threshold * plan.union_deg if threshold else out_mass > 0
+    if np.count_nonzero(keep) == plan.ids.size and keep[slot].all():  # the same set
+        kept = SparseDistribution(plan.ids, out_mass[slot], dist.size)
+        kept._plan = plan
     else:
-        kept = SparseDistribution(merge.union[keep], out_mass[keep], dist.size)
+        kept = SparseDistribution(plan.union[keep], out_mass[keep], dist.size)
     return stepped, kept
 
 
 class WalkTrace:
-    """One pass over p_0..p_T of a walk, each step taken as it is read.
+    """Walk from a single-vertex start: one pass over p_0..p_T, each step taken as it is read.
 
-    A second pass yields nothing. ``touched_volume[t-1]`` is the support
-    volume that step t had to touch, appended as the step is taken, so
-    ``total_work``, their sum, is complete only after the pass.
+    With truncation 0 it yields dense arrays and the walk is exact; otherwise
+    it yields SparseDistributions with the threshold applied after every step
+    (including to the start distribution). The seed is checked here, before
+    any step. A second pass yields nothing. ``touched_volume[t-1]`` is the
+    support volume that step t had to touch, appended as the step is taken,
+    so ``total_work``, their sum, is complete only after the pass.
     """
 
     def __init__(self, g: Graph, seed: int, schedule: WalkSchedule) -> None:
+        if not (0 <= seed < g.vertex_count):
+            raise ValueError("seed out of range")
         self.touched_volume: list[int] = []
-        self._steps = _steps(g, seed, schedule, self.touched_volume)
+        self._steps = self._walk(g, seed, schedule, self.touched_volume)
 
     def __iter__(self) -> Iterator:
         return self._steps
@@ -198,33 +203,22 @@ class WalkTrace:
     def total_work(self) -> int:
         return int(sum(self.touched_volume))
 
-
-def _steps(g: Graph, seed: int, schedule: WalkSchedule, touched: list[int]) -> Iterator:
-    """p_0..p_T, each step taken when asked for and its support volume appended to touched."""
-    threshold = schedule.truncation
-    exact = threshold == 0.0
-    if exact:
-        p = np.zeros(g.vertex_count, dtype=np.float64)
-        p[seed] = 1.0
-    else:
-        live = int(1.0 >= threshold * g.degree(seed))  # the start is thresholded too
-        p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
-    yield p
-    for _ in range(schedule.horizon):
-        prev, p = p, lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
-        # the step built prev's plan, which holds its support volume
-        touched.append(int(g.degrees[prev > 0].sum()) if exact else _plan_of(g, prev)[3])
+    @staticmethod  # holds the list, not the trace: a trace left unread is freed at once
+    def _walk(g: Graph, seed: int, schedule: WalkSchedule, touched: list[int]) -> Iterator:
+        threshold = schedule.truncation
+        exact = threshold == 0.0
+        if exact:
+            p = np.zeros(g.vertex_count, dtype=np.float64)
+            p[seed] = 1.0
+        else:
+            live = int(1.0 >= threshold * g.degree(seed))  # the start is thresholded too
+            p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
         yield p
+        for _ in range(schedule.horizon):
+            prev, p = p, lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
+            # the step built prev's plan, which holds its support volume
+            touched.append(int(g.degrees[prev > 0].sum()) if exact else _plan_of(g, prev).volume)
+            yield p
 
 
-def run_walk(g: Graph, seed: int, schedule: WalkSchedule) -> WalkTrace:
-    """Walk from a single-vertex start for the scheduled number of steps.
-
-    The trace yields p_0..p_T in one pass. With truncation 0 it yields dense
-    arrays and the walk is exact; otherwise it yields SparseDistributions
-    with the threshold applied after every step (including to the start
-    distribution). The seed is checked at the call, before any step.
-    """
-    if not (0 <= seed < g.vertex_count):
-        raise ValueError("seed out of range")
-    return WalkTrace(g, seed, schedule)
+run_walk = WalkTrace  # the walk's entry point, the name other layers call

@@ -197,6 +197,23 @@ def test_certify_output(tmp_path, ring_file):
     assert len(lines) == 2 + 6  # horizon + 1 margin rows
 
 
+def test_byte_order_mark_files_read_as_plain(tmp_path, ring_file):
+    # a graph file and a set file that open with a UTF-8 byte-order mark
+    marked = tmp_path / "marked.txt"
+    marked.write_text(ring_file.read_text(), encoding="utf-8-sig")
+    loads = [run_cli(["load", str(path)], cwd=tmp_path) for path in (ring_file, marked)]
+    assert loads[0].returncode == loads[1].returncode == 0, loads[1].stderr
+    assert loads[0].stdout == loads[1].stdout
+    runs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        set_file = tmp_path / f"set-{encoding}.txt"
+        set_file.write_text("".join(f"{v}\n" for v in range(5)), encoding=encoding)
+        args = ["certify", "--set-file", str(set_file), "--horizon", "3", str(marked)]
+        runs.append(run_cli(args, cwd=tmp_path))
+    assert runs[1].returncode == 0, runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_usage_error_exits_two(tmp_path):
     res = run_cli(["global", "--k", "10"], cwd=tmp_path)  # missing graph/epsilon
     assert res.returncode == 2

@@ -274,7 +274,7 @@ def test_bare_profile_equals_the_profile_through_a_support_plan():
         forward = src < er.indices
         g = Graph.from_edges(30, zip(label[src[forward]], label[er.indices[forward]]))
         support = np.sort(rng.choice(30, size=int(rng.integers(1, 31)), replace=False))
-        merge = walk._plan_of(g, SparseDistribution(support, rng.random(support.size), 30))[0]
+        merge = walk._plan_of(g, SparseDistribution(support, rng.random(support.size), 30))
         order = rng.choice(support, size=int(rng.integers(1, support.size + 1)), replace=False)
         strict += order.size < support.size
         for got, want in zip(prefix_cut_profile(g, order), prefix_cut_profile(g, order, merge)):
@@ -670,3 +670,35 @@ def test_write_edge_list_matches_loop_reference():
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == reference_write(g)
+
+
+def test_non_integer_vertex_ids_are_rejected_not_cast():
+    # a cast to int64 would truncate floats and parse strings: the first
+    # graph would be the path 0-1-2, the distribution a walk from 0 and 2
+    for edges in ([(0.5, 1.7), (1.2, 2.9)], np.array([[0.0, 1.0]]), [("0", "1")]):
+        with raises_message("vertex ids must be integers"):
+            Graph.from_edges(3, edges)
+    for support in ([0.5, 2.7], ["0", "2"]):
+        with raises_message("vertex ids must be integers"):
+            SparseDistribution(support, [0.5, 0.5], 4)
+    # integer ids of any width still build, and an empty edge list is no id
+    narrow = Graph.from_edges(3, np.array([[0, 1], [1, 2]], dtype=np.uint8))
+    assert narrow.indices.dtype == np.int64 and narrow.edge_count == 2
+    assert Graph.from_edges(3, []).edge_count == 0
+    assert SparseDistribution(np.array([1], dtype=np.int32), [1.0], 3).support.dtype == np.int64
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # the bulk scan and the line parser (a '+1' id) both read a marked file
+    # as the plain text, and a bad line keeps its number
+    for text in ("# ring\n0 1\n1 2\n2 0\n", "0 +1\n1 2\n"):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        want, got = load_edge_list(plain), load_edge_list(marked)
+        assert np.array_equal(want.indptr, got.indptr)
+        assert np.array_equal(want.indices, got.indices)
+    marked.write_text("0 1\n1 x\n", encoding="utf-8-sig")
+    with pytest.raises(GraphFormatError, match="^line 2: non-integer vertex id in '1 x'$"):
+        load_edge_list(marked)

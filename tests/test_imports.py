@@ -7,8 +7,9 @@ expression, decorator, annotation or ``__all__`` entry refers to. In the
 library it also reports each import inside a function body, which hides a
 dependency from the top of its module, and each module-level private name
 that no other statement of the library refers to: a helper kept alive only
-by its own test. Last, each message the library raises as ValueError or
-GraphFormatError must be named by some test.
+by its own test. It reports each ``np.asarray`` or ``np.array`` call of the
+library that casts to int64. Last, each message the library raises as
+ValueError or GraphFormatError must be named by some test.
 """
 
 import ast
@@ -78,6 +79,43 @@ def test_checker_flags_an_import_in_a_function():
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_imports_in_library_functions(path):
     assert function_imports(path.read_text()) == []
+
+
+def int64_casts(source: str) -> list[str]:
+    """Lines of the ``np.asarray`` and ``np.array`` calls that pass ``dtype=np.int64``.
+
+    Such a cast of vertex ids truncates floats and parses strings, where
+    ``graph._vertex_ids`` raises.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("asarray", "array")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and any(
+                k.arg == "dtype" and isinstance(k.value, ast.Attribute) and k.value.attr == "int64"
+                for k in node.keywords
+            )
+        ):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_an_int64_cast():
+    source = (
+        "import numpy as np\n\ndef f(ids, n):\n    a = np.asarray(ids, dtype=np.int64)\n"
+        "    b = np.array(list(ids), dtype=np.int64)\n    c = np.asarray(ids, dtype=np.float64)\n"
+        "    return np.zeros(n, dtype=np.int64), np.asarray(ids).astype(np.int64)\n"
+    )
+    assert int64_casts(source) == ["line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_int64_casts_in_library(path):
+    assert int64_casts(path.read_text()) == []
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:

@@ -152,6 +152,7 @@ def test_global_params_clamping_and_derived():
     assert params.horizon == math.ceil(0.01 * 100**2 * math.log(100) / 4)
     override = GlobalParams(k=100, epsilon=0.5, horizon_override=7)
     assert override.horizon == 7
+    assert GlobalParams(k=100, epsilon=0.5, horizon_override=np.int64(7)).horizon == 7
 
 
 def test_global_params_bound_the_horizon():
@@ -1021,6 +1022,10 @@ def test_parameter_and_input_checks_pin_their_messages(barbell3):
         (
             lambda: GlobalParams(k=10, epsilon=0.5, horizon_override=-1),
             "horizon_override must be nonnegative",
+        ),
+        (
+            lambda: GlobalParams(k=10, epsilon=0.5, horizon_override=2.5),
+            "horizon_override must be an integer",
         ),
         (lambda: LocalParams(**{**good, "seed": -1}), "seed must be nonnegative"),
         (lambda: LocalParams(**{**good, "k": 1}), "k must be at least 2"),

@@ -107,6 +107,13 @@ def test_certify_ring_clique_margins():
     assert report.conductance == pytest.approx(float(inst.phi_planted))
 
 
+def test_numpy_integer_horizon_certifies_as_an_int():
+    g = ring_of_cliques(4, 5).graph
+    ours, want = (certify_lower_bound(g, range(5), h) for h in (np.int64(6), 6))
+    assert ours.mass_margins.tobytes() == want.mass_margins.tobytes()
+    assert best_seed_vertex(g, range(5), np.int64(6)) == best_seed_vertex(g, range(5), 6)
+
+
 def test_certify_horizon_zero_margin_exact():
     g = ring_of_cliques(4, 4).graph
     report = certify_lower_bound(g, range(4), 0)
@@ -204,6 +211,8 @@ def test_best_seed_checks_horizon_before_the_subset(barbell3):
     g = barbell3.graph
     with pytest.raises(ValueError, match="horizon"):
         best_seed_vertex(g, [0, 5], -1)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        best_seed_vertex(g, [0, 5], 2.0)
     with pytest.raises(ValueError, match="disconnected"):
         best_seed_vertex(g, [0, 5], 1)
 
@@ -393,6 +402,8 @@ def test_spectral_checks_pin_their_messages():
             "zero-degree vertex: restricted walk matrix undefined",
         ),
         (lambda: certify_lower_bound(g, range(5), -1), "horizon must be nonnegative"),
+        (lambda: certify_lower_bound(g, range(5), 2.5), "horizon must be an integer"),
+        (lambda: best_seed_vertex(g, range(5), 2.5), "horizon must be an integer"),
         (lambda: restricted_eigenpair(g, range(5), tol=0.0), "tol must be positive and finite"),
         (
             lambda: certify_lower_bound(g, range(5), 3, tol=np.inf),

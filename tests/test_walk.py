@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from sparsecut import (
     SparseDistribution,
     WalkSchedule,
+    WalkTrace,
     build_curve,
     complete,
     erdos_renyi,
@@ -13,7 +16,8 @@ from sparsecut import (
     run_walk,
     truncated_step,
 )
-from sparsecut.graph import Graph, _gather_rows, prefix_cut_profile
+from sparsecut.graph import Graph, Merge, _gather_rows, prefix_cut_profile
+from sparsecut.walk import _plan_of
 
 from conftest import dense_walk, raises_message, relabel
 
@@ -185,7 +189,7 @@ def test_plan_fed_profile_equals_bare_profile():
             dist = start
             for _ in range(25):
                 _, kept = truncated_step(g, dist, threshold)
-                merge = dist._plan[0]
+                merge = dist._plan
                 assert merge.ids is dist.support
                 orders = [rng.permutation(dist.support)]
                 if g.degrees[dist.support].all():
@@ -384,11 +388,14 @@ def test_plan_follows_the_support_array():
 def test_walk_checks_pin_their_messages():
     g = path(4)
     assert WalkSchedule(horizon=1_000_000).horizon == 1_000_000
+    assert WalkSchedule(horizon=np.int64(4)).horizon == 4  # numpy integers are integers
     for call, message in (
         (lambda: lazy_step(g, np.ones(5)), "distribution length does not match vertex count"),
         (lambda: SparseDistribution([0, 1], [1.0], 4), "support and mass lengths differ"),
         (lambda: WalkSchedule(horizon=-1), "horizon must be nonnegative"),
         (lambda: WalkSchedule(horizon=1_000_001), "horizon exceeds 1000000 steps"),
+        (lambda: WalkSchedule(horizon=2.5), "horizon must be an integer"),
+        (lambda: WalkSchedule(horizon="3"), "horizon must be an integer"),
         (
             lambda: truncated_step(g, SparseDistribution([1, 0], [0.5, 0.5], 4), 0.0),
             "support must be strictly increasing",
@@ -397,3 +404,47 @@ def test_walk_checks_pin_their_messages():
     ):
         with raises_message(message):
             call()
+
+
+def test_plan_is_one_merge_record():
+    # on random labels, with supports that do and do not hold an id of no
+    # neighbor, the plan is the support's merge, and its named fields are the
+    # support's volume, its zero-degree flag and the union's degrees
+    rng = np.random.default_rng(23)
+    isolated = 0
+    for trial in range(30):
+        er = erdos_renyi(25, float(rng.uniform(0.1, 0.4)), rng_seed=trial)
+        label = rng.permutation(30)  # the labels label[25:] have no neighbors
+        src = np.repeat(np.arange(25), er.degrees)
+        forward = src < er.indices
+        g = Graph.from_edges(30, zip(label[src[forward]], label[er.indices[forward]]))
+        support = np.sort(rng.choice(30, size=int(rng.integers(1, 9)), replace=False))
+        dist = SparseDistribution(support, rng.random(support.size), 30)
+        plan = _plan_of(g, dist)
+        assert isinstance(plan, Merge) and plan.ids is dist.support
+        assert _plan_of(g, dist) is plan  # built once per support array
+        assert plan.volume == dist.support_volume(g)
+        assert plan.isolated == bool((g.degrees[support] == 0).any())
+        assert np.array_equal(plan.union_deg, g.degrees[plan.union])
+        isolated += plan.isolated
+    assert 5 <= isolated <= 25
+
+
+def test_walk_trace_checks_its_seed_at_construction():
+    g = complete(3)
+    assert run_walk is WalkTrace
+    for seed in (-1, 3):
+        for truncation in (0.0, 0.1):
+            with raises_message("seed out of range"):
+                WalkTrace(g, seed, WalkSchedule(1, truncation))
+
+
+def test_a_trace_read_in_part_is_freed_with_its_last_reference():
+    # its step generator holds the work list, not the trace, so no cycle
+    # keeps a half-read walk's distribution alive until a collection
+    for truncation in (0.0, 0.1):
+        trace = WalkTrace(complete(4), 0, WalkSchedule(3, truncation))
+        next(iter(trace))
+        ref = weakref.ref(trace)
+        del trace
+        assert ref() is None
