@@ -298,19 +298,6 @@ def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     return g.indices[g.indptr[vertices].repeat(deg) + pos]
 
 
-def _ball(g: Graph, ids: np.ndarray, radius: int) -> np.ndarray:
-    """Sorted vertices within ``radius`` hops of ``ids``, by frontier BFS over an n-byte mask."""
-    seen = np.zeros(g.vertex_count, dtype=bool)
-    seen[ids] = True
-    frontier = ids
-    for _ in range(radius):
-        arcs = _gather_rows(g, frontier)
-        if not (frontier := np.unique(arcs[~seen[arcs]])).size:
-            break
-        seen[frontier] = True
-    return np.flatnonzero(seen)
-
-
 # A support merge: sorted unique ids, their degrees, their volume and whether one has
 # degree 0; the sorted union of the ids and their arc targets, and its degrees; each
 # id's and arc's slot in the union (arcs row by row). It is the one lookup of every
@@ -327,9 +314,12 @@ def _merge(g: Graph, ids: np.ndarray) -> Merge:
 
 def _vertex_ids(ids) -> np.ndarray:
     """The ids as int64; a non-integer dtype raises, as a cast would pick other vertices."""
-    if (ids := np.asarray(ids)).size and ids.dtype.kind not in "iu":
+    if (arr := np.asarray(ids)).size and arr.dtype.kind not in "iu":
+        wide = np.asarray(ids, dtype=object).flat  # NumPy holds ints past int64 so, or as floats
+        if any(type(i) is int and not -(1 << 63) <= i < 1 << 63 for i in wide):
+            raise ValueError("vertex id out of range")
         raise ValueError("vertex ids must be integers")
-    return ids.astype(np.int64, copy=False)
+    return arr.astype(np.int64, copy=False)
 
 
 def cut_of(g: Graph, members: Iterable[int]) -> Cut:

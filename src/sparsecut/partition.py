@@ -88,19 +88,16 @@ class GlobalParams:
             raise ValueError("k must be at least 2")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if not isinstance(self.horizon_override, (int, np.integer, type(None))):
-            raise ValueError("horizon_override must be an integer")
-        if self.horizon_override is not None and self.horizon_override < 0:
-            raise ValueError("horizon_override must be nonnegative")
+        if self.horizon_override is not None:
+            walk._check_horizon(self.horizon_override)
         _check_cap(self, "k^(1+epsilon)")
-        steps = self.horizon_override
-        if steps is None:
+        if self.horizon_override is None:
             try:  # the float before the ceil, as LocalParams tests it
                 steps = self._steps
             except OverflowError:  # k**2 past the float range
                 steps = math.inf
-        if not steps <= _MAX_HORIZON:
-            raise ValueError(f"global horizon exceeds {_MAX_HORIZON} steps")
+            if not steps <= _MAX_HORIZON:
+                raise ValueError(f"global horizon exceeds {_MAX_HORIZON} steps")
 
     @property
     def epsilon_effective(self) -> float:

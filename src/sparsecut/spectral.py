@@ -15,7 +15,8 @@ hops keep all their arcs; layer-R vertices lose some, but mass reaches them
 at step R, so a first wrong value appears at step R + 1, one hop inside. It
 moves a hop a step and reaches S at step 2R >= T + 1. Until then a left-out
 arc carries an exact zero, and each target still adds its sources in
-ascending id order, so every sum rounds the same.
+ascending id order, so every sum rounds the same. ``_induced`` builds that
+ball's subgraph, and at radius 0 the subgraph of S that its eigenpair reads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _ball, _gather_rows, _vertex_ids, cut_of
+from .graph import Graph, _gather_rows, _vertex_ids, cut_of
 from .walk import _check_horizon, lazy_step
 
 __all__ = [
@@ -78,24 +79,31 @@ def _restricted_adjacency(g: Graph, subset, disconnected: str) -> tuple[np.ndarr
         raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    sub = _induced(g, members)
+    sub, _ = _induced(g, members)
     if not sub.connected:
         raise ValueError(disconnected)
     return members, sub
 
 
-def _induced(g: Graph, members: np.ndarray) -> Graph:
-    """The subgraph induced on sorted unique members, vertex i being the i-th member.
+def _induced(g: Graph, members: np.ndarray, radius: int = 0) -> tuple[Graph, np.ndarray]:
+    """The subgraph induced on the ``radius``-hop ball of members, and their vertices in it.
 
-    Each arc's target is read from one n-length table of member positions.
+    Frontier BFS over an n-byte mask, then one n-length table of ball positions, in id order.
     """
-    s = members.size
-    at = np.full(g.vertex_count, s)  # s: no member
-    at[members] = np.arange(s)
-    nb = at[_gather_rows(g, members)]
-    inside = nb < s
-    degrees = np.bincount(np.repeat(np.arange(s), g.degrees[members])[inside], minlength=s)
-    return Graph(np.concatenate([[0], np.cumsum(degrees)]), nb[inside])
+    seen, frontier = np.zeros(g.vertex_count, dtype=bool), members
+    seen[members] = True
+    for _ in range(radius):
+        arcs = _gather_rows(g, frontier)
+        if not (frontier := np.unique(arcs[~seen[arcs]])).size:
+            break
+        seen[frontier] = True
+    ball = np.flatnonzero(seen)
+    at = np.full(g.vertex_count, ball.size)  # ball.size: outside the ball
+    at[ball] = np.arange(ball.size)
+    nb = at[_gather_rows(g, ball)]
+    inside = nb < ball.size
+    degrees = np.bincount(np.repeat(at[ball], g.degrees[ball])[inside], minlength=ball.size)
+    return Graph(np.concatenate([[0], np.cumsum(degrees)]), nb[inside]), at[members]
 
 
 def restricted_eigenpair(
@@ -139,10 +147,7 @@ def restricted_eigenpair(
         if abs(rho - rho_prev) < tol * max(1.0, abs(rho)) and residual < tol:
             break
         rho_prev = rho
-        norm = np.linalg.norm(z)
-        if norm == 0.0:
-            raise ConvergenceError("iterate collapsed to zero", 2.0 * (1.0 - rho))
-        y = z / norm
+        y = z / np.linalg.norm(z)  # z >= y/2 > 0 entrywise, so the norm is at least 1/2
     else:
         raise ConvergenceError(
             f"no convergence within {_MAX_ITERATIONS} iterations",
@@ -191,10 +196,8 @@ def certify_lower_bound(
     pair = restricted_eigenpair(g, subset, tol=min(1e-13, tol / 100))
     members = pair.subset
     phi = cut_of(g, members).conductance
-    ball = _ball(g, members, horizon // 2 + 1)
-    walk_g = _induced(g, ball)
-    at = np.searchsorted(ball, members)
-    p = np.zeros(ball.size, dtype=np.float64)
+    walk_g, at = _induced(g, members, horizon // 2 + 1)
+    p = np.zeros(walk_g.vertex_count, dtype=np.float64)
     p[at] = pair.seed_distribution
     decay = 1.0 - pair.value / 2.0
     mass_margins = np.empty(horizon + 1)
@@ -239,10 +242,8 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()
-    ball = _ball(g, members, horizon // 2 + 1)
-    walk_g = _induced(g, ball)
-    at = np.searchsorted(ball, members)
-    p = np.zeros(ball.size, dtype=np.float64)
+    walk_g, at = _induced(g, members, horizon // 2 + 1)
+    p = np.zeros(walk_g.vertex_count, dtype=np.float64)
     p[at] = deg / vol
     for t in range(1, horizon + 1):
         p = lazy_step(walk_g, p)
@@ -251,7 +252,7 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
             raise CertificateViolation(f"average start keeps {kept:.6e} < 1 - t*phi/2 at step {t}")
     retained = p[at] * vol / deg
     best = np.flatnonzero(retained >= retained.max() * (1.0 - 1e-12))[0]
-    p = np.zeros(ball.size, dtype=np.float64)
+    p = np.zeros(walk_g.vertex_count, dtype=np.float64)
     p[at[best]] = 1.0
     for _ in range(horizon):
         p = lazy_step(walk_g, p)

@@ -132,11 +132,15 @@ def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
 
 
 def _plan_of(g: Graph, dist: SparseDistribution) -> Merge:
-    """The merge of dist's support, built once per support array."""
+    """The merge of dist's support, built once per support array, which is checked then."""
     sup, plan = dist.support, dist._plan
     if plan is None or plan.ids is not sup:
         if (sup[1:] <= sup[:-1]).any():
             raise ValueError("support must be strictly increasing")
+        if sup.size and (sup[0] < 0 or sup[-1] >= g.vertex_count):
+            raise ValueError("vertex id out of range")
+        if dist.size != g.vertex_count:
+            raise ValueError("distribution length does not match vertex count")
         plan = dist._plan = _merge(g, sup)
     return plan
 

@@ -236,6 +236,8 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
     horizon = "local horizon exceeds 1000000 steps: raise phi"
     # k = 100,000 asked for 287,823,137 steps from every vertex
     large_k = ["global", graph, "--k", "100000", "--epsilon", "0.5"]
+    # a negative --horizon was reported as "horizon_override must be nonnegative"
+    negative = ["global", graph, "--k", "2", "--epsilon", "0.5", "--horizon", "-1"]
     # 2,000,000 certificate steps were still walking after 4 s
     set_file = tmp_path / "set.txt"
     set_file.write_text("0\n1\n2\n")
@@ -253,6 +255,7 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
         (tiny[0], horizon),
         (tiny[1], horizon),
         (large_k, "global horizon exceeds 1000000 steps"),
+        (negative, "horizon must be nonnegative"),
         (long_curve, "horizon exceeds 1000000 steps"),
         (long_certify, "horizon exceeds 1000000 steps"),
         (huge_local, cap),

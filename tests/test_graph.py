@@ -688,6 +688,28 @@ def test_non_integer_vertex_ids_are_rejected_not_cast():
     assert SparseDistribution(np.array([1], dtype=np.int32), [1.0], 3).support.dtype == np.int64
 
 
+def test_ids_past_int64_are_out_of_range(barbell3):
+    # NumPy holds such ints in an object array, or in a float one beside
+    # smaller ints; they were reported as non-integers, which other object
+    # arrays still are
+    g = barbell3.graph
+    for call in (
+        lambda: Graph.from_edges(3, [(0, 1 << 70)]),
+        lambda: Graph.from_edges(3, np.array([(0, 1), (1, -(1 << 64))], dtype=object)),
+        lambda: cut_of(g, [1 << 70]),
+        lambda: cut_of(g, [0, 1 << 63]),
+        lambda: prefix_cut_profile(g, [1, 1 << 70]),
+    ):
+        with raises_message("vertex id out of range"):
+            call()
+    for call in (
+        lambda: cut_of(g, [1 << 40, 0.5]),
+        lambda: Graph.from_edges(3, np.array([(0, 1), (1, 2)], dtype=object)),
+    ):
+        with raises_message("vertex ids must be integers"):
+            call()
+
+
 def test_byte_order_mark_is_skipped(tmp_path):
     # the bulk scan and the line parser (a '+1' id) both read a marked file
     # as the plain text, and a bad line keeps its number

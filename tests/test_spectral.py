@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 
@@ -19,7 +20,7 @@ from sparsecut import (
     restricted_eigenpair,
     ring_of_cliques,
 )
-from sparsecut.graph import Graph, _ball, _is_connected, load_edge_list
+from sparsecut.graph import Graph, _is_connected, load_edge_list
 
 from conftest import raises_message, random_connected_subset, relabel
 
@@ -361,8 +362,8 @@ def test_ball_walk_equals_dense_walk_bit_for_bit():
         vertex, achieved = best_seed_vertex(g, members, horizon)
         expected_vertex, expected = dense_best_seed(g, members, horizon)
         assert (vertex, achieved.hex()) == (expected_vertex, expected.hex()), (members, horizon)
-        ball = _ball(g, np.unique(members), horizon // 2 + 1)
-        partial += ball.size < g.vertex_count
+        ball, _ = spectral._induced(g, np.unique(members), horizon // 2 + 1)
+        partial += ball.vertex_count < g.vertex_count
     # most balls leave part of the graph out, so the radius is put to the test
     assert len(cases) == 134 and partial >= 70
 
@@ -451,11 +452,60 @@ def test_connectivity_runs_only_where_read(monkeypatch):
     assert sizes == [4, 3]
     g = ring_of_cliques(6, 5).graph
     members = list(range(5))
-    assert _ball(g, np.array(members), 9 // 2 + 1).size > len(members)
+    assert spectral._induced(g, np.array(members), 9 // 2 + 1)[0].vertex_count > len(members)
     for certify in (certify_lower_bound, best_seed_vertex):
         sizes.clear()
         certify(g, members, 9)
         assert sizes == [len(members)], certify.__name__
-    split = spectral._induced(g, np.array([0, 1, 10]))
+    split, _ = spectral._induced(g, np.array([0, 1, 10]))
     assert split.connected is False
-    assert spectral._induced(g, np.array([0, 1, 2])).connected is True
+    assert spectral._induced(g, np.array([0, 1, 2]))[0].connected is True
+
+
+def reference_hops(g, members, radius):
+    """Plain BFS: each vertex within ``radius`` hops of members, with its hop count."""
+    hops = {int(v): 0 for v in members}
+    queue = collections.deque(hops)
+    while queue:
+        v = queue.popleft()
+        if hops[v] < radius:
+            for w in g.neighbors(v).tolist():
+                if w not in hops:
+                    hops[w] = hops[v] + 1
+                    queue.append(w)
+    return hops
+
+
+def test_induced_ball_matches_a_plain_bfs():
+    # the ball's vertices in id order, each keeping its in-ball arcs in the
+    # graph's order, and the members' places in it, on ER graphs with
+    # vertices of no neighbor and on rings of cliques with shuffled labels
+    rng = np.random.default_rng(59)
+    graphs = [erdos_renyi(30, p, rng_seed=s) for s, p in enumerate((0.05, 0.08, 0.15, 0.3))]
+    graphs += [ring_of_cliques(6, 4).graph, relabel(ring_of_cliques(8, 5), 7).graph]
+    cut_short = 0
+    for g in graphs:
+        n = g.vertex_count
+        diameter = max(max(reference_hops(g, [v], n).values()) for v in range(n))
+        for _ in range(4):
+            members = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
+            for radius in (0, 1, 3, diameter + 1):
+                sub, places = spectral._induced(g, members, radius)
+                ball = sorted(reference_hops(g, members, radius))
+                at = {v: i for i, v in enumerate(ball)}
+                want = [[at[w] for w in g.neighbors(v).tolist() if w in at] for v in ball]
+                assert sub.vertex_count == len(ball) and sub.indices.dtype == np.int64
+                assert [sub.neighbors(i).tolist() for i in range(len(ball))] == want
+                assert np.array_equal(places, np.searchsorted(ball, members))
+                cut_short += len(ball) < n
+    assert cut_short >= 40
+
+
+def test_power_iteration_cap_raises_with_its_estimate(monkeypatch):
+    # no iterate converges at once: the first Rayleigh quotient has none before it
+    monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
+    g = ring_of_cliques(4, 5).graph
+    message = "^no convergence within 1 iterations$"
+    with pytest.raises(spectral.ConvergenceError, match=message) as info:
+        restricted_eigenpair(g, range(5))
+    assert np.isfinite(info.value.estimate) and 0.0 <= info.value.estimate <= 2.0

@@ -299,6 +299,21 @@ def test_truncated_step_rejects_repeated_support_ids():
     assert stepped.total() == 1.0
 
 
+def test_sparse_step_rejects_vertices_outside_the_graph():
+    # path 0-1-2 and an isolated 3: support [-1] walked vertex 3, and a
+    # distribution over 9 vertices stepped a 4-vertex graph unchecked
+    for g in (Graph.from_edges(4, [(0, 1), (1, 2)]), path(4)):
+        for support in ([-1], [-1, 2], [0, 4], [3, 9]):
+            dist = SparseDistribution(support, np.full(len(support), 1.0 / len(support)), 4)
+            with raises_message("vertex id out of range"):
+                truncated_step(g, dist, 0.0)
+        for size in (3, 9):
+            with raises_message("distribution length does not match vertex count"):
+                truncated_step(g, SparseDistribution([0], [1.0], size), 0.0)
+        stepped, kept = truncated_step(g, SparseDistribution([0, 3], [0.5, 0.5], 4), 0.0)
+        assert stepped.total() == kept.total() == 1.0
+
+
 def walk_cases():
     """(graph, start) pairs: ER graphs, a relabelled ring of cliques, an
     isolated vertex that carries mass, and subnormal masses."""
