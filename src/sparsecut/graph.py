@@ -312,14 +312,18 @@ def _merge(g: Graph, ids: np.ndarray) -> Merge:
                  slot[: ids.size], slot[ids.size :])
 
 
-def _vertex_ids(ids) -> np.ndarray:
-    """The ids as int64; a non-integer dtype raises, as a cast would pick other vertices."""
-    if (arr := np.asarray(ids)).size and arr.dtype.kind not in "iu":
-        wide = np.asarray(ids, dtype=object).flat  # NumPy holds ints past int64 so, or as floats
-        if any(type(i) is int and not -(1 << 63) <= i < 1 << 63 for i in wide):
-            raise ValueError("vertex id out of range")
-        raise ValueError("vertex ids must be integers")
-    return arr.astype(np.int64, copy=False)
+def _vertex_ids(ids, n: int | None = None) -> np.ndarray:
+    """The ids as int64: an integer dtype or Python ints, in int64, and in [0, n) if n is given."""
+    if (arr := np.asarray(ids)).size and arr.dtype.kind not in "iu":  # a cast would pick other ids
+        if (arr := np.asarray(arr.tolist())).dtype.kind not in "iu":  # as the same list reads
+            wide = np.asarray(ids, dtype=object).flat  # ints past int64 are held so, or as floats
+            if any(type(i) is int and not -(1 << 63) <= i < 1 << 63 for i in wide):
+                raise ValueError("vertex id out of range")
+            raise ValueError("vertex ids must be integers")
+    arr = arr.astype(np.int64, copy=False)
+    if n is not None and arr.size and arr.view(np.uint64).max() >= n:  # negatives wrap past n
+        raise ValueError("vertex id out of range")
+    return arr
 
 
 def cut_of(g: Graph, members: Iterable[int]) -> Cut:
@@ -347,14 +351,12 @@ def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = Non
     arc is inside every prefix past its later endpoint: one bincount of
     later ranks.
     """
-    order = _vertex_ids(order)
+    order = _vertex_ids(order, g.vertex_count if merge is None else None)
     s = order.size
     if s == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if merge is None:
         ids = np.sort(order)
-        if ids[0] < 0 or ids[-1] >= g.vertex_count:
-            raise ValueError("vertex id out of range")
         if (ids[1:] == ids[:-1]).any():
             raise ValueError("ordering contains repeated vertices")
         merge = _merge(g, ids)

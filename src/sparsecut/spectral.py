@@ -72,11 +72,9 @@ def _restricted_adjacency(g: Graph, subset, disconnected: str) -> tuple[np.ndarr
 
     A disconnected subgraph raises ValueError with the message ``disconnected``.
     """
-    members = np.unique(_vertex_ids(list(subset)))
+    members = np.unique(_vertex_ids(list(subset), g.vertex_count))
     if members.size == 0:
         raise ValueError("subset must be nonempty")
-    if members[0] < 0 or members[-1] >= g.vertex_count:
-        raise ValueError("vertex id out of range")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
     sub, _ = _induced(g, members)

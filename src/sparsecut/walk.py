@@ -44,7 +44,7 @@ _MAX_HORIZON = 1_000_000  # step limit of every walk and search, as spectral's p
 
 
 def _check_horizon(horizon: int) -> None:
-    if not isinstance(horizon, (int, np.integer)):
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
         raise ValueError("horizon must be an integer")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -137,8 +137,7 @@ def _plan_of(g: Graph, dist: SparseDistribution) -> Merge:
     if plan is None or plan.ids is not sup:
         if (sup[1:] <= sup[:-1]).any():
             raise ValueError("support must be strictly increasing")
-        if sup.size and (sup[0] < 0 or sup[-1] >= g.vertex_count):
-            raise ValueError("vertex id out of range")
+        _vertex_ids(sup, g.vertex_count)
         if dist.size != g.vertex_count:
             raise ValueError("distribution length does not match vertex count")
         plan = dist._plan = _merge(g, sup)
@@ -188,14 +187,15 @@ class WalkTrace:
 
     With truncation 0 it yields dense arrays and the walk is exact; otherwise
     it yields SparseDistributions with the threshold applied after every step
-    (including to the start distribution). The seed is checked here, before
-    any step. A second pass yields nothing. ``touched_volume[t-1]`` is the
-    support volume that step t had to touch, appended as the step is taken,
-    so ``total_work``, their sum, is complete only after the pass.
+    (including to the start distribution). The seed is one vertex id,
+    checked by ``graph._vertex_ids`` and the graph's range before any step.
+    A second pass yields nothing. ``touched_volume[t-1]`` is the support
+    volume that step t had to touch, appended as the step is taken, so
+    ``total_work``, their sum, is complete only after the pass.
     """
 
     def __init__(self, g: Graph, seed: int, schedule: WalkSchedule) -> None:
-        if not (0 <= seed < g.vertex_count):
+        if not 0 <= (seed := int(_vertex_ids(seed))) < g.vertex_count:
             raise ValueError("seed out of range")
         self.touched_volume: list[int] = []
         self._steps = self._walk(g, seed, schedule, self.touched_volume)

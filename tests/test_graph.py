@@ -690,8 +690,8 @@ def test_non_integer_vertex_ids_are_rejected_not_cast():
 
 def test_ids_past_int64_are_out_of_range(barbell3):
     # NumPy holds such ints in an object array, or in a float one beside
-    # smaller ints; they were reported as non-integers, which other object
-    # arrays still are
+    # smaller ints; they were reported as non-integers. An object array of
+    # smaller ints reads as the same list: floats in it are still refused
     g = barbell3.graph
     for call in (
         lambda: Graph.from_edges(3, [(0, 1 << 70)]),
@@ -704,10 +704,13 @@ def test_ids_past_int64_are_out_of_range(barbell3):
             call()
     for call in (
         lambda: cut_of(g, [1 << 40, 0.5]),
-        lambda: Graph.from_edges(3, np.array([(0, 1), (1, 2)], dtype=object)),
+        lambda: Graph.from_edges(3, np.array([(0, 1), (1, 2.0)], dtype=object)),
+        lambda: Graph.from_edges(3, np.array([(False, True)], dtype=object)),
     ):
         with raises_message("vertex ids must be integers"):
             call()
+    line = Graph.from_edges(3, np.array([(0, 1), (1, 2)], dtype=object))
+    assert line.indptr.tolist() == [0, 1, 3, 4] and line.indices.tolist() == [1, 0, 2, 1]
 
 
 def test_byte_order_mark_is_skipped(tmp_path):

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from sparsecut import (
+    GlobalParams,
+    LocalParams,
     SparseDistribution,
     WalkSchedule,
     WalkTrace,
+    best_seed_vertex,
     build_curve,
+    certify_lower_bound,
     complete,
+    cut_of,
     erdos_renyi,
     lazy_step,
+    local_partition,
     path,
+    restricted_eigenpair,
     ring_of_cliques,
     run_walk,
     truncated_step,
@@ -419,6 +426,56 @@ def test_walk_checks_pin_their_messages():
     ):
         with raises_message(message):
             call()
+
+
+NOT_INTS, NO_HORIZON = "vertex ids must be integers", "horizon must be an integer"
+# each kind of integer input fed a bool, a float and values out of range, with their messages
+INTEGER_CASES = {
+    "seed": [(True, NOT_INTS), (1.0, NOT_INTS), (1.5, NOT_INTS), (20, "seed out of range")],
+    "horizon": [
+        (True, NO_HORIZON),
+        (False, NO_HORIZON),
+        (2.0, NO_HORIZON),
+        (-1, "horizon must be nonnegative"),
+    ],
+    "id": [
+        (True, NOT_INTS),
+        (1.0, NOT_INTS),
+        (20, "vertex id out of range"),
+        (-1, "vertex id out of range"),
+    ],
+}
+INTEGER_INPUTS = {
+    "run_walk-exact": ("seed", lambda g, s: run_walk(g, s, WalkSchedule(2))),
+    "run_walk-truncated": ("seed", lambda g, s: run_walk(g, s, WalkSchedule(2, 1e-3))),
+    "local_partition": (
+        "seed",
+        lambda g, s: local_partition(g, LocalParams(seed=s, k=22, phi=0.1, epsilon=0.5)),
+    ),
+    "WalkSchedule": ("horizon", lambda g, h: WalkSchedule(h)),
+    "GlobalParams": ("horizon", lambda g, h: GlobalParams(k=10, epsilon=0.5, horizon_override=h)),
+    "certify_lower_bound": ("horizon", lambda g, h: certify_lower_bound(g, range(5), h)),
+    "best_seed_vertex": ("horizon", lambda g, h: best_seed_vertex(g, range(5), h)),
+    "cut_of": ("id", lambda g, v: cut_of(g, [v])),
+    "prefix_cut_profile": ("id", lambda g, v: prefix_cut_profile(g, [v])),
+    "truncated_step": (
+        "id",
+        lambda g, v: truncated_step(g, SparseDistribution([v], [1.0], g.vertex_count), 1e-3),
+    ),
+    "restricted_eigenpair": ("id", lambda g, v: restricted_eigenpair(g, [v])),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_INPUTS))
+def test_integer_inputs_refuse_bools_floats_and_values_out_of_range(name):
+    # a bool or a float is no vertex id and no horizon, whatever int it
+    # equals: the seed True once walked from all 20 vertices at once, the
+    # seed 1.5 raised IndexError and the horizon True built a schedule
+    g = ring_of_cliques(4, 5).graph
+    kind, call = INTEGER_INPUTS[name]
+    for value, message in INTEGER_CASES[kind]:
+        with raises_message(message):
+            call(g, value)
 
 
 def test_plan_is_one_merge_record():
