@@ -39,7 +39,7 @@ import numpy as np
 
 from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _gather_rows, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _gather_rows, _vertex_ids, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import _MAX_HORIZON, WalkSchedule, run_walk
 
@@ -134,7 +134,7 @@ class LocalParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
+        if _vertex_ids(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
         if self.k < 2:
             raise ValueError("k must be at least 2")

@@ -9,14 +9,17 @@ single-vertex start is located by one degree-weighted walk from S, which by
 reversibility gives every start's retention at once, and one confirming
 walk from the chosen vertex.
 
-A walk of T steps from S that is read on S only steps the subgraph induced
-on the ball of R = T//2 + 1 hops around S, bit for bit. Vertices within R - 1
-hops keep all their arcs; layer-R vertices lose some, but mass reaches them
-at step R, so a first wrong value appears at step R + 1, one hop inside. It
-moves a hop a step and reaches S at step 2R >= T + 1. Until then a left-out
-arc carries an exact zero, and each target still adds its sources in
-ascending id order, so every sum rounds the same. ``_induced`` builds that
-ball's subgraph, and at radius 0 the subgraph of S that its eigenpair reads.
+A walk of T steps from S, read on S, steps at step t < T only the arcs into
+the vertices within r_t = min(t + 1, T - t - 1) hops of S, and S sees the
+whole graph's bits. After step t the mass lies within t + 1 hops, so an
+unstepped vertex further out keeps its exact zero; and S reads p_(t+1) only
+within T - t - 1 hops, as each later step reads one hop beyond what it
+writes. The stepped targets lie within T//2 hops, so their arcs all lie in
+the ball of T//2 + 1 hops that ``_reach`` builds, grouped by the target's
+hop, each hop's in runs of one source, sources ascending: the first r hops'
+arcs are a prefix, and each target adds its sources in ascending id as the
+graph's step does, so every sum rounds the same. ``_induced`` builds the
+subgraph of S that its eigenpair reads.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _gather_rows, _vertex_ids, cut_of
-from .walk import _check_horizon, lazy_step
+from .walk import Reach, _check_horizon, lazy_step
 
 __all__ = [
     "LocalEigenpair",
@@ -77,31 +80,58 @@ def _restricted_adjacency(g: Graph, subset, disconnected: str) -> tuple[np.ndarr
         raise ValueError("subset must be nonempty")
     if np.any(g.degrees[members] == 0):
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    sub, _ = _induced(g, members)
+    sub = _induced(g, members)
     if not sub.connected:
         raise ValueError(disconnected)
     return members, sub
 
 
-def _induced(g: Graph, members: np.ndarray, radius: int = 0) -> tuple[Graph, np.ndarray]:
-    """The subgraph induced on the ``radius``-hop ball of members, and their vertices in it.
+def _induced(g: Graph, members: np.ndarray) -> Graph:
+    """The subgraph induced on the sorted unique members, vertex i being the i-th of them."""
+    at = np.full(g.vertex_count, members.size)  # members.size: not a member
+    at[members] = np.arange(members.size)
+    nb = at[_gather_rows(g, members)]
+    inside = nb < members.size
+    rows = np.repeat(np.arange(members.size), g.degrees[members])[inside]
+    degrees = np.bincount(rows, minlength=members.size)
+    return Graph(np.concatenate([[0], np.cumsum(degrees)]), nb[inside])
 
-    Frontier BFS over an n-byte mask, then one n-length table of ball positions, in id order.
-    """
-    seen, frontier = np.zeros(g.vertex_count, dtype=bool), members
-    seen[members] = True
-    for _ in range(radius):
+
+def _reach(g: Graph, members: np.ndarray, horizon: int) -> tuple[list[Reach], np.ndarray]:
+    """Entry r steps the arcs into the vertices within r <= horizon//2 hops of members; and
+    the members' places in the ball. One frontier BFS over an n-length hop table, to
+    horizon//2 + 1 hops, then the ball's rows, stably sorted by (target's hop, source)."""
+    radius = horizon // 2 + 1
+    hop = np.full(g.vertex_count, radius + 1)  # radius + 1: outside the ball
+    hop[members], frontier = 0, members
+    for h in range(1, radius + 1):
         arcs = _gather_rows(g, frontier)
-        if not (frontier := np.unique(arcs[~seen[arcs]])).size:
+        if not (frontier := np.unique(arcs[hop[arcs] > radius])).size:
             break
-        seen[frontier] = True
-    ball = np.flatnonzero(seen)
-    at = np.full(g.vertex_count, ball.size)  # ball.size: outside the ball
-    at[ball] = np.arange(ball.size)
-    nb = at[_gather_rows(g, ball)]
-    inside = nb < ball.size
-    degrees = np.bincount(np.repeat(at[ball], g.degrees[ball])[inside], minlength=ball.size)
-    return Graph(np.concatenate([[0], np.cumsum(degrees)]), nb[inside]), at[members]
+        hop[frontier] = h
+    ball = np.flatnonzero(inside := hop <= radius)
+    at = np.cumsum(inside) - 1  # ball places
+    targets = _gather_rows(g, ball)
+    run = hop[targets] * ball.size + np.arange(ball.size).repeat(g.degrees[ball])
+    order = np.argsort(run, kind="stable")  # each target's sources stay ascending
+    run, targets = run[order], at[targets[order]]
+    starts = np.flatnonzero(np.append(True, run[1:] != run[:-1]))
+    lengths = np.diff(np.append(starts, run.size))
+    ends = np.searchsorted(run, np.arange(1, radius + 1) * ball.size)  # arcs into hops <= r
+    deg, sources = g.degrees[ball], run[starts] % ball.size
+    cuts = zip(ends.tolist(), np.searchsorted(starts, ends).tolist())
+    reach = [Reach(ball.size, deg, targets[:a], a, sources[:b], lengths[:b]) for a, b in cuts]
+    return reach, at[members]
+
+
+def _walk_from(reaches: list[Reach], at: np.ndarray, start: np.ndarray, horizon: int):
+    """p_0..p_horizon from ``start`` on the members at ``at``, step t over reach r_t."""
+    p = np.zeros(reaches[0].vertex_count, dtype=np.float64)
+    p[at] = start
+    yield p
+    for t in range(horizon):
+        p = lazy_step(reaches[min(t + 1, horizon - t - 1)], p)
+        yield p
 
 
 def restricted_eigenpair(
@@ -183,8 +213,9 @@ def certify_lower_bound(
     Asserts, for every t <= horizon, that the mass kept inside the subset is
     at least (1 - lambda/2)^t - tol, componentwise and in aggregate. A
     failure raises CertificateViolation: the inequality is unconditional, so
-    it can only mean a bug. The walk steps the (horizon//2 + 1)-hop ball of
-    the subset, which reads on the subset as the whole graph, bit for bit.
+    it can only mean a bug. Step t steps only the arcs into the vertices
+    within min(t + 1, horizon - t - 1) hops of the subset, which reads on
+    the subset as the whole graph, bit for bit (see the module docstring).
     """
     _check_horizon(horizon)
     if not 0 < tol < np.inf:
@@ -194,20 +225,16 @@ def certify_lower_bound(
     pair = restricted_eigenpair(g, subset, tol=min(1e-13, tol / 100))
     members = pair.subset
     phi = cut_of(g, members).conductance
-    walk_g, at = _induced(g, members, horizon // 2 + 1)
-    p = np.zeros(walk_g.vertex_count, dtype=np.float64)
-    p[at] = pair.seed_distribution
+    reaches, at = _reach(g, members, horizon)
     decay = 1.0 - pair.value / 2.0
     mass_margins = np.empty(horizon + 1)
     component_margins = np.empty(horizon + 1)
     factor = 1.0
-    for t in range(horizon + 1):
+    for t, p in enumerate(_walk_from(reaches, at, pair.seed_distribution, horizon)):
         inside = p[at]
         mass_margins[t] = inside.sum() - factor
         component_margins[t] = float(np.min(inside - factor * pair.seed_distribution))
-        if t < horizon:
-            p = lazy_step(walk_g, p)
-            factor *= decay
+        factor *= decay
     worst = min(mass_margins.min(), component_margins.min())
     if worst < -tol:
         raise CertificateViolation(
@@ -229,31 +256,27 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     S after t steps, e_v W^t 1_S, equals (pi_S W^t)(v) * vol(S) / d(v) with
     pi_S = d 1_S / vol(S): one walk from pi_S ranks every start. The smallest
     id ranked within a relative 1e-12 of the maximum wins, so starts equal up
-    to roundoff tie by id, and one exact walk from it gives the returned mass:
-    2 * horizon steps of the (horizon//2 + 1)-hop ball of S, exact on S. The
-    walk from pi_S also checks the average-start escape bound, mass in S >=
-    1 - t * conductance(S)/2 at each step t; the returned mass must meet
-    (1 - conductance(S)/2)^horizon.
+    to roundoff tie by id, and one exact walk from it gives the returned mass.
+    Both walks share one ball and step, as ``certify_lower_bound`` does, only
+    the arcs into the vertices within min(t + 1, horizon - t - 1) hops of S
+    at step t, exact on S. The walk from pi_S also checks the average-start
+    escape bound, mass in S >= 1 - t * conductance(S)/2 at each step t; the
+    returned mass must meet (1 - conductance(S)/2)^horizon.
     """
     _check_horizon(horizon)
     members, _ = _restricted_adjacency(g, subset, "subset induces a disconnected subgraph")
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()
-    walk_g, at = _induced(g, members, horizon // 2 + 1)
-    p = np.zeros(walk_g.vertex_count, dtype=np.float64)
-    p[at] = deg / vol
-    for t in range(1, horizon + 1):
-        p = lazy_step(walk_g, p)
+    reaches, at = _reach(g, members, horizon)
+    for t, p in enumerate(_walk_from(reaches, at, deg / vol, horizon)):
         kept = float(p[at].sum())
         if kept < 1.0 - t * phi / 2.0 - 1e-12:
             raise CertificateViolation(f"average start keeps {kept:.6e} < 1 - t*phi/2 at step {t}")
     retained = p[at] * vol / deg
     best = np.flatnonzero(retained >= retained.max() * (1.0 - 1e-12))[0]
-    p = np.zeros(walk_g.vertex_count, dtype=np.float64)
-    p[at[best]] = 1.0
-    for _ in range(horizon):
-        p = lazy_step(walk_g, p)
+    for p in _walk_from(reaches, at, np.arange(members.size) == best, horizon):
+        pass
     best_value = float(p[at].sum())
     bound = (1.0 - phi / 2.0) ** horizon
     if best_value < bound - max(1e-12, 1e-9 * bound):

@@ -24,6 +24,7 @@ bincount does, and each column is its own step bit for bit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -105,20 +106,30 @@ class WalkSchedule:
             raise ValueError("truncation threshold must be nonnegative")
 
 
-def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
+Reach = namedtuple("Reach", "vertex_count degrees indices total_volume sources lengths")
+
+
+def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
     """One exact lazy step: result = p * W with W = (I + D^-1 A) / 2.
 
     ``p`` is one distribution of shape (n,) or an (n, B) block stepped slot by
-    slot (``Graph._slots``), each column bit for bit as alone. Total mass is
-    preserved up to roundoff. Vertices of degree zero keep all their mass.
+    slot (``Graph._slots``), each column bit for bit as alone. A distribution
+    is sent along runs, a run being arcs out of one source; a graph's runs are
+    its rows, so each target adds its sources in ascending id. A ``Reach``
+    stands for a graph's arcs into some vertices: it holds the vertex count,
+    the true degrees, the targets (``indices``) of ``total_volume`` arcs and
+    their runs, run i being ``lengths[i]`` arcs out of ``sources[i]``; a
+    vertex no arc enters keeps half its mass. A graph's step preserves total
+    mass up to roundoff. Vertices of degree zero keep all their mass.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape[:1] != (g.vertex_count,) or p.ndim > 2:
         raise ValueError("distribution length does not match vertex count")
     deg = g.degrees if p.ndim == 1 else g.degrees[:, None]
-    half = 0.5 * np.divide(p, deg, out=np.zeros_like(p), where=deg > 0)
+    half = 0.5 * (p / np.maximum(deg, 1))  # degree 0: no arc sends it
     if p.ndim == 1:
-        out = 0.5 * p + np.bincount(g.indices, np.repeat(half, g.degrees), g.vertex_count)
+        sent = half.repeat(g.degrees) if isinstance(g, Graph) else half[g.sources].repeat(g.lengths)
+        out = 0.5 * p + np.bincount(g.indices, sent, g.vertex_count)
     else:
         acc = np.zeros_like(p)  # rows in the slot order
         for src in g._slots[1]:

@@ -353,6 +353,9 @@ def test_ball_walk_equals_dense_walk_bit_for_bit():
     for g in (path(60), erdos_renyi(40, 0.08, rng_seed=8)):
         for h in horizons:
             cases += [(g, random_connected_subset(g, rng, max_size=6), h) for _ in range(3)]
+    # the certify workload's set and horizon: a 20-clique, 58 hops of ball
+    ring = relabel(ring_of_cliques(200, 20), 13)
+    cases.append((ring.graph, list(ring.planted.members), 114))
     partial = 0
     for g, members, horizon in cases:
         report = certify_lower_bound(g, members, horizon)
@@ -362,10 +365,10 @@ def test_ball_walk_equals_dense_walk_bit_for_bit():
         vertex, achieved = best_seed_vertex(g, members, horizon)
         expected_vertex, expected = dense_best_seed(g, members, horizon)
         assert (vertex, achieved.hex()) == (expected_vertex, expected.hex()), (members, horizon)
-        ball, _ = spectral._induced(g, np.unique(members), horizon // 2 + 1)
-        partial += ball.vertex_count < g.vertex_count
+        reaches, _ = spectral._reach(g, np.unique(members), horizon)
+        partial += reaches[0].vertex_count < g.vertex_count
     # most balls leave part of the graph out, so the radius is put to the test
-    assert len(cases) == 134 and partial >= 70
+    assert len(cases) == 135 and partial >= 70
 
 
 def test_certificate_work_does_not_grow_with_n(monkeypatch):
@@ -390,6 +393,38 @@ def test_certificate_work_does_not_grow_with_n(monkeypatch):
     assert seen[0] == seen[1]
     steps, stepped = seen[0][3:]
     assert steps == 3 * 114 and stepped < steps * ring_of_cliques(200, 20).graph.total_volume
+
+
+def test_certificates_step_only_the_reach(monkeypatch):
+    # step t of T steps the arcs into the vertices within min(t + 1, T - t - 1)
+    # hops of S, where its mass can be and S can still read, and no others,
+    # also where the ball takes in the whole component
+    arcs = []
+    step = spectral.lazy_step
+
+    def counted(g, p):
+        arcs.append(g.total_volume)
+        return step(g, p)
+
+    monkeypatch.setattr(spectral, "lazy_step", counted)
+    rng = np.random.default_rng(67)
+    ring = relabel(ring_of_cliques(6, 5), 9)
+    cases = [(ring.graph, list(ring.planted.members), h) for h in (0, 1, 5, 14, 40)]
+    for g in (path(40), erdos_renyi(40, 0.08, rng_seed=3)):
+        cases += [(g, random_connected_subset(g, rng, max_size=6), h) for h in (2, 9, 30)]
+    whole = 0
+    for g, members, horizon in cases:
+        hops = reference_hops(g, members, g.vertex_count)
+        want = [
+            sum(g.degree(v) for v, h in hops.items() if h <= min(t + 1, horizon - t - 1))
+            for t in range(horizon)
+        ]
+        for certify, walks in ((certify_lower_bound, 1), (best_seed_vertex, 2)):
+            arcs.clear()
+            certify(g, members, horizon)
+            assert arcs == want * walks, (certify.__name__, members, horizon)
+        whole += max(hops.values()) < horizon // 2
+    assert whole >= 3
 
 
 def test_spectral_checks_pin_their_messages():
@@ -452,14 +487,13 @@ def test_connectivity_runs_only_where_read(monkeypatch):
     assert sizes == [4, 3]
     g = ring_of_cliques(6, 5).graph
     members = list(range(5))
-    assert spectral._induced(g, np.array(members), 9 // 2 + 1)[0].vertex_count > len(members)
+    assert spectral._reach(g, np.array(members), 9)[0][0].vertex_count > len(members)
     for certify in (certify_lower_bound, best_seed_vertex):
         sizes.clear()
         certify(g, members, 9)
         assert sizes == [len(members)], certify.__name__
-    split, _ = spectral._induced(g, np.array([0, 1, 10]))
-    assert split.connected is False
-    assert spectral._induced(g, np.array([0, 1, 2]))[0].connected is True
+    assert spectral._induced(g, np.array([0, 1, 10])).connected is False
+    assert spectral._induced(g, np.array([0, 1, 2])).connected is True
 
 
 def reference_hops(g, members, radius):
@@ -476,10 +510,12 @@ def reference_hops(g, members, radius):
     return hops
 
 
-def test_induced_ball_matches_a_plain_bfs():
-    # the ball's vertices in id order, each keeping its in-ball arcs in the
-    # graph's order, and the members' places in it, on ER graphs with
-    # vertices of no neighbor and on rings of cliques with shuffled labels
+def test_reach_ball_matches_a_plain_bfs():
+    # the ball of horizon//2 + 1 hops, its vertices in id order with their
+    # degrees in the graph; reach r lists the arcs into the vertices within r
+    # hops, by the target's hop, then source, then target, in runs of one
+    # source; and the members' places in the ball. On ER graphs with vertices
+    # of no neighbor and on rings of cliques with shuffled labels
     rng = np.random.default_rng(59)
     graphs = [erdos_renyi(30, p, rng_seed=s) for s, p in enumerate((0.05, 0.08, 0.15, 0.3))]
     graphs += [ring_of_cliques(6, 4).graph, relabel(ring_of_cliques(8, 5), 7).graph]
@@ -489,13 +525,31 @@ def test_induced_ball_matches_a_plain_bfs():
         diameter = max(max(reference_hops(g, [v], n).values()) for v in range(n))
         for _ in range(4):
             members = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
-            for radius in (0, 1, 3, diameter + 1):
-                sub, places = spectral._induced(g, members, radius)
-                ball = sorted(reference_hops(g, members, radius))
+            for horizon in (0, 1, 2, 6, 2 * diameter + 2):
+                reaches, places = spectral._reach(g, members, horizon)
+                hops = reference_hops(g, members, horizon // 2 + 1)
+                ball = sorted(hops)
                 at = {v: i for i, v in enumerate(ball)}
-                want = [[at[w] for w in g.neighbors(v).tolist() if w in at] for v in ball]
-                assert sub.vertex_count == len(ball) and sub.indices.dtype == np.int64
-                assert [sub.neighbors(i).tolist() for i in range(len(ball))] == want
+                assert len(reaches) == horizon // 2 + 1
+                for r, reach in enumerate(reaches):
+                    want = [
+                        (at[s], at[v])
+                        for h in range(r + 1)
+                        for s in ball
+                        for v in g.neighbors(s).tolist()
+                        if hops.get(v) == h
+                    ]
+                    arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
+                                    reach.indices.tolist()))
+                    assert arcs == want and reach.total_volume == len(want)
+                    assert reach.indices.dtype == reach.sources.dtype == np.int64
+                    # each run is all of one source's arcs into one hop
+                    firsts = np.cumsum(reach.lengths) - reach.lengths
+                    runs = [(hops[ball[reach.indices[f]]], s)
+                            for f, s in zip(firsts.tolist(), reach.sources.tolist())]
+                    assert all(a < b for a, b in zip(runs, runs[1:]))
+                    assert reach.vertex_count == len(ball)
+                    assert np.array_equal(reach.degrees, g.degrees[ball])
                 assert np.array_equal(places, np.searchsorted(ball, members))
                 cut_short += len(ball) < n
     assert cut_short >= 40

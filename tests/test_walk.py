@@ -432,6 +432,12 @@ NOT_INTS, NO_HORIZON = "vertex ids must be integers", "horizon must be an intege
 # each kind of integer input fed a bool, a float and values out of range, with their messages
 INTEGER_CASES = {
     "seed": [(True, NOT_INTS), (1.0, NOT_INTS), (1.5, NOT_INTS), (20, "seed out of range")],
+    "params-seed": [
+        (True, NOT_INTS),
+        (1.0, NOT_INTS),
+        (1.5, NOT_INTS),
+        (-1, "seed must be nonnegative"),
+    ],
     "horizon": [
         (True, NO_HORIZON),
         (False, NO_HORIZON),
@@ -452,6 +458,7 @@ INTEGER_INPUTS = {
         "seed",
         lambda g, s: local_partition(g, LocalParams(seed=s, k=22, phi=0.1, epsilon=0.5)),
     ),
+    "LocalParams": ("params-seed", lambda g, s: LocalParams(seed=s, k=22, phi=0.1, epsilon=0.5)),
     "WalkSchedule": ("horizon", lambda g, h: WalkSchedule(h)),
     "GlobalParams": ("horizon", lambda g, h: GlobalParams(k=10, epsilon=0.5, horizon_override=h)),
     "certify_lower_bound": ("horizon", lambda g, h: certify_lower_bound(g, range(5), h)),
