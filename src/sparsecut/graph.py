@@ -108,6 +108,15 @@ class Graph:
         return np.diff(self.indptr)
 
     @cached_property
+    def divisor(self) -> np.ndarray:
+        """max(degree, 1) as floats, a walk step's divisor: degree 0 sends nothing."""
+        return np.maximum(self.degrees, 1.0)
+
+    @cached_property
+    def isolated(self) -> np.ndarray:
+        return np.flatnonzero(self.degrees == 0)
+
+    @cached_property
     def _slots(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """(rank, sources): sources[j] lists the j-th neighbor of each vertex of degree above j."""
         order = np.argsort(-self.degrees, kind="stable")  # by degree, descending
@@ -292,10 +301,9 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
 def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of the given vertices, in vertex order."""
     deg = g.degrees[vertices]
-    offsets = np.zeros(vertices.size, dtype=np.int64)
-    deg[:-1].cumsum(out=offsets[1:])
-    pos = np.arange(int(deg.sum()), dtype=np.int64) - offsets.repeat(deg)
-    return g.indices[g.indptr[vertices].repeat(deg) + pos]
+    ends = deg.cumsum()  # each row's end in the output
+    shift = (g.indptr[vertices] - ends + deg).repeat(deg)  # row start less output start
+    return g.indices[np.arange(ends[-1] if ends.size else 0) + shift]
 
 
 # A support merge: sorted unique ids, their degrees, their volume and whether one has

@@ -18,8 +18,11 @@ writes. The stepped targets lie within T//2 hops, so their arcs all lie in
 the ball of T//2 + 1 hops that ``_reach`` builds, grouped by the target's
 hop, each hop's in runs of one source, sources ascending: the first r hops'
 arcs are a prefix, and each target adds its sources in ascending id as the
-graph's step does, so every sum rounds the same. ``_induced`` builds the
-subgraph of S that its eigenpair reads.
+graph's step does, so every sum rounds the same; a stable radix sort by
+the target's hop alone gives that order. A walk writes S's entries into a
+table of S's rows, ``_TABLE_CELLS`` cells at most a chunk, that the
+certificates reduce a chunk at a time, each row rounding as its own vector.
+``_induced`` builds the subgraph of S that its eigenpair reads.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 _MAX_ITERATIONS = 1_000_000  # power-iteration cap of restricted_eigenpair
+_TABLE_CELLS = 1 << 14  # the most cells of one chunk of a walk's table of S's rows
 
 
 class ConvergenceError(RuntimeError):
@@ -100,38 +104,48 @@ def _induced(g: Graph, members: np.ndarray) -> Graph:
 def _reach(g: Graph, members: np.ndarray, horizon: int) -> tuple[list[Reach], np.ndarray]:
     """Entry r steps the arcs into the vertices within r <= horizon//2 hops of members; and
     the members' places in the ball. One frontier BFS over an n-length hop table, to
-    horizon//2 + 1 hops, then the ball's rows, stably sorted by (target's hop, source)."""
+    horizon//2 + 1 hops, a frontier deduped by stamping its positions in the table; then
+    the ball's rows, radix-sorted by the target's hop, so by (hop, source)."""
     radius = horizon // 2 + 1
     hop = np.full(g.vertex_count, radius + 1)  # radius + 1: outside the ball
     hop[members], frontier = 0, members
     for h in range(1, radius + 1):
         arcs = _gather_rows(g, frontier)
-        if not (frontier := np.unique(arcs[hop[arcs] > radius])).size:
+        new = arcs[hop[arcs] > radius]
+        hop[new] = stamp = np.arange(-new.size, 0)  # one position's stamp survives a vertex
+        if not (frontier := new[hop[new] == stamp]).size:
             break
         hop[frontier] = h
     ball = np.flatnonzero(inside := hop <= radius)
     at = np.cumsum(inside) - 1  # ball places
     targets = _gather_rows(g, ball)
     run = hop[targets] * ball.size + np.arange(ball.size).repeat(g.degrees[ball])
-    order = np.argsort(run, kind="stable")  # each target's sources stay ascending
+    # rows list arcs by source, so the stable sort of the hops (radix, in 16 bits or fewer) is run's
+    order = np.argsort(hop[targets].astype(np.min_scalar_type(radius + 1)), kind="stable")
     run, targets = run[order], at[targets[order]]
     starts = np.flatnonzero(np.append(True, run[1:] != run[:-1]))
     lengths = np.diff(np.append(starts, run.size))
     ends = np.searchsorted(run, np.arange(1, radius + 1) * ball.size)  # arcs into hops <= r
     deg, sources = g.degrees[ball], run[starts] % ball.size
+    shared = deg, np.maximum(deg, 1.0), np.flatnonzero(deg == 0)  # as a Graph derives them
     cuts = zip(ends.tolist(), np.searchsorted(starts, ends).tolist())
-    reach = [Reach(ball.size, deg, targets[:a], a, sources[:b], lengths[:b]) for a, b in cuts]
+    reach = [Reach(ball.size, *shared, targets[:a], a, sources[:b], lengths[:b]) for a, b in cuts]
     return reach, at[members]
 
 
 def _walk_from(reaches: list[Reach], at: np.ndarray, start: np.ndarray, horizon: int):
-    """p_0..p_horizon from ``start`` on the members at ``at``, step t over reach r_t."""
+    """(t, rows): S's rows of p_t.. from ``start`` on the members at ``at``, step t over reach
+    r_t, a chunk of _TABLE_CELLS cells at most (or one row) that the next one overwrites."""
     p = np.zeros(reaches[0].vertex_count, dtype=np.float64)
     p[at] = start
-    yield p
-    for t in range(horizon):
-        p = lazy_step(reaches[min(t + 1, horizon - t - 1)], p)
-        yield p
+    table = np.empty((min(horizon + 1, max(1, _TABLE_CELLS // at.size)), at.size))
+    for first in range(0, horizon + 1, len(table)):
+        rows = table[: horizon + 1 - first]
+        for t, row in enumerate(rows, first):
+            if t:
+                p = lazy_step(reaches[min(t, horizon - t)], p)
+            np.take(p, at, out=row)
+        yield first, rows
 
 
 def restricted_eigenpair(
@@ -226,15 +240,14 @@ def certify_lower_bound(
     members = pair.subset
     phi = cut_of(g, members).conductance
     reaches, at = _reach(g, members, horizon)
-    decay = 1.0 - pair.value / 2.0
+    seed = pair.seed_distribution
+    factor = np.multiply.accumulate(np.append(1.0, np.full(horizon, 1.0 - pair.value / 2.0)))
     mass_margins = np.empty(horizon + 1)
     component_margins = np.empty(horizon + 1)
-    factor = 1.0
-    for t, p in enumerate(_walk_from(reaches, at, pair.seed_distribution, horizon)):
-        inside = p[at]
-        mass_margins[t] = inside.sum() - factor
-        component_margins[t] = float(np.min(inside - factor * pair.seed_distribution))
-        factor *= decay
+    for t, rows in _walk_from(reaches, at, seed, horizon):
+        f = factor[t : t + len(rows)]
+        mass_margins[t : t + len(rows)] = rows.sum(axis=1) - f
+        component_margins[t : t + len(rows)] = (rows - f[:, None] * seed).min(axis=1)
     worst = min(mass_margins.min(), component_margins.min())
     if worst < -tol:
         raise CertificateViolation(
@@ -269,15 +282,17 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()
     reaches, at = _reach(g, members, horizon)
-    for t, p in enumerate(_walk_from(reaches, at, deg / vol, horizon)):
-        kept = float(p[at].sum())
-        if kept < 1.0 - t * phi / 2.0 - 1e-12:
-            raise CertificateViolation(f"average start keeps {kept:.6e} < 1 - t*phi/2 at step {t}")
-    retained = p[at] * vol / deg
+    kept = np.empty(horizon + 1)
+    for t, rows in _walk_from(reaches, at, deg / vol, horizon):
+        kept[t : t + len(rows)] = rows.sum(axis=1)
+    if (escaped := np.flatnonzero(kept < 1.0 - np.arange(horizon + 1) * phi / 2.0 - 1e-12)).size:
+        t = escaped[0]
+        raise CertificateViolation(f"average start keeps {kept[t]:.6e} < 1 - t*phi/2 at step {t}")
+    retained = rows[-1] * vol / deg
     best = np.flatnonzero(retained >= retained.max() * (1.0 - 1e-12))[0]
-    for p in _walk_from(reaches, at, np.arange(members.size) == best, horizon):
+    for _, rows in _walk_from(reaches, at, np.arange(members.size) == best, horizon):
         pass
-    best_value = float(p[at].sum())
+    best_value = float(rows[-1].sum())
     bound = (1.0 - phi / 2.0) ** horizon
     if best_value < bound - max(1e-12, 1e-9 * bound):
         raise CertificateViolation(

@@ -106,7 +106,9 @@ class WalkSchedule:
             raise ValueError("truncation threshold must be nonnegative")
 
 
-Reach = namedtuple("Reach", "vertex_count degrees indices total_volume sources lengths")
+Reach = namedtuple(
+    "Reach", "vertex_count degrees divisor isolated indices total_volume sources lengths"
+)
 
 
 def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
@@ -117,16 +119,17 @@ def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
     is sent along runs, a run being arcs out of one source; a graph's runs are
     its rows, so each target adds its sources in ascending id. A ``Reach``
     stands for a graph's arcs into some vertices: it holds the vertex count,
-    the true degrees, the targets (``indices``) of ``total_volume`` arcs and
-    their runs, run i being ``lengths[i]`` arcs out of ``sources[i]``; a
-    vertex no arc enters keeps half its mass. A graph's step preserves total
-    mass up to roundoff. Vertices of degree zero keep all their mass.
+    the true degrees, their ``divisor`` and ``isolated`` as a graph derives
+    them once, the targets (``indices``) of ``total_volume`` arcs and their
+    runs, run i being ``lengths[i]`` arcs out of ``sources[i]``; a vertex no
+    arc enters keeps half its mass. A graph's step preserves total mass up to
+    roundoff. Vertices of degree zero keep all their mass.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape[:1] != (g.vertex_count,) or p.ndim > 2:
         raise ValueError("distribution length does not match vertex count")
-    deg = g.degrees if p.ndim == 1 else g.degrees[:, None]
-    half = 0.5 * (p / np.maximum(deg, 1))  # degree 0: no arc sends it
+    half = p / (g.divisor if p.ndim == 1 else g.divisor[:, None])
+    half *= 0.5
     if p.ndim == 1:
         sent = half.repeat(g.degrees) if isinstance(g, Graph) else half[g.sources].repeat(g.lengths)
         out = 0.5 * p + np.bincount(g.indices, sent, g.vertex_count)
@@ -136,8 +139,7 @@ def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
             acc[: src.size] += half[src]
         out = np.take(acc, g._slots[0], axis=0, out=half)  # half is spent
         out += np.multiply(p, 0.5, out=acc)
-    isolated = g.degrees == 0
-    if isolated.any():
+    if (isolated := g.isolated).size:
         out[isolated] += 0.5 * p[isolated]
     return out
 

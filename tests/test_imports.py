@@ -9,7 +9,8 @@ dependency from the top of its module, and each module-level private name
 that no other statement of the library refers to: a helper kept alive only
 by its own test. It reports each ``np.asarray`` or ``np.array`` call of the
 library that casts to int64. Last, each message the library raises as
-ValueError or GraphFormatError must be named by some test.
+ValueError, GraphFormatError, CertificateViolation or ConvergenceError must
+be named by some test.
 """
 
 import ast
@@ -164,8 +165,11 @@ def test_every_library_private_name_is_referenced_elsewhere_in_the_library():
     assert unreferenced_private_names(sources) == []
 
 
+PINNED_ERRORS = ("ValueError", "GraphFormatError", "CertificateViolation", "ConvergenceError")
+
+
 def unpinned_messages(library: dict[str, str], tests: list[str]) -> list[str]:
-    """ValueError and GraphFormatError messages of the library that no test string holds.
+    """Messages of the library's PINNED_ERRORS raises that no test string holds.
 
     A message is the raise's first argument when it is a string literal, or
     the leading literal of an f-string; a message passed in a variable is
@@ -184,7 +188,7 @@ def unpinned_messages(library: dict[str, str], tests: list[str]) -> list[str]:
             if not (
                 isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Name)
-                and call.func.id in ("ValueError", "GraphFormatError")
+                and call.func.id in PINNED_ERRORS
                 and call.args
             ):
                 continue
@@ -206,12 +210,18 @@ def test_checker_flags_an_unpinned_message():
             "    raise RuntimeError('not a ValueError')\n"
         ),
         "b.py": "def g(m):\n    raise ValueError(m)\n\ndef h():\n    raise ValueError('pinned')\n",
+        "c.py": (
+            "def k(t):\n    raise CertificateViolation(f'kept too little at step {t}')\n\n"
+            "def m(x):\n    raise ConvergenceError('lost it', x)\n"
+        ),
     }
     tests = ["def test_h():\n    with raises_message('pinned'):\n        h()\n"]
     assert unpinned_messages(library, tests) == [
         "a.py line 3: x must be pinned",
         "a.py line 5: bad id ",
         "a.py line 7: n=",
+        "c.py line 2: kept too little at step ",
+        "c.py line 5: lost it",
     ]
 
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -563,3 +564,164 @@ def test_power_iteration_cap_raises_with_its_estimate(monkeypatch):
     with pytest.raises(spectral.ConvergenceError, match=message) as info:
         restricted_eigenpair(g, range(5))
     assert np.isfinite(info.value.estimate) and 0.0 <= info.value.estimate <= 2.0
+
+
+def grid(side):
+    """The side x side grid graph, vertex r * side + c at row r, column c."""
+    edges = [(v, v + 1) for v in range(side * side) if v % side < side - 1]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    return Graph.from_edges(side * side, edges)
+
+
+def test_reach_frontiers_never_repeat_a_vertex(monkeypatch):
+    # a grid reaches most vertices by many shortest paths: a frontier that kept
+    # its repeats would grow with their number. Each frontier _reach gathers is
+    # one BFS layer, each vertex once; the last gather is the ball's rows
+    gathered = []
+    gather = spectral._gather_rows
+
+    def recorded(g, vertices):
+        gathered.append(np.array(vertices))
+        return gather(g, vertices)
+
+    monkeypatch.setattr(spectral, "_gather_rows", recorded)
+    g = grid(12)
+    for members, horizon in (([0], 12), ([0], 60), ([66], 9), ([0, 1, 12, 143], 30)):
+        gathered.clear()
+        spectral._reach(g, np.array(members), horizon)
+        radius = horizon // 2 + 1
+        hops = reference_hops(g, members, radius)
+        layers = [
+            sorted(v for v, h in hops.items() if h == k)
+            for k in range(min(radius, max(hops.values()) + 1))
+        ]
+        frontiers = gathered[:-1]
+        assert all(np.unique(f).size == f.size for f in frontiers), (members, horizon)
+        assert [sorted(f.tolist()) for f in frontiers] == layers, (members, horizon)
+        assert np.array_equal(gathered[-1], sorted(hops))
+    # the repeats were there to drop: layer 2 of the corner is reached twice over
+    assert np.unique(gather(g, np.array([1, 12])), return_counts=True)[1].max() == 2
+
+
+def test_reach_orders_hops_past_255():
+    # a radius above 255 holds its hops in 16 bits; the radix order must still
+    # be the plain (target's hop, source, target) order, each reach its prefix
+    g = path(700)
+    for members, horizon in (([350], 600), ([0, 3], 521)):
+        radius = horizon // 2 + 1
+        assert np.min_scalar_type(radius + 1) == np.uint16
+        reaches, places = spectral._reach(g, np.array(members), horizon)
+        hops = reference_hops(g, members, radius)
+        ball = sorted(hops)
+        at = {v: i for i, v in enumerate(ball)}
+        plain = sorted(
+            (hops[v], at[s], at[v]) for s in ball for v in g.neighbors(s).tolist() if v in hops
+        )
+        assert len(reaches) == horizon // 2 + 1
+        for r, reach in enumerate(reaches):
+            want = [(s, v) for h, s, v in plain if h <= r]
+            arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
+                            reach.indices.tolist()))
+            assert arcs == want, (members, horizon, r)
+        assert np.array_equal(places, np.searchsorted(ball, members))
+
+
+def test_row_table_keeps_the_dense_bits(monkeypatch):
+    # the walks reduce a table of S's rows, chunk by chunk: row sums past
+    # numpy's 128-term pairwise block, and tables cut into many chunks, must
+    # give the dense walk's margins and best seed byte for byte
+    chunks = []
+    walk_from = spectral._walk_from
+
+    def recorded(*args):
+        for t, rows in walk_from(*args):
+            chunks.append(rows.shape)
+            yield t, rows
+
+    monkeypatch.setattr(spectral, "_walk_from", recorded)
+    wide = [(complete(160), range(10, 150), 9), (grid(14), range(150), 17)]
+    wide += [(grid(12), range(130), 25)]
+    small = relabel(ring_of_cliques(10, 6), 3)
+    narrow = [(small.graph, list(small.planted.members), h) for h in (0, 1, 6, 29)]
+    narrow += [(grid(9), [40, 41, 49], 23)]
+    split = 0
+    for cells, cases in ((1 << 14, wide), (1, narrow), (7, narrow), (500, wide + narrow)):
+        monkeypatch.setattr(spectral, "_TABLE_CELLS", cells)
+        for g, members, horizon in cases:
+            chunks.clear()
+            report = certify_lower_bound(g, members, horizon)
+            mass, component = dense_margins(g, members, horizon)
+            assert report.mass_margins.tobytes() == mass.tobytes(), (cells, horizon)
+            assert report.component_margins.tobytes() == component.tobytes(), (cells, horizon)
+            vertex, achieved = best_seed_vertex(g, members, horizon)
+            expected_vertex, expected = dense_best_seed(g, members, horizon)
+            assert (vertex, achieved.hex()) == (expected_vertex, expected.hex()), (cells, horizon)
+            # a chunk holds at most the cells, or one row; the three walks' chunks
+            # cover their steps once each
+            assert all(rows * cols <= max(cells, cols) for rows, cols in chunks)
+            assert sum(rows for rows, _ in chunks) == 3 * (horizon + 1)
+            split += len(chunks) > 3
+    assert min(len(np.unique(list(m))) for _, m, _ in wide) > 128
+    assert split >= 11
+
+
+def test_average_start_escape_names_the_first_failing_step(monkeypatch):
+    # the escape bound is checked after the walk, on all its steps at once; the
+    # message names the first step that fails, also when later steps fail too
+    real = spectral.cut_of
+    for scale in (1 - 1e-9, 0.1):  # steps 1, or 1 to 3, fall below 1 - t*phi/2
+        def understated(g, members):
+            cut = real(g, members)
+            return dataclasses.replace(cut, conductance=cut.conductance * scale)
+
+        monkeypatch.setattr(spectral, "cut_of", understated)
+        message = "average start keeps 5.000000e-01 < 1 - t*phi/2 at step 1"
+        with pytest.raises(CertificateViolation, match=f"^{re.escape(message)}$"):
+            best_seed_vertex(complete(2), [0], 3)
+
+
+def test_retention_bound_is_tight_at_one_step(monkeypatch):
+    # from S = [0] of K2, lambda_S = 1 and the first step keeps exactly 1 - lambda_S/2;
+    # an eigenvalue one part in 1e9 lower makes that step a violation
+    assert certify_lower_bound(complete(2), [0], 3).mass_margins[1] == 0.0
+    real = spectral.restricted_eigenpair
+
+    def understated(g, subset, tol):
+        pair = real(g, subset, tol=tol)
+        return dataclasses.replace(pair, value=pair.value * (1 - 1e-9))
+
+    monkeypatch.setattr(spectral, "restricted_eigenpair", understated)
+    message = "retention bound violated by 5.000e-10 (tol 1.0e-10)"
+    with pytest.raises(CertificateViolation, match=f"^{re.escape(message)}$"):
+        certify_lower_bound(complete(2), [0], 3)
+
+
+def test_best_start_below_its_guarantee_is_a_violation(monkeypatch):
+    # the confirming walk keeps 1/2 of K2 against a guaranteed 1/8 after 3 steps;
+    # a fault that halves each of its steps leaves 1/16, which must be reported
+    calls = []
+    step = spectral.lazy_step
+
+    def leaking(g, p):
+        calls.append(1)
+        return step(g, p) * (0.5 if len(calls) > 3 else 1.0)  # the second walk's steps
+
+    monkeypatch.setattr(spectral, "lazy_step", leaking)
+    message = "best start retains 6.250000e-02 < guaranteed 1.250000e-01"
+    with pytest.raises(CertificateViolation, match=f"^{re.escape(message)}$"):
+        best_seed_vertex(complete(2), [0], 3)
+
+
+def test_power_iteration_reports_a_lost_sign(monkeypatch):
+    # every iterate keeps z >= y/2 > 0, so this check guards against a faulty
+    # operator: one whose neighbor sums flip sign converges to a negative vector
+    real = np.bincount
+
+    def flipped(x, weights=None, minlength=0):
+        counts = real(x, weights, minlength)
+        return counts if weights is None else -3 * counts  # the operator's sums only
+
+    monkeypatch.setattr(spectral.np, "bincount", flipped)
+    with pytest.raises(spectral.ConvergenceError, match="^eigenvector lost positivity$") as info:
+        restricted_eigenpair(complete(2), [0, 1])
+    assert info.value.estimate == 4.0  # rho = -1
