@@ -91,13 +91,9 @@ class GlobalParams:
         if self.horizon_override is not None:
             walk._check_horizon(self.horizon_override)
         _check_cap(self, "k^(1+epsilon)")
-        if self.horizon_override is None:
-            try:  # the float before the ceil, as LocalParams tests it
-                steps = self._steps
-            except OverflowError:  # k**2 past the float range
-                steps = math.inf
-            if not steps <= _MAX_HORIZON:
-                raise ValueError(f"global horizon exceeds {_MAX_HORIZON} steps")
+        # the float before the ceil, as LocalParams tests it
+        if self.horizon_override is None and not self._steps <= _MAX_HORIZON:
+            raise ValueError(f"global horizon exceeds {_MAX_HORIZON} steps")
 
     @property
     def epsilon_effective(self) -> float:
@@ -105,7 +101,8 @@ class GlobalParams:
 
     @property
     def _steps(self) -> float:
-        return self.epsilon_effective * self.k**2 * math.log(self.k) / 4.0
+        k = float(self.k)  # k * k rounds as k**2 does below 2**53, and cannot wrap or raise
+        return self.epsilon_effective * (k * k) * math.log(self.k) / 4.0
 
     @property
     def horizon(self) -> int:
@@ -337,7 +334,7 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
         raise ValueError("k exceeds the total volume")
     n, degrees = g.vertex_count, g.degrees
     cap = min(params.volume_cap, g.total_volume - 1)
-    if np.any(degrees == 0):
+    if g.isolated.size:
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
     block = max(1, BLOCK_ARCS // max(n, int(cap)))  # a row sweeps <= cap arcs

@@ -22,7 +22,6 @@ graph's step does, so every sum rounds the same; a stable radix sort by
 the target's hop alone gives that order. A walk writes S's entries into a
 table of S's rows, ``_TABLE_CELLS`` cells at most a chunk, that the
 certificates reduce a chunk at a time, each row rounding as its own vector.
-``_induced`` builds the subgraph of S that its eigenpair reads.
 """
 
 from __future__ import annotations
@@ -74,31 +73,26 @@ class LocalEigenpair:
     seed_distribution: np.ndarray
 
 
-def _restricted_adjacency(g: Graph, subset, disconnected: str) -> tuple[np.ndarray, Graph]:
-    """The sorted unique subset and the subgraph it induces, vertex i being its i-th id.
-
-    A disconnected subgraph raises ValueError with the message ``disconnected``.
+def _restricted_adjacency(
+    g: Graph, subset, disconnected: str
+) -> tuple[np.ndarray, Graph, np.ndarray]:
+    """The sorted unique subset, the subgraph it induces (vertex i being its i-th id) and the
+    subgraph's arc rows. A member's arcs keep their order, each target's place found by one
+    search of the members; a disconnected subgraph raises ValueError with ``disconnected``.
     """
     members = np.unique(_vertex_ids(list(subset), g.vertex_count))
     if members.size == 0:
         raise ValueError("subset must be nonempty")
-    if np.any(g.degrees[members] == 0):
+    if not (deg := g.degrees[members]).all():
         raise ValueError("zero-degree vertex: restricted walk matrix undefined")
-    sub = _induced(g, members)
+    targets = _gather_rows(g, members)
+    nb = np.searchsorted(members, targets)  # a member's place, or where an outsider would go
+    inside = members.take(nb, mode="clip") == targets
+    rows = np.arange(members.size).repeat(deg)[inside]
+    sub = Graph(np.searchsorted(rows, np.arange(members.size + 1)), nb[inside])
     if not sub.connected:
         raise ValueError(disconnected)
-    return members, sub
-
-
-def _induced(g: Graph, members: np.ndarray) -> Graph:
-    """The subgraph induced on the sorted unique members, vertex i being the i-th of them."""
-    at = np.full(g.vertex_count, members.size)  # members.size: not a member
-    at[members] = np.arange(members.size)
-    nb = at[_gather_rows(g, members)]
-    inside = nb < members.size
-    rows = np.repeat(np.arange(members.size), g.degrees[members])[inside]
-    degrees = np.bincount(rows, minlength=members.size)
-    return Graph(np.concatenate([[0], np.cumsum(degrees)]), nb[inside])
+    return members, sub, rows
 
 
 def _reach(g: Graph, members: np.ndarray, horizon: int) -> tuple[list[Reach], np.ndarray]:
@@ -118,16 +112,16 @@ def _reach(g: Graph, members: np.ndarray, horizon: int) -> tuple[list[Reach], np
         hop[frontier] = h
     ball = np.flatnonzero(inside := hop <= radius)
     at = np.cumsum(inside) - 1  # ball places
-    targets = _gather_rows(g, ball)
-    run = hop[targets] * ball.size + np.arange(ball.size).repeat(g.degrees[ball])
+    targets, deg = _gather_rows(g, ball), g.degrees[ball]
+    run = hop[targets] * ball.size + np.arange(ball.size).repeat(deg)
     # rows list arcs by source, so the stable sort of the hops (radix, in 16 bits or fewer) is run's
     order = np.argsort(hop[targets].astype(np.min_scalar_type(radius + 1)), kind="stable")
     run, targets = run[order], at[targets[order]]
     starts = np.flatnonzero(np.append(True, run[1:] != run[:-1]))
     lengths = np.diff(np.append(starts, run.size))
     ends = np.searchsorted(run, np.arange(1, radius + 1) * ball.size)  # arcs into hops <= r
-    deg, sources = g.degrees[ball], run[starts] % ball.size
-    shared = deg, np.maximum(deg, 1.0), np.flatnonzero(deg == 0)  # as a Graph derives them
+    shared = g.divisor[ball], np.flatnonzero(deg == 0)
+    sources = run[starts] % ball.size
     cuts = zip(ends.tolist(), np.searchsorted(starts, ends).tolist())
     reach = [Reach(ball.size, *shared, targets[:a], a, sources[:b], lengths[:b]) for a, b in cuts]
     return reach, at[members]
@@ -168,10 +162,9 @@ def restricted_eigenpair(
     disconnected = (
         "subset induces a disconnected subgraph; compute one eigenpair per component instead"
     )
-    members, sub = _restricted_adjacency(g, subset, disconnected)
+    members, sub, row_of_arc = _restricted_adjacency(g, subset, disconnected)
     deg = g.degrees[members].astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    row_of_arc = np.repeat(np.arange(members.size), sub.degrees)
 
     def operator(vec: np.ndarray) -> np.ndarray:
         scaled = vec * inv_sqrt
@@ -277,7 +270,7 @@ def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     returned mass must meet (1 - conductance(S)/2)^horizon.
     """
     _check_horizon(horizon)
-    members, _ = _restricted_adjacency(g, subset, "subset induces a disconnected subgraph")
+    members = _restricted_adjacency(g, subset, "subset induces a disconnected subgraph")[0]
     phi = cut_of(g, members).conductance
     deg = g.degrees[members].astype(np.float64)
     vol = deg.sum()

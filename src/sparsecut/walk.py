@@ -106,9 +106,7 @@ class WalkSchedule:
             raise ValueError("truncation threshold must be nonnegative")
 
 
-Reach = namedtuple(
-    "Reach", "vertex_count degrees divisor isolated indices total_volume sources lengths"
-)
+Reach = namedtuple("Reach", "vertex_count divisor isolated indices total_volume sources lengths")
 
 
 def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
@@ -119,11 +117,11 @@ def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
     is sent along runs, a run being arcs out of one source; a graph's runs are
     its rows, so each target adds its sources in ascending id. A ``Reach``
     stands for a graph's arcs into some vertices: it holds the vertex count,
-    the true degrees, their ``divisor`` and ``isolated`` as a graph derives
-    them once, the targets (``indices``) of ``total_volume`` arcs and their
-    runs, run i being ``lengths[i]`` arcs out of ``sources[i]``; a vertex no
-    arc enters keeps half its mass. A graph's step preserves total mass up to
-    roundoff. Vertices of degree zero keep all their mass.
+    the graph's ``divisor`` and ``isolated`` read on its vertices, the targets
+    (``indices``) of ``total_volume`` arcs and their runs, run i being
+    ``lengths[i]`` arcs out of ``sources[i]``; a vertex no arc enters keeps
+    half its mass. A graph's step preserves total mass up to roundoff.
+    Vertices of degree zero keep all their mass.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape[:1] != (g.vertex_count,) or p.ndim > 2:

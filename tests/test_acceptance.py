@@ -12,6 +12,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from sparsecut import (
     Envelope,
@@ -102,6 +103,7 @@ def five_families():
     }
 
 
+@pytest.mark.theorem
 def test_criterion_3_chord_bound():
     pairs = 0
     for name, g in five_families().items():
@@ -115,6 +117,7 @@ def test_criterion_3_chord_bound():
     report(3, f"zero chord violations across {pairs} consecutive-step curve pairs")
 
 
+@pytest.mark.theorem
 def test_criterion_4_curve_envelope():
     points = 0
     for name, g in five_families().items():
@@ -138,6 +141,7 @@ def test_criterion_4_curve_envelope():
     report(4, f"envelope dominated the curve at {points} sampled points")
 
 
+@pytest.mark.theorem
 def test_criterion_5_spectral_certificate():
     started = time.monotonic()
     rng = np.random.default_rng(101)
@@ -180,6 +184,7 @@ def planted_phi_k_is_trustworthy():
         assert phi == inst.phi_planted
 
 
+@pytest.mark.theorem
 def test_criterion_6_global_bicriteria_soundness():
     started = time.monotonic()
     eps = 0.01
@@ -267,6 +272,7 @@ def test_criterion_7_tight_volume_corollary():
     )
 
 
+@pytest.mark.theorem
 def test_criterion_8_local_recovery():
     started = time.monotonic()
     runs = 0

@@ -243,6 +243,7 @@ def test_truncated_curve_dominated_by_exact():
             assert evaluate(truncated_curve, x) <= evaluate(exact_curve, x) + 1e-12
 
 
+@pytest.mark.theorem
 def test_envelope_bounds_curve_end_to_end(family_graphs):
     # record the weakest level-set conductance seen under the cap and check
     # the decay envelope at every step with the running minimum

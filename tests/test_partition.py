@@ -157,8 +157,9 @@ def test_global_params_clamping_and_derived():
 
 def test_global_params_bound_the_horizon():
     # k = 100,000 asked for 287,823,137 steps from every vertex, 10,000 for
-    # 2,302,586; k = 10**200 overflows k**2 as a float
-    for k in (10_000, 100_000, 10**200):
+    # 2,302,586; k = 10**200 overflows k**2 as a float, and a NumPy k past
+    # 3,037,000,499 wrapped k**2 to a negative horizon
+    for k in (10_000, 100_000, 10**200, np.int64(3_037_000_500), np.int64(4_000_000_000)):
         with pytest.raises(ValueError, match="global horizon exceeds 1000000 steps"):
             GlobalParams(k=k, epsilon=0.5)
     edge = 4e6 / (10_000**2 * math.log(10_000))  # the epsilon whose horizon is 1,000,000 steps
@@ -195,6 +196,7 @@ def test_global_ring_of_cliques_bound():
     assert out.best.exact == inst.phi_planted
 
 
+@pytest.mark.theorem
 def test_global_bicriteria_vs_exhaustive_oracle_small_graphs():
     rng = np.random.default_rng(31)
     eps = 0.01

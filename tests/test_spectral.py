@@ -493,8 +493,35 @@ def test_connectivity_runs_only_where_read(monkeypatch):
         sizes.clear()
         certify(g, members, 9)
         assert sizes == [len(members)], certify.__name__
-    assert spectral._induced(g, np.array([0, 1, 10])).connected is False
-    assert spectral._induced(g, np.array([0, 1, 2])).connected is True
+    with raises_message("cut"):
+        spectral._restricted_adjacency(g, [0, 1, 10], "cut")
+    members, sub, rows = spectral._restricted_adjacency(g, [2, 0, 1, 0], "cut")
+    assert sub.connected is True and members.tolist() == [0, 1, 2]
+    assert np.array_equal(rows, np.repeat(np.arange(3), sub.degrees))
+
+
+def test_restricted_adjacency_is_the_induced_subgraph():
+    # one search of the sorted members places each arc's target: members at
+    # either end of the id range, outsiders past the last member, and every
+    # row in the graph's order with its arcs' rows beside it
+    rng = np.random.default_rng(31)
+    for g in [erdos_renyi(40, p, rng_seed=s) for s, p in enumerate((0.1, 0.2, 0.5))]:
+        for size in (1, 2, 5, 20, 40):
+            members = np.sort(rng.choice(40, size=size, replace=False))
+            if not g.degrees[members].all():
+                continue
+            place = {int(v): i for i, v in enumerate(members)}
+            want = [[place[w] for w in g.neighbors(v).tolist() if w in place] for v in members]
+            try:
+                got, sub, rows = spectral._restricted_adjacency(g, members[::-1], "cut")
+            except ValueError:
+                assert not Graph.from_edges(
+                    size, [(i, j) for i, row in enumerate(want) for j in row]
+                ).connected
+                continue
+            assert np.array_equal(got, members)
+            assert [sub.neighbors(i).tolist() for i in range(size)] == want
+            assert np.array_equal(rows, np.repeat(np.arange(size), [len(r) for r in want]))
 
 
 def reference_hops(g, members, radius):
@@ -512,47 +539,50 @@ def reference_hops(g, members, radius):
 
 
 def test_reach_ball_matches_a_plain_bfs():
-    # the ball of horizon//2 + 1 hops, its vertices in id order with their
-    # degrees in the graph; reach r lists the arcs into the vertices within r
+    # the ball of horizon//2 + 1 hops, its vertices in id order with the
+    # graph's divisors; reach r lists the arcs into the vertices within r
     # hops, by the target's hop, then source, then target, in runs of one
     # source; and the members' places in the ball. On ER graphs with vertices
-    # of no neighbor and on rings of cliques with shuffled labels
+    # of no neighbor, on rings of cliques with shuffled labels, and on a path
+    # whose radius above 255 holds its hops in 16 bits: the radix order must
+    # still be the plain one, each reach its prefix
     rng = np.random.default_rng(59)
     graphs = [erdos_renyi(30, p, rng_seed=s) for s, p in enumerate((0.05, 0.08, 0.15, 0.3))]
     graphs += [ring_of_cliques(6, 4).graph, relabel(ring_of_cliques(8, 5), 7).graph]
-    cut_short = 0
+    cases = []
     for g in graphs:
         n = g.vertex_count
         diameter = max(max(reference_hops(g, [v], n).values()) for v in range(n))
         for _ in range(4):
             members = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
-            for horizon in (0, 1, 2, 6, 2 * diameter + 2):
-                reaches, places = spectral._reach(g, members, horizon)
-                hops = reference_hops(g, members, horizon // 2 + 1)
-                ball = sorted(hops)
-                at = {v: i for i, v in enumerate(ball)}
-                assert len(reaches) == horizon // 2 + 1
-                for r, reach in enumerate(reaches):
-                    want = [
-                        (at[s], at[v])
-                        for h in range(r + 1)
-                        for s in ball
-                        for v in g.neighbors(s).tolist()
-                        if hops.get(v) == h
-                    ]
-                    arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
-                                    reach.indices.tolist()))
-                    assert arcs == want and reach.total_volume == len(want)
-                    assert reach.indices.dtype == reach.sources.dtype == np.int64
-                    # each run is all of one source's arcs into one hop
-                    firsts = np.cumsum(reach.lengths) - reach.lengths
-                    runs = [(hops[ball[reach.indices[f]]], s)
-                            for f, s in zip(firsts.tolist(), reach.sources.tolist())]
-                    assert all(a < b for a, b in zip(runs, runs[1:]))
-                    assert reach.vertex_count == len(ball)
-                    assert np.array_equal(reach.degrees, g.degrees[ball])
-                assert np.array_equal(places, np.searchsorted(ball, members))
-                cut_short += len(ball) < n
+            cases += [(g, members, horizon) for horizon in (0, 1, 2, 6, 2 * diameter + 2)]
+    cases += [(path(700), np.array([350]), 600), (path(700), np.array([0, 3]), 521)]
+    assert [np.min_scalar_type(h // 2 + 2) for *_, h in cases[-2:]] == [np.uint16] * 2
+    cut_short = 0
+    for g, members, horizon in cases:
+        reaches, places = spectral._reach(g, members, horizon)
+        hops = reference_hops(g, members, horizon // 2 + 1)
+        ball = sorted(hops)
+        at = {v: i for i, v in enumerate(ball)}
+        plain = sorted(
+            (hops[v], at[s], at[v]) for s in ball for v in g.neighbors(s).tolist() if v in hops
+        )
+        assert len(reaches) == horizon // 2 + 1
+        for r, reach in enumerate(reaches):
+            want = [(s, v) for h, s, v in plain if h <= r]
+            arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
+                            reach.indices.tolist()))
+            assert arcs == want and reach.total_volume == len(want), (members, horizon, r)
+            assert reach.indices.dtype == reach.sources.dtype == np.int64
+            # each run is all of one source's arcs into one hop
+            firsts = np.cumsum(reach.lengths) - reach.lengths
+            runs = [(hops[ball[reach.indices[f]]], s)
+                    for f, s in zip(firsts.tolist(), reach.sources.tolist())]
+            assert all(a < b for a, b in zip(runs, runs[1:]))
+            assert reach.vertex_count == len(ball)
+            assert np.array_equal(reach.divisor, g.divisor[ball])
+        assert np.array_equal(places, np.searchsorted(ball, members))
+        cut_short += len(ball) < g.vertex_count
     assert cut_short >= 40
 
 
@@ -601,29 +631,6 @@ def test_reach_frontiers_never_repeat_a_vertex(monkeypatch):
         assert np.array_equal(gathered[-1], sorted(hops))
     # the repeats were there to drop: layer 2 of the corner is reached twice over
     assert np.unique(gather(g, np.array([1, 12])), return_counts=True)[1].max() == 2
-
-
-def test_reach_orders_hops_past_255():
-    # a radius above 255 holds its hops in 16 bits; the radix order must still
-    # be the plain (target's hop, source, target) order, each reach its prefix
-    g = path(700)
-    for members, horizon in (([350], 600), ([0, 3], 521)):
-        radius = horizon // 2 + 1
-        assert np.min_scalar_type(radius + 1) == np.uint16
-        reaches, places = spectral._reach(g, np.array(members), horizon)
-        hops = reference_hops(g, members, radius)
-        ball = sorted(hops)
-        at = {v: i for i, v in enumerate(ball)}
-        plain = sorted(
-            (hops[v], at[s], at[v]) for s in ball for v in g.neighbors(s).tolist() if v in hops
-        )
-        assert len(reaches) == horizon // 2 + 1
-        for r, reach in enumerate(reaches):
-            want = [(s, v) for h, s, v in plain if h <= r]
-            arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
-                            reach.indices.tolist()))
-            assert arcs == want, (members, horizon, r)
-        assert np.array_equal(places, np.searchsorted(ball, members))
 
 
 def test_row_table_keeps_the_dense_bits(monkeypatch):
