@@ -538,52 +538,60 @@ def reference_hops(g, members, radius):
     return hops
 
 
-def test_reach_ball_matches_a_plain_bfs():
+def assert_reach_is_plain(g, members, horizon):
     # the ball of horizon//2 + 1 hops, its vertices in id order with the
     # graph's divisors; reach r lists the arcs into the vertices within r
     # hops, by the target's hop, then source, then target, in runs of one
-    # source; and the members' places in the ball. On ER graphs with vertices
-    # of no neighbor, on rings of cliques with shuffled labels, and on a path
-    # whose radius above 255 holds its hops in 16 bits: the radix order must
-    # still be the plain one, each reach its prefix
+    # source; and the members' places in the ball. Returns the ball's size
+    reaches, places = spectral._reach(g, members, horizon)
+    hops = reference_hops(g, members, horizon // 2 + 1)
+    ball = sorted(hops)
+    at = {v: i for i, v in enumerate(ball)}
+    plain = sorted(
+        (hops[v], at[s], at[v]) for s in ball for v in g.neighbors(s).tolist() if v in hops
+    )
+    assert len(reaches) == horizon // 2 + 1
+    for r, reach in enumerate(reaches):
+        want = [(s, v) for h, s, v in plain if h <= r]
+        arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
+                        reach.indices.tolist()))
+        assert arcs == want and reach.total_volume == len(want), (members, horizon, r)
+        assert reach.indices.dtype == reach.sources.dtype == np.int64
+        # each run is all of one source's arcs into one hop
+        firsts = np.cumsum(reach.lengths) - reach.lengths
+        runs = [(hops[ball[reach.indices[f]]], s)
+                for f, s in zip(firsts.tolist(), reach.sources.tolist())]
+        assert all(a < b for a, b in zip(runs, runs[1:]))
+        assert reach.vertex_count == len(ball)
+        assert np.array_equal(reach.divisor, g.divisor[ball])
+    assert np.array_equal(places, np.searchsorted(ball, members))
+    return len(ball)
+
+
+def test_reach_ball_matches_a_plain_bfs():
+    # on ER graphs with vertices of no neighbor and on rings of cliques with
+    # shuffled labels; most balls stop short of the whole graph
     rng = np.random.default_rng(59)
     graphs = [erdos_renyi(30, p, rng_seed=s) for s, p in enumerate((0.05, 0.08, 0.15, 0.3))]
     graphs += [ring_of_cliques(6, 4).graph, relabel(ring_of_cliques(8, 5), 7).graph]
-    cases = []
+    cut_short = 0
     for g in graphs:
         n = g.vertex_count
         diameter = max(max(reference_hops(g, [v], n).values()) for v in range(n))
         for _ in range(4):
             members = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
-            cases += [(g, members, horizon) for horizon in (0, 1, 2, 6, 2 * diameter + 2)]
-    cases += [(path(700), np.array([350]), 600), (path(700), np.array([0, 3]), 521)]
-    assert [np.min_scalar_type(h // 2 + 2) for *_, h in cases[-2:]] == [np.uint16] * 2
-    cut_short = 0
-    for g, members, horizon in cases:
-        reaches, places = spectral._reach(g, members, horizon)
-        hops = reference_hops(g, members, horizon // 2 + 1)
-        ball = sorted(hops)
-        at = {v: i for i, v in enumerate(ball)}
-        plain = sorted(
-            (hops[v], at[s], at[v]) for s in ball for v in g.neighbors(s).tolist() if v in hops
-        )
-        assert len(reaches) == horizon // 2 + 1
-        for r, reach in enumerate(reaches):
-            want = [(s, v) for h, s, v in plain if h <= r]
-            arcs = list(zip(np.repeat(reach.sources, reach.lengths).tolist(),
-                            reach.indices.tolist()))
-            assert arcs == want and reach.total_volume == len(want), (members, horizon, r)
-            assert reach.indices.dtype == reach.sources.dtype == np.int64
-            # each run is all of one source's arcs into one hop
-            firsts = np.cumsum(reach.lengths) - reach.lengths
-            runs = [(hops[ball[reach.indices[f]]], s)
-                    for f, s in zip(firsts.tolist(), reach.sources.tolist())]
-            assert all(a < b for a, b in zip(runs, runs[1:]))
-            assert reach.vertex_count == len(ball)
-            assert np.array_equal(reach.divisor, g.divisor[ball])
-        assert np.array_equal(places, np.searchsorted(ball, members))
-        cut_short += len(ball) < g.vertex_count
+            for horizon in (0, 1, 2, 6, 2 * diameter + 2):
+                cut_short += assert_reach_is_plain(g, members, horizon) < n
     assert cut_short >= 40
+
+
+def test_reach_orders_hops_past_255():
+    # a radius above 255 holds its hops in 16 bits; the radix order must still
+    # be the plain (target's hop, source, target) order, each reach its prefix
+    g = path(700)
+    for members, horizon in (([350], 600), ([0, 3], 521)):
+        assert np.min_scalar_type(horizon // 2 + 2) == np.uint16
+        assert assert_reach_is_plain(g, np.array(members), horizon) < g.vertex_count
 
 
 def test_power_iteration_cap_raises_with_its_estimate(monkeypatch):
