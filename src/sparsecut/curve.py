@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .graph import Graph, prefix_cut_profile
-from .walk import SparseDistribution
+from .graph import Graph, _count, prefix_cut_profile
+from .walk import SparseDistribution, _check_support
 
 __all__ = [
     "LSCurve",
@@ -52,7 +52,7 @@ class LSCurve:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Decay envelope x/cap + sqrt(x) * (1 - phi1^2/8)^steps."""
+    """Decay envelope x/cap + sqrt(x) * (1 - phi1^2/8)^steps; steps is an integer."""
 
     cap: float
     phi1: float
@@ -63,8 +63,7 @@ class Envelope:
             raise ValueError("cap must be at least 1")
         if not 0.0 <= self.phi1 <= 1.0:
             raise ValueError("phi1 must lie in [0, 1]")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+        _count(self.steps, "steps")
 
 
 def envelope_value(env: Envelope, x: float) -> float:
@@ -74,12 +73,13 @@ def envelope_value(env: Envelope, x: float) -> float:
 
 
 def build_curve(g: Graph, p: np.ndarray | SparseDistribution) -> LSCurve:
-    """Curve of a distribution over its support; dense arrays are sparsified."""
+    """Curve of a distribution over its support; dense arrays are sparsified, supports checked."""
     if not isinstance(p, SparseDistribution):
         dense = np.asarray(p, dtype=np.float64)
         if dense.shape != (g.vertex_count,):
             raise ValueError("distribution length does not match vertex count")
         p = SparseDistribution.from_dense(dense)
+    _check_support(g, p)
     deg = g.degrees[p.support]
     if np.any(deg == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Cut, Graph, cut_of
+from .graph import Cut, Graph, _count, cut_of
 
 __all__ = [
     "PlantedInstance",
@@ -108,7 +108,7 @@ def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
 
 
 def exact_phi_k(g: Graph, k: int) -> tuple[Fraction, Cut]:
-    """Exhaustive minimum conductance over nonempty sets of volume <= k.
+    """Exhaustive minimum conductance over nonempty sets of volume <= k, an integer.
 
     Exact rational arithmetic throughout; the witness is the
     lexicographically smallest member tuple among the minimizers, so reruns
@@ -121,8 +121,7 @@ def exact_phi_k(g: Graph, k: int) -> tuple[Fraction, Cut]:
         raise ValueError(
             f"exhaustive enumeration refused for n={n} > {_MAX_EXACT_VERTICES}"
         )
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _count(k, "k", 1)
     # zero-degree vertices never help: they leave conductance unchanged and
     # only grow the witness tuple
     candidates = [v for v in range(n) if g.degrees[v] > 0]

@@ -14,6 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs: an (m, 2) array or an iterable.
+        """A graph of an integer vertex count, from (u, v) pairs: an (m, 2) array or an iterable.
 
         The first bad pair in input order raises ValueError (a self-loop as
         such). One sort of min*n+max keys collapses and counts duplicates,
@@ -63,9 +64,7 @@ class Graph:
         the array that becomes ``indices``. Past the pairs, the build peaks
         near 25 bytes an edge, 16 of them that array.
         """
-        n = int(vertex_count)
-        if n < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        n = _count(vertex_count, "vertex_count")
         pairs = _vertex_ids(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
@@ -320,13 +319,30 @@ def _merge(g: Graph, ids: np.ndarray) -> Merge:
                  slot[: ids.size], slot[ids.size :])
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """A count as an int: a Python or NumPy integer, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        if not least:
+            raise ValueError(f"{name} must be nonnegative")
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
+
+
 def _vertex_ids(ids, n: int | None = None) -> np.ndarray:
-    """The ids as int64: an integer dtype or Python ints, in int64, and in [0, n) if n is given."""
-    if (arr := np.asarray(ids)).size and arr.dtype.kind not in "iu":  # a cast would pick other ids
-        if (arr := np.asarray(arr.tolist())).dtype.kind not in "iu":  # as the same list reads
-            wide = np.asarray(ids, dtype=object).flat  # ints past int64 are held so, or as floats
-            if any(type(i) is int and not -(1 << 63) <= i < 1 << 63 for i in wide):
-                raise ValueError("vertex id out of range")
+    """The ids as int64: an integer dtype or ints, no bool, in int64 and in [0, n) if n is given."""
+    if (arr := np.asarray(ids)).dtype.kind == "O":  # an object array reads as the same list
+        arr = np.asarray(ids := arr.tolist())
+    if arr.size and arr.dtype.kind not in "iu":  # a cast would pick other ids
+        wide = np.asarray(ids, dtype=object).flat  # ints past int64 are held so, or as floats
+        if any(type(i) is int and not -(1 << 63) <= i < 1 << 63 for i in wide):
+            raise ValueError("vertex id out of range")
+        raise ValueError("vertex ids must be integers")
+    if arr is not ids and arr.ndim:  # a list: NumPy reads a bool among ints as 0 or 1
+        for _ in range(arr.ndim - 1):
+            ids = chain.from_iterable(ids)
+        if {bool, np.bool_} & set(map(type, ids)):
             raise ValueError("vertex ids must be integers")
     arr = arr.astype(np.int64, copy=False)
     if n is not None and arr.size and arr.view(np.uint64).max() >= n:  # negatives wrap past n

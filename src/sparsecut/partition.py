@@ -39,7 +39,7 @@ import numpy as np
 
 from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _gather_rows, _vertex_ids, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _count, _gather_rows, _vertex_ids, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
 from .walk import _MAX_HORIZON, WalkSchedule, run_walk
 
@@ -72,7 +72,7 @@ def _check_cap(params, formula: str) -> None:
 
 @dataclass(frozen=True)
 class GlobalParams:
-    """Volume budget k, tradeoff exponent, and optional horizon override.
+    """Volume budget k (an integer), tradeoff exponent, and optional horizon override.
 
     The exponent is clamped to 0.01 for all derived quantities (cap and
     horizon); larger requests only tighten the returned volume, at the price
@@ -84,8 +84,7 @@ class GlobalParams:
     horizon_override: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
+        _count(self.k, "k", 2)
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.horizon_override is not None:
@@ -117,7 +116,7 @@ class GlobalParams:
 
 @dataclass(frozen=True)
 class LocalParams:
-    """Seed, budget k, conductance target phi, and tradeoff exponent eps.
+    """Seed, budget k (an integer), conductance target phi, and tradeoff exponent eps.
 
     Derived: horizon ceil(eps * ln k / (2 phi)), walk threshold
     k^(-1-eps) / (20 * horizon), volume cap 5 * k^(1+eps), and acceptance
@@ -133,8 +132,7 @@ class LocalParams:
     def __post_init__(self) -> None:
         if _vertex_ids(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
+        _count(self.k, "k", 2)
         if not 0.0 < self.phi <= 1.0:
             raise ValueError("phi must lie in (0, 1]")
         if not math.isfinite(self.epsilon):
@@ -366,8 +364,8 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
 
 
 def tight_volume_exponent(k: int, epsilon: float) -> float:
-    """Reduced exponent eps / (2 ln k); makes k^(1+exponent) <= (1+eps)*k."""
-    return epsilon / (2.0 * math.log(k))
+    """Reduced exponent eps / (2 ln k) of an integer k >= 2; makes k^(1+exponent) <= (1+eps)*k."""
+    return epsilon / (2.0 * math.log(_count(k, "k", 2)))
 
 
 def global_sparsest_cut_tight_volume(g: Graph, k: int, epsilon: float) -> SweepOutcome:
@@ -377,14 +375,12 @@ def global_sparsest_cut_tight_volume(g: Graph, k: int, epsilon: float) -> SweepO
     reduced exponent; the conductance guarantee relaxes to
     O(sqrt(phi_k * ln k / eps)).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    exponent = tight_volume_exponent(k, epsilon)
     if k > sys.float_info.max:  # the cap, at least k, would not be a float
         raise ValueError("k overflows a float")
     if epsilon <= 2.0 * math.log(k) / k:
         raise ValueError("epsilon must exceed 2 ln(k)/k")
-    params = GlobalParams(k=k, epsilon=tight_volume_exponent(k, epsilon))
-    return global_sparsest_cut(g, params)
+    return global_sparsest_cut(g, GlobalParams(k=k, epsilon=exponent))
 
 
 def local_partition(g: Graph, params: LocalParams) -> SweepOutcome:

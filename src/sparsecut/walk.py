@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, Merge, _merge, _vertex_ids
+from .graph import Graph, Merge, _count, _merge, _vertex_ids
 
 __all__ = [
     "SparseDistribution",
@@ -45,11 +45,7 @@ _MAX_HORIZON = 1_000_000  # step limit of every walk and search, as spectral's p
 
 
 def _check_horizon(horizon: int) -> None:
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
-        raise ValueError("horizon must be an integer")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if not horizon <= _MAX_HORIZON:
+    if _count(horizon, "horizon") > _MAX_HORIZON:
         raise ValueError(f"horizon exceeds {_MAX_HORIZON} steps")
 
 
@@ -142,16 +138,20 @@ def lazy_step(g: Graph | Reach, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_support(g: Graph, dist: SparseDistribution) -> None:
+    """A support read on g is strictly increasing and in range, and dist's size is g's."""
+    if ((sup := dist.support)[1:] <= sup[:-1]).any():
+        raise ValueError("support must be strictly increasing")
+    _vertex_ids(sup, g.vertex_count)
+    if dist.size != g.vertex_count:
+        raise ValueError("distribution length does not match vertex count")
+
+
 def _plan_of(g: Graph, dist: SparseDistribution) -> Merge:
     """The merge of dist's support, built once per support array, which is checked then."""
-    sup, plan = dist.support, dist._plan
-    if plan is None or plan.ids is not sup:
-        if (sup[1:] <= sup[:-1]).any():
-            raise ValueError("support must be strictly increasing")
-        _vertex_ids(sup, g.vertex_count)
-        if dist.size != g.vertex_count:
-            raise ValueError("distribution length does not match vertex count")
-        plan = dist._plan = _merge(g, sup)
+    if (plan := dist._plan) is None or plan.ids is not dist.support:
+        _check_support(g, dist)
+        plan = dist._plan = _merge(g, dist.support)
     return plan
 
 

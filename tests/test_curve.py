@@ -275,6 +275,20 @@ def test_curve_checks_pin_their_messages():
         (lambda: envelope_value(Envelope(2.0, 0.1, 1), float("nan")), "x must be nonnegative"),
         (lambda: evaluate(build_curve(g, np.ones(4) / 4), float("nan")), "x=nan outside [0, 6]"),
         (lambda: build_curve(g, np.ones(5)), "distribution length does not match vertex count"),
+        # a sparse input is checked as a walk step checks it: [1, 1] counted
+        # vertex 1 twice, 25 raised IndexError and a size of 7 was taken
+        (
+            lambda: build_curve(g, SparseDistribution([1, 1], [0.5, 0.5], 4)),
+            "support must be strictly increasing",
+        ),
+        (
+            lambda: build_curve(g, SparseDistribution([0, 25], [0.5, 0.5], 4)),
+            "vertex id out of range",
+        ),
+        (
+            lambda: build_curve(g, SparseDistribution([0, 1], [0.5, 0.5], 7)),
+            "distribution length does not match vertex count",
+        ),
     ):
         with raises_message(message):
             call()

@@ -143,7 +143,10 @@ def test_vertex_sets_reject_non_integer_ids(barbell3):
         lambda ids: certify_lower_bound(g, ids, 3),
         lambda ids: find_local_seed(g, ids, params),
     )
-    bad = ([0.5, 1.7], ["1", "2"], np.array([0.0, 1.0]), [True, False], [0, 1.0])
+    bad = (
+        [0.5, 1.7], ["1", "2"], np.array([0.0, 1.0]), [True, False], [0, 1.0],
+        [0, True], (2, False), np.array([0, True], dtype=object),  # was the set {0, 1}
+    )
     for call in calls:
         for ids in bad:
             with raises_message("vertex ids must be integers"):
@@ -706,6 +709,10 @@ def test_ids_past_int64_are_out_of_range(barbell3):
         lambda: cut_of(g, [1 << 40, 0.5]),
         lambda: Graph.from_edges(3, np.array([(0, 1), (1, 2.0)], dtype=object)),
         lambda: Graph.from_edges(3, np.array([(False, True)], dtype=object)),
+        # a bool among ints: NumPy reads it as 0 or 1 in an int64 array
+        lambda: Graph.from_edges(3, np.array([(0, True)], dtype=object)),
+        lambda: Graph.from_edges(3, [(0, 1), (1, True)]),
+        lambda: Graph.from_edges(3, [[0, np.True_]]),
     ):
         with raises_message("vertex ids must be integers"):
             call()

@@ -172,8 +172,8 @@ def unpinned_messages(library: dict[str, str], tests: list[str]) -> list[str]:
     """Messages of the library's PINNED_ERRORS raises that no test string holds.
 
     A message is the raise's first argument when it is a string literal, or
-    the leading literal of an f-string; a message passed in a variable is
-    not seen.
+    the first literal of an f-string, wherever it sits; a message passed in
+    a variable is not seen.
     """
     pinned = [
         node.value
@@ -193,8 +193,8 @@ def unpinned_messages(library: dict[str, str], tests: list[str]) -> list[str]:
             ):
                 continue
             message = call.args[0]
-            if isinstance(message, ast.JoinedStr) and message.values:
-                message = message.values[0]
+            if isinstance(message, ast.JoinedStr):
+                message = next((v for v in message.values if isinstance(v, ast.Constant)), None)
             if isinstance(message, ast.Constant) and isinstance(message.value, str):
                 if not any(message.value in text for text in pinned):
                     found.append(f"{module} line {node.lineno}: {message.value}")
@@ -214,6 +214,7 @@ def test_checker_flags_an_unpinned_message():
             "def k(t):\n    raise CertificateViolation(f'kept too little at step {t}')\n\n"
             "def m(x):\n    raise ConvergenceError('lost it', x)\n"
         ),
+        "d.py": "def c(name):\n    raise ValueError(f'{name} must be pinned')\n",
     }
     tests = ["def test_h():\n    with raises_message('pinned'):\n        h()\n"]
     assert unpinned_messages(library, tests) == [
@@ -222,6 +223,7 @@ def test_checker_flags_an_unpinned_message():
         "a.py line 7: n=",
         "c.py line 2: kept too little at step ",
         "c.py line 5: lost it",
+        "d.py line 2:  must be pinned",
     ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsecut import (
+    Envelope,
     GlobalParams,
     LocalParams,
     SparseDistribution,
@@ -15,12 +16,15 @@ from sparsecut import (
     complete,
     cut_of,
     erdos_renyi,
+    exact_phi_k,
+    global_sparsest_cut_tight_volume,
     lazy_step,
     local_partition,
     path,
     restricted_eigenpair,
     ring_of_cliques,
     run_walk,
+    tight_volume_exponent,
     truncated_step,
 )
 from sparsecut.graph import Graph, Merge, _gather_rows, prefix_cut_profile
@@ -429,6 +433,7 @@ def test_walk_checks_pin_their_messages():
 
 
 NOT_INTS, NO_HORIZON = "vertex ids must be integers", "horizon must be an integer"
+NO_K, NAN = "k must be an integer", float("nan")
 # each kind of integer input fed a bool, a float and values out of range, with their messages
 INTEGER_CASES = {
     "seed": [(True, NOT_INTS), (1.0, NOT_INTS), (1.5, NOT_INTS), (20, "seed out of range")],
@@ -450,6 +455,24 @@ INTEGER_CASES = {
         (20, "vertex id out of range"),
         (-1, "vertex id out of range"),
     ],
+    # counts: k = 22.5 once returned a cut, nan died in NumPy or gave phi = 0,
+    # and vertex counts True, 1.5 and "3" built 1, 1 and 3 vertices
+    "k": [(True, NO_K), (22.5, NO_K), (NAN, NO_K), ("3", NO_K), (1, "k must be at least 2")],
+    "oracle-k": [(True, NO_K), (1.5, NO_K), (NAN, NO_K), ("3", NO_K), (0, "k must be at least 1")],
+    "steps": [
+        (True, "steps must be an integer"),
+        (1.5, "steps must be an integer"),
+        (NAN, "steps must be an integer"),
+        ("3", "steps must be an integer"),
+        (-1, "steps must be nonnegative"),
+    ],
+    "vertex_count": [
+        (True, "vertex_count must be an integer"),
+        (1.5, "vertex_count must be an integer"),
+        (NAN, "vertex_count must be an integer"),
+        ("3", "vertex_count must be an integer"),
+        (-1, "vertex_count must be nonnegative"),
+    ],
 }
 INTEGER_INPUTS = {
     "run_walk-exact": ("seed", lambda g, s: run_walk(g, s, WalkSchedule(2))),
@@ -470,6 +493,16 @@ INTEGER_INPUTS = {
         lambda g, v: truncated_step(g, SparseDistribution([v], [1.0], g.vertex_count), 1e-3),
     ),
     "restricted_eigenpair": ("id", lambda g, v: restricted_eigenpair(g, [v])),
+    "GlobalParams-k": ("k", lambda g, k: GlobalParams(k=k, epsilon=0.5, horizon_override=3)),
+    "LocalParams-k": ("k", lambda g, k: LocalParams(seed=0, k=k, phi=0.1, epsilon=0.5)),
+    "global_sparsest_cut_tight_volume": (
+        "k",
+        lambda g, k: global_sparsest_cut_tight_volume(g, k, 0.5),
+    ),
+    "tight_volume_exponent": ("k", lambda g, k: tight_volume_exponent(k, 0.5)),
+    "exact_phi_k": ("oracle-k", lambda g, k: exact_phi_k(g, k)),
+    "Envelope": ("steps", lambda g, t: Envelope(cap=10.0, phi1=0.5, steps=t)),
+    "from_edges": ("vertex_count", lambda g, n: Graph.from_edges(n, [(0, 1)])),
 }
 
 
