@@ -49,8 +49,7 @@ def ring_of_cliques(r: int, s: int) -> PlantedInstance:
     vertex of clique i to the first vertex of clique i+1. The planted set is
     clique 0, with conductance exactly 2 / (s*(s-1) + 2).
     """
-    if r < 3 or s < 3:
-        raise ValueError("need r >= 3 and s >= 3")
+    r, s = _count(r, "r", 3), _count(s, "s", 3)
     edges: list[tuple[int, int]] = []
     for i in range(r):
         edges.extend(combinations(range(i * s, (i + 1) * s), 2))
@@ -63,8 +62,7 @@ def ring_of_cliques(r: int, s: int) -> PlantedInstance:
 
 def barbell(s: int) -> PlantedInstance:
     """Two cliques of size s joined by one bridge; one clique is planted."""
-    if s < 3:
-        raise ValueError("need s >= 3")
+    s = _count(s, "s", 3)
     edges = [*combinations(range(s), 2), *combinations(range(s, 2 * s), 2)]
     edges.append((s - 1, s))
     g = Graph.from_edges(2 * s, edges)
@@ -74,14 +72,12 @@ def barbell(s: int) -> PlantedInstance:
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _count(n, "n", 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _count(n, "n", 1)
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
@@ -91,8 +87,7 @@ _MAX_EXACT_VERTICES = 22  # exact_phi_k's enumeration cap
 
 def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     """G(n, p) with a fixed seed; disconnected samples are kept (``connected`` is False)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _count(n, "n", 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(rng_seed)

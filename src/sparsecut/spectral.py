@@ -4,10 +4,11 @@ For a connected vertex set S, the walk restricted to S has a positive
 principal eigenvector. Writing lambda_S = 2 * (1 - spectral_radius), the
 degree-weighted eigenvector yields a start distribution whose mass inside S
 decays no faster than (1 - lambda_S/2)^t, and lambda_S never exceeds the
-conductance of S. Both facts are checked here numerically. The best
-single-vertex start is located by one degree-weighted walk from S, which by
-reversibility gives every start's retention at once, and one confirming
-walk from the chosen vertex.
+conductance of S. Both facts are checked here numerically. The eigenpair is
+the top Ritz pair of a Lanczos solve from sqrt(degree), which ends within |S|
+steps (Lanczos 1950; Paige 1971). The best single-vertex start is located
+by one degree-weighted walk from S, which by reversibility gives every
+start's retention at once, and one confirming walk from the chosen vertex.
 
 A walk of T steps from S, read on S, steps at step t < T only the arcs into
 the vertices within r_t = min(t + 1, T - t - 1) hops of S, and S sees the
@@ -43,12 +44,11 @@ __all__ = [
     "best_seed_vertex",
 ]
 
-_MAX_ITERATIONS = 1_000_000  # power-iteration cap of restricted_eigenpair
 _TABLE_CELLS = 1 << 14  # the most cells of one chunk of a walk's table of S's rows
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap; carries the best estimate."""
+    """The eigenvector came out with an entry that is not positive; carries the estimate."""
 
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
@@ -149,13 +149,17 @@ def restricted_eigenpair(
 ) -> LocalEigenpair:
     """Principal eigenpair of the walk restricted to a connected subset.
 
-    Power iteration on the symmetrized restricted walk operator
-    N = (I + D^-1/2 A_S D^-1/2) / 2, which shares eigenvectors with the
-    restricted normalized Laplacian. Converges when successive Rayleigh
-    quotients move by less than tol (relatively) and the residual infinity
-    norm is below tol. Starting from the degree-square-root vector makes the
-    Rayleigh quotient start at 1 - conductance(S)/2 and increase monotonely,
-    so the reported value never exceeds conductance(S) + tol.
+    Lanczos with full reorthogonalization on the symmetrized restricted walk
+    operator N = (I + D^-1/2 A_S D^-1/2) / 2, which shares eigenvectors with
+    the restricted normalized Laplacian, from the unit sqrt(degree) vector.
+    Step j takes the top eigenpair (theta, s) of the j x j tridiagonal; it
+    stops when the Ritz residual beta_j * |s_j| is below tol, or at j = |S|,
+    where the Krylov space is the whole of R^S. The space holds sqrt(degree),
+    whose Rayleigh quotient is 1 - conductance(S)/2, so theta is at least
+    that and the reported value 2(1 - theta) never exceeds conductance(S);
+    by interlacing theta is at most N's spectral radius, so the value is
+    never below the true one. Both hold up to roundoff. An eigenvector with
+    an entry that is not positive raises ConvergenceError.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -171,24 +175,22 @@ def restricted_eigenpair(
         incoming = np.bincount(row_of_arc, weights=scaled[sub.indices], minlength=members.size)
         return 0.5 * vec + 0.5 * (inv_sqrt * incoming)
 
-    y = np.sqrt(deg)
-    y /= np.linalg.norm(y)
-    rho_prev = -np.inf
-    rho = 0.0
-    for _ in range(_MAX_ITERATIONS):
-        z = operator(y)
-        rho = float(y @ z)
-        residual = float(np.max(np.abs(z - rho * y)))
-        if abs(rho - rho_prev) < tol * max(1.0, abs(rho)) and residual < tol:
+    basis = np.sqrt(deg / deg.sum())[None, :]  # the unit sqrt(d) vector, then one row a step
+    alpha, beta = [], []  # the tridiagonal's diagonal and off-diagonal
+    while True:
+        w = operator(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        for _ in range(2):  # full reorthogonalization; twice is enough (Kahan-Parlett)
+            w -= basis.T @ (basis @ w)
+        thetas, ritz = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        rho, s = float(thetas[-1]), ritz[:, -1]
+        b = float(np.linalg.norm(w))
+        if b * abs(s[-1]) < tol or len(alpha) == members.size:  # converged, or the space is spent
             break
-        rho_prev = rho
-        y = z / np.linalg.norm(z)  # z >= y/2 > 0 entrywise, so the norm is at least 1/2
-    else:
-        raise ConvergenceError(
-            f"no convergence within {_MAX_ITERATIONS} iterations",
-            2.0 * (1.0 - rho),
-        )
-    if np.any(y <= 0):
+        beta.append(b)
+        basis = np.vstack([basis, w / b])
+    y = basis.T @ s * np.sign(s[0])  # the sign that meets sqrt(d) positively
+    if not np.all(y > 0):
         raise ConvergenceError("eigenvector lost positivity", 2.0 * (1.0 - rho))
     lam = 2.0 * (1.0 - rho)
     seed = y * np.sqrt(deg)

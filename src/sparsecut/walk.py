@@ -41,7 +41,7 @@ __all__ = [
     "run_walk",
 ]
 
-_MAX_HORIZON = 1_000_000  # step limit of every walk and search, as spectral's power-iteration cap
+_MAX_HORIZON = 1_000_000  # step limit of every walk, search and certificate
 
 
 def _check_horizon(horizon: int) -> None:
@@ -56,7 +56,7 @@ class SparseDistribution:
     ``support`` is sorted and unique; ``mass`` holds the matching positive
     values, except in a step's ``stepped`` output, which lists the whole
     out-support and so may hold underflowed zeros. ``size`` is the ambient
-    vertex count.
+    vertex count, an integer, checked where it is read against an array.
     """
 
     support: np.ndarray
@@ -78,7 +78,7 @@ class SparseDistribution:
         return cls(support=support, mass=dense[support], size=dense.size)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.float64)
+        out = np.zeros(_count(self.size, "size"), dtype=np.float64)
         out[self.support] = self.mass
         return out
 
@@ -143,7 +143,7 @@ def _check_support(g: Graph, dist: SparseDistribution) -> None:
     if ((sup := dist.support)[1:] <= sup[:-1]).any():
         raise ValueError("support must be strictly increasing")
     _vertex_ids(sup, g.vertex_count)
-    if dist.size != g.vertex_count:
+    if _count(dist.size, "size") != g.vertex_count:
         raise ValueError("distribution length does not match vertex count")
 
 

@@ -5,8 +5,8 @@ relative file names (``generate`` prints the paths it was given), and
 compares the sha256 of every file the command writes. A change to the
 library that alters one of these bytes changes what users see; such a
 change re-records the digest and says why. ``certify`` is left out: its
-power iteration takes BLAS dot products, whose rounding can differ by
-machine.
+eigenpair comes from BLAS dot products and LAPACK's ``eigh``, whose rounding
+can differ by machine.
 """
 
 import hashlib

@@ -161,11 +161,21 @@ def test_erdos_renyi_chunks_match_bulk_draw(monkeypatch, chunk):
 
 def test_generator_checks_pin_their_messages():
     for call, message in (
-        (lambda: ring_of_cliques(2, 3), "need r >= 3 and s >= 3"),
-        (lambda: barbell(2), "need s >= 3"),
-        (lambda: path(0), "need n >= 1"),
-        (lambda: complete(0), "need n >= 1"),
-        (lambda: erdos_renyi(0, 0.5, rng_seed=1), "need n >= 1"),
+        (lambda: ring_of_cliques(2, 3), "r must be at least 3"),
+        (lambda: ring_of_cliques(3, 2), "s must be at least 3"),
+        (lambda: ring_of_cliques(3.5, 3), "r must be an integer"),
+        (lambda: ring_of_cliques(3, True), "s must be an integer"),
+        (lambda: barbell(2), "s must be at least 3"),
+        (lambda: barbell(3.0), "s must be an integer"),
+        (lambda: path(0), "n must be at least 1"),
+        (lambda: path(True), "n must be an integer"),
+        (lambda: path(2.5), "n must be an integer"),
+        (lambda: path(float("nan")), "n must be an integer"),
+        (lambda: complete(0), "n must be at least 1"),
+        (lambda: complete(True), "n must be an integer"),
+        (lambda: erdos_renyi(0, 0.5, rng_seed=1), "n must be at least 1"),
+        (lambda: erdos_renyi(4.5, 0.5, rng_seed=1), "n must be an integer"),
+        (lambda: erdos_renyi(True, 0.5, rng_seed=1), "n must be an integer"),
         (lambda: erdos_renyi(4, 1.5, rng_seed=1), "p must lie in [0, 1]"),
         (lambda: exact_phi_k(path(4), 0), "k must be at least 1"),
         (lambda: exact_phi_k(path(23), 1), "exhaustive enumeration refused for n=23 > 22"),
@@ -174,3 +184,4 @@ def test_generator_checks_pin_their_messages():
     ):
         with raises_message(message):
             call()
+    assert ring_of_cliques(np.int64(3), np.int64(3)).graph.vertex_count == 9  # NumPy counts

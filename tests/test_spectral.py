@@ -291,8 +291,8 @@ def test_certificate_violation_is_a_real_error():
 
 
 def test_non_finite_tolerance_is_rejected():
-    # NaN made every margin check pass and sent the eigenpair spinning to its
-    # iteration cap; an infinite tolerance certifies nothing
+    # a NaN tolerance would pass every margin check and never stop the
+    # eigenpair's solve; an infinite tolerance certifies nothing
     g = ring_of_cliques(4, 5).graph
     for tol in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive"):
@@ -594,14 +594,41 @@ def test_reach_orders_hops_past_255():
         assert assert_reach_is_plain(g, np.array(members), horizon) < g.vertex_count
 
 
-def test_power_iteration_cap_raises_with_its_estimate(monkeypatch):
-    # no iterate converges at once: the first Rayleigh quotient has none before it
-    monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
-    g = ring_of_cliques(4, 5).graph
-    message = "^no convergence within 1 iterations$"
-    with pytest.raises(spectral.ConvergenceError, match=message) as info:
-        restricted_eigenpair(g, range(5))
-    assert np.isfinite(info.value.estimate) and 0.0 <= info.value.estimate <= 2.0
+def test_lanczos_ends_within_the_set_size_on_a_long_path(monkeypatch):
+    # lambda_S = 1.9e-4 on this stretch of a path: the solve must not take
+    # about 1/lambda_S steps. It applies the operator (one weighted bincount)
+    # at most |S| times, and still meets a dense oracle and the conductance
+    g, members = path(400), range(100, 260)
+    calls = []
+    real = np.bincount
+
+    def counted(x, weights=None, minlength=0):
+        calls.append(weights is not None)
+        return real(x, weights, minlength)
+
+    monkeypatch.setattr(spectral.np, "bincount", counted)
+    pair = restricted_eigenpair(g, members, tol=1e-13)
+    monkeypatch.undo()
+    assert 0 < sum(calls) <= len(members)
+    assert pair.value == pytest.approx(dense_lambda(g, members), abs=1e-10)
+    assert pair.value <= cut_of(g, members).conductance + 1e-10
+    assert (pair.vector > 0).all()
+
+
+def test_eigenvalue_below_conductance_on_weakly_knit_sets():
+    # a clique, then three weakly knit sets that took power iteration 10^4
+    # steps and more: the Ritz value is at least sqrt(d)'s Rayleigh quotient,
+    # so lambda never exceeds phi(S)
+    tol = 1e-10
+    cases = [
+        (ring_of_cliques(200, 20).graph, range(20)),
+        (path(400), range(100, 260)),
+        (ring_of_cliques(12, 15).graph, range(15, 150)),
+        (ring_of_cliques(200, 20).graph, range(200)),
+    ]
+    for g, members in cases:
+        pair = restricted_eigenpair(g, members, tol=tol)
+        assert 0 < pair.value <= cut_of(g, members).conductance + tol
 
 
 def grid(side):
@@ -727,9 +754,11 @@ def test_best_start_below_its_guarantee_is_a_violation(monkeypatch):
         best_seed_vertex(complete(2), [0], 3)
 
 
-def test_power_iteration_reports_a_lost_sign(monkeypatch):
-    # every iterate keeps z >= y/2 > 0, so this check guards against a faulty
-    # operator: one whose neighbor sums flip sign converges to a negative vector
+def test_eigenpair_reports_a_lost_sign(monkeypatch):
+    # a true walk operator's top eigenvector is positive, so this check guards
+    # against a faulty one: with its neighbor sums flipped, the top
+    # eigenvector of S = [0, 1] on path(3) alternates in sign, and sqrt(d) =
+    # (1, sqrt 2)/sqrt 3 is not an eigenvector, so the Krylov space holds it
     real = np.bincount
 
     def flipped(x, weights=None, minlength=0):
@@ -738,5 +767,6 @@ def test_power_iteration_reports_a_lost_sign(monkeypatch):
 
     monkeypatch.setattr(spectral.np, "bincount", flipped)
     with pytest.raises(spectral.ConvergenceError, match="^eigenvector lost positivity$") as info:
-        restricted_eigenpair(complete(2), [0, 1])
-    assert info.value.estimate == 4.0  # rho = -1
+        restricted_eigenpair(path(3), [0, 1])
+    # rho = 1/2 + (3/2) / sqrt 2, the flipped operator's top eigenvalue
+    assert info.value.estimate == pytest.approx(1 - 3 / np.sqrt(2), abs=1e-12)

@@ -325,6 +325,19 @@ def test_sparse_step_rejects_vertices_outside_the_graph():
         assert stepped.total() == kept.total() == 1.0
 
 
+def test_distribution_size_is_read_as_a_count():
+    # a float or bool size constructs, but is refused where it is read: by
+    # to_dense (numpy raised TypeError) and against a graph (True passed as 1)
+    for size in (4.5, True, float("nan")):
+        dist = SparseDistribution([0], [1.0], size)
+        with raises_message("size must be an integer"):
+            dist.to_dense()
+        for g in (path(1), path(4)):
+            with raises_message("size must be an integer"):
+                truncated_step(g, dist, 0.0)
+    assert SparseDistribution([0], [1.0], np.int64(2)).to_dense().tolist() == [1.0, 0.0]
+
+
 def walk_cases():
     """(graph, start) pairs: ER graphs, a relabelled ring of cliques, an
     isolated vertex that carries mass, and subnormal masses."""
