@@ -7,9 +7,9 @@ and reports not-found when nothing beats the acceptance threshold
 8*sqrt(phi/eps); both caps stop short of the whole graph. All tie-breaking
 is total, so identical inputs always return the identical outcome. The
 local driver's walk, orders, profiles and cut touch only the walk's support
-and its neighbors. The sweep reads each step as it is taken and orders and
-profiles it through its walk plan, so memory follows the support, plus a
-pair a step.
+and its neighbors. The sweep reads the walk as it steps, orders each run of
+steps that share one walk plan at once and profiles through the plan, so
+memory is the support times a bounded run, plus a pair a step.
 
 The global driver keeps the winner's members and one block of B seeds, n x B
 walks of at most ``BLOCK_ARCS`` cells and swept arcs, a seed a column, each
@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,6 +58,9 @@ __all__ = [
 # Cells and swept arcs in one n x B global-search block: its arrays take a few times 8x this
 # many bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
+# Cells, steps times support vertices, in one run of sparse steps that the sweep orders at
+# once: a run's arrays take a few times 8x this many bytes, whatever the horizon.
+RUN_CELLS = 1 << 12
 
 
 def _check_cap(params, formula: str) -> None:
@@ -206,6 +208,47 @@ def _select(boundaries: np.ndarray, volumes: np.ndarray) -> int:
     return best
 
 
+def _ranks_below(key: tuple, best: tuple | None) -> bool:
+    """Whether a candidate (boundary, volume, *ties) ranks below ``best``, if there is one:
+    by conductance, compared exactly by cross-multiplying, then by volume, then the ties."""
+    if best is None:
+        return True
+    (bd, vol, *ties), (best_bd, best_vol, *best_ties) = key, best
+    return (bd * best_vol, vol, *ties) < (best_bd * vol, best_vol, *best_ties)
+
+
+def _ordered_runs(g: Graph, trajectory: Iterable) -> Iterator[tuple]:
+    """The trajectory's steps in blocks (first step, merge, orders, prefix volumes), a row a step.
+
+    A dense step is a block alone, ordered by its curve, with merge None. A
+    run of sparse steps that share one walk plan, up to ``RUN_CELLS`` cells,
+    is one block ordered at once: one stable argsort of -p/d by rows gives
+    each row ``build_curve``'s order of its step.
+    """
+
+    def ordered(end: int) -> tuple:  # the run of the steps before ``end``
+        rank = (-np.array(run) / plan.deg).argsort(axis=1, kind="stable")
+        return end - len(run), plan, plan.ids[rank], plan.deg[rank].cumsum(axis=1)
+
+    run: list[np.ndarray] = []  # the masses of the run's steps
+    for t, dist in enumerate(trajectory):
+        merge = walk._plan_of(g, dist) if isinstance(dist, walk.SparseDistribution) else None
+        if run and (merge is not plan or (len(run) + 1) * max(plan.ids.size, 1) > RUN_CELLS):
+            yield ordered(t)
+            run = []
+        if merge is None:
+            curve = build_curve(g, dist)
+            order = curve.vertex_order
+            yield t, None, order[None], curve.x[None, 1 : order.size + 1]
+        elif merge.isolated:
+            raise ValueError("mass on a zero-degree vertex has no volume ordering")
+        else:
+            plan = merge
+            run.append(dist.mass)
+    if run:
+        yield ordered(t + 1)
+
+
 def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     """Lowest-conductance level set across all steps of a trajectory.
 
@@ -214,43 +257,36 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     Work is the trajectory's ``total_work`` after the pass (0 for a list);
     the outcome records per-step minima. A step whose capped order equals
     the previous step's has the same prefixes, so it repeats that step's
-    minimum without a profile: being later, it cannot win. A sparse step is
-    ordered (``build_curve``'s order: a stable sort of -p/d over the ascending
-    support) and profiled through its walk plan, built here if it has none.
+    minimum without a profile: being later, it cannot win. Sparse steps are
+    read in runs that share one walk plan (built here if a step has none),
+    up to ``RUN_CELLS`` cells, and each run is ordered at once
+    (``build_curve``'s order: a stable sort of -p/d over the ascending
+    support); each step whose capped order changed is profiled through the
+    plan. Memory is the support times the bounded run, plus a pair a step.
     """
     if not vol_cap >= 1:
         raise ValueError("vol_cap must be at least 1")
-    best_key: tuple[Fraction, int, int, int] | None = None
-    best_order = None
+    best_key = best_members = capped = None
     step_min: list[tuple[int, int] | None] = []
-    capped = None
-    for t, dist in enumerate(trajectory):
-        if isinstance(dist, walk.SparseDistribution):
-            merge = walk._plan_of(g, dist)
-            if merge.isolated:
-                raise ValueError("mass on a zero-degree vertex has no volume ordering")
-            rank = (-dist.mass / merge.deg).argsort(kind="stable")
-            order, prefix_volumes = merge.ids[rank], merge.deg[rank].cumsum()
-        else:
-            merge, curve = None, build_curve(g, dist)
-            order, prefix_volumes = curve.vertex_order, curve.x[1 : curve.vertex_order.size + 1]
+    for t0, merge, orders, prefix_volumes in _ordered_runs(g, trajectory):
         # the prefixes that fit the cap; a prefix's profile does not depend
         # on the vertices after it
-        c = int(prefix_volumes.searchsorted(vol_cap, side="right"))
-        if capped is not None and capped.size == c and (capped == order[:c]).all():
-            step_min.append(step_min[-1])
-            continue
-        capped = order[:c]
-        if c == 0:
-            step_min.append(None)
-            continue
-        volumes, boundaries = prefix_cut_profile(g, capped, merge)
-        j = _select(boundaries, volumes)
-        bd, vol = int(boundaries[j]), int(volumes[j])
-        step_min.append((bd, vol))
-        key = (Fraction(bd, vol), vol, t, j + 1)
-        if best_key is None or key < best_key:
-            best_key, best_order = key, order
+        counts = (prefix_volumes <= vol_cap).sum(axis=1)
+        repeats = (counts[1:] == counts[:-1]) & (
+            (orders[1:] == orders[:-1]) | (np.arange(orders.shape[1]) >= counts[1:, None])
+        ).all(axis=1)
+        first = capped is not None and np.array_equal(capped, orders[0, : counts[0]])
+        for r, (c, repeat) in enumerate(zip(counts.tolist(), [first, *repeats.tolist()])):
+            if repeat or c == 0:
+                step_min.append(step_min[-1] if repeat else None)
+                continue
+            volumes, boundaries = prefix_cut_profile(g, orders[r, :c], merge)
+            j = _select(boundaries, volumes)
+            key = (int(boundaries[j]), int(volumes[j]), t0 + r, j + 1)
+            step_min.append(key[:2])
+            if _ranks_below(key, best_key):
+                best_key, best_members = key, orders[r, : j + 1].copy()
+        capped = orders[-1, : counts[-1]]
     if not step_min:
         raise ValueError("trajectory must be nonempty")
     work = int(getattr(trajectory, "total_work", 0))  # complete only after the pass
@@ -258,7 +294,7 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
         return SweepOutcome(best=None, origin=None, work=work, step_min_cut=step_min)
     _, _, t, j = best_key
     origin = Origin(seed=None, step=t, prefix=j)
-    return SweepOutcome(cut_of(g, best_order[:j]), origin, work, step_min_cut=step_min)
+    return SweepOutcome(cut_of(g, best_members), origin, work, step_min_cut=step_min)
 
 
 def _block_candidates(
@@ -349,8 +385,8 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
             if row.size:
                 pick = _select(boundaries, volumes)
                 bd, vol, i, j = (int(a[pick]) for a in (boundaries, volumes, row, size))
-                key = (Fraction(bd, vol), vol, t, j, first + i)
-                if best_key is None or key < best_key:
+                key = (bd, vol, t, j, first + i)
+                if _ranks_below(key, best_key):
                     best_key, best_members = key, order[i, :j].copy()
             if t < params.horizon:
                 work += int(np.dot(positive, degrees).sum())
@@ -416,5 +452,5 @@ def find_local_seed(g: Graph, members, params: LocalParams) -> int:
         raise ValueError("set volume exceeds the budget k")
     if target.conductance > params.phi:
         raise ValueError("set conductance exceeds the target phi")
-    vertex, _ = best_seed_vertex(g, members, params.horizon)
+    vertex, _ = best_seed_vertex(g, members, params.horizon, _cut=target)
     return vertex

@@ -72,6 +72,14 @@ class SparseDistribution:
             raise ValueError("support and mass lengths differ")
 
     @classmethod
+    def _checked(cls, support, mass, size, plan: Merge | None = None) -> "SparseDistribution":
+        """A distribution of arrays already in form (int64 ids, float64 masses of one shape),
+        made without ``__post_init__``'s conversions and checks; ``plan`` merges ``support``."""
+        dist = cls.__new__(cls)
+        dist.support, dist.mass, dist.size, dist._plan = support, mass, size, plan
+        return dist
+
+    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseDistribution":
         dense = np.asarray(dense, dtype=np.float64)
         support = np.flatnonzero(dense)
@@ -168,8 +176,10 @@ def truncated_step(
     support: one sort of the support and its arc targets (``graph.Merge``)
     gives the output support and each term's slot in it. This plan is built
     once per support array (which must be strictly increasing); ``kept``
-    shares the array and the plan when it keeps the same set. Threshold 0
-    keeps every vertex with mass and matches the exact step bit for bit.
+    shares the array and the plan when it keeps the same set. Both outputs
+    are built from the plan's checked arrays, so neither is checked again.
+    Threshold 0 keeps every vertex with mass and matches the exact step bit
+    for bit.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
@@ -183,13 +193,12 @@ def truncated_step(
     out_mass[slot] += 0.5 * mass
     if plan.isolated:
         out_mass[slot[deg == 0]] += 0.5 * mass[deg == 0]
-    stepped = SparseDistribution(plan.union, out_mass, dist.size)
+    stepped = SparseDistribution._checked(plan.union, out_mass, dist.size)
     keep = out_mass >= threshold * plan.union_deg if threshold else out_mass > 0
     if np.count_nonzero(keep) == plan.ids.size and keep[slot].all():  # the same set
-        kept = SparseDistribution(plan.ids, out_mass[slot], dist.size)
-        kept._plan = plan
+        kept = SparseDistribution._checked(plan.ids, out_mass[slot], dist.size, plan)
     else:
-        kept = SparseDistribution(plan.union[keep], out_mass[keep], dist.size)
+        kept = SparseDistribution._checked(plan.union[keep], out_mass[keep], dist.size)
     return stepped, kept
 
 

@@ -42,7 +42,7 @@ def test_tracer_sees_local_query_layers(monkeypatch):
     profile, profiles = partition.prefix_cut_profile, []
 
     def counting(*args):
-        profiles.append(1)
+        profiles.append((len(args[1]), int(g.degrees[args[1]].sum())))
         return profile(*args)
 
     with monkeypatch.context() as patch:
@@ -58,7 +58,9 @@ def test_tracer_sees_local_query_layers(monkeypatch):
     assert any(span[0] == "partition.sweep" for span in t.spans)
     # every profile the sweep makes passes through the hook
     assert t.counters["graph.prefix_cut_profile.calls"] == len(profiles) > 0
-    assert t.counters["graph.prefixes_examined"] > 0
+    # and counts its prefixes, none past the cap
+    assert t.counters["graph.prefixes_examined"] == sum(size for size, _ in profiles) == 34
+    assert max(volume for _, volume in profiles) <= g.total_volume - 1 < params.volume_cap
     assert (traced.best, traced.origin, traced.work) == (plain.best, plain.origin, plain.work)
     assert traced.step_min_cut == plain.step_min_cut
     assert [getattr(module, attr) for module, attr, _, _ in tracer.HOOKS] == originals

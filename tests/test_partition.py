@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +31,7 @@ from sparsecut import (
     tight_volume_exponent,
     write_edge_list,
 )
-from sparsecut import graph, partition, walk
+from sparsecut import graph, partition, spectral, walk
 from sparsecut.graph import Graph, _gather_rows, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
@@ -332,6 +333,21 @@ def test_find_local_seed_validates_budget(barbell3):
     params = LocalParams(seed=0, k=5, phi=0.5, epsilon=0.9)
     with pytest.raises(ValueError, match="volume"):
         find_local_seed(g, [0, 1, 2], params)  # vol 7 > k = 5
+
+
+def test_find_local_seed_makes_the_set_cut_once(monkeypatch):
+    # the cut that checks the set's volume and conductance also gives the
+    # seed search its escape bound: one cut_of per find_local_seed
+    g = ring_of_cliques(200, 20).graph
+    params = LocalParams(seed=0, k=382, phi=2 / 382, epsilon=0.2)
+    calls = []
+    for module in (partition, spectral):
+        real = module.cut_of
+        monkeypatch.setattr(module, "cut_of", lambda g, m, real=real: calls.append(1) or real(g, m))
+    for members, phi in ((range(20, 40), params.phi), (range(40, 60), 1.0), ([5], 1.0)):
+        calls.clear()
+        assert find_local_seed(g, members, dataclasses.replace(params, phi=phi)) in members
+        assert len(calls) == 1
 
 
 def test_volume_cap_never_violated_across_grid():
@@ -818,6 +834,13 @@ def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
     point = SparseDistribution([0], [1.0], 11)  # the hub alone: nothing fits a cap of 5
     leaves = SparseDistribution([0, 3, 4], [0.2, 0.3, 0.5], 11)
     trajectories = [(star, [leaves, point, leaves, leaves, point, point, leaves], 5)]
+    # one plan, two orders that agree up to the shorter capped order: [0, 1, 2] fits a cap
+    # of 7, [0, 1, 3] does not, so the second order's count of 2 repeats nothing
+    hooked = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (2, 3)] + [(3, v) for v in range(4, 8)])
+    triangle = SparseDistribution([0, 1, 2, 3], [0.4, 0.3, 0.3, 0.25], 8)
+    hub_third = SparseDistribution(triangle.support, [0.4, 0.3, 0.15, 0.5], 8)
+    hub_third._plan = walk._plan_of(hooked, triangle)
+    trajectories.append((hooked, [triangle, hub_third, triangle, hub_third], 7))
     rng = np.random.default_rng(11)
     for seed, truncation in ((5, 1e-4), (hub, 1e-3), (0, 0.0), (9, 2e-3)):
         dists = list(run_walk(g, seed, WalkSchedule(25, truncation)))
@@ -831,8 +854,14 @@ def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
         trajectories.append((g, padded, cap))
         dense = [d.to_dense() if isinstance(d, SparseDistribution) else d for d in padded]
         trajectories.append((g, dense, cap))
+        # dense steps inside runs of one plan
+        trajectories.append((g, [dense[i] if i % 4 == 1 else d for i, d in enumerate(padded)], cap))
         sampled = [padded[i] for i in np.sort(rng.choice(len(padded), 12))]
         trajectories.append((g, sampled, 1.5 * inst.planted.volume))
+    # a walk whose support empties at step 23 and stays empty: one run of empty steps
+    sparse_er = erdos_renyi(2000, 0.004, rng_seed=1)
+    emptied = list(run_walk(sparse_er, 7, WalkSchedule(150, 3e-5)))
+    trajectories.append((sparse_er, emptied, 5000))
     profiled = []
 
     def recording(g, order, merge=None):
@@ -841,6 +870,7 @@ def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
 
     monkeypatch.setattr(partition, "prefix_cut_profile", recording)
     swept = 0
+    refs = []
     for graph, trajectory, vol_cap in trajectories:
         out = sweep(graph, trajectory, vol_cap)
         ref = reference_sweep(graph, trajectory, vol_cap)
@@ -849,12 +879,41 @@ def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
         assert out.work == ref.work
         assert out.step_min_cut == ref.step_min_cut
         swept += sum(m is not None for m in ref.step_min_cut)
+        refs.append(ref)
     assert len(profiled) < swept // 2
     # the star trajectory: c = 0 between equal orders, then a repeated c = 0
     star_out = sweep(star, trajectories[0][1], 5)
     assert star_out.step_min_cut[1] is None and star_out.step_min_cut[5] is None
     assert star_out.step_min_cut[0] == star_out.step_min_cut[2] is not None
     assert star_out.origin.step == 0
+    empty = [d.support.size == 0 for d in emptied].index(True)
+    assert 0 < empty < 40 and all(d.support.size == 0 for d in emptied[empty:])
+    assert refs[-1].step_min_cut[empty:] == [None] * (151 - empty)
+    # runs cut short by the cell bound: a bound of k * s cells cuts each run
+    # of support s to k steps, so the next run starts on the same plan
+    blocks = []
+    runs = partition._ordered_runs
+
+    def recording_blocks(g, trajectory):
+        for block in runs(g, trajectory):
+            blocks.append(block[2].shape)
+            yield block
+
+    monkeypatch.setattr(partition, "_ordered_runs", recording_blocks)
+    longest = set()
+    for (graph, trajectory, vol_cap), ref in zip(trajectories, refs):
+        sizes = {d.support.size for d in trajectory if isinstance(d, SparseDistribution)}
+        for k, s in itertools.product((1, 2, 3), sizes):
+            monkeypatch.setattr(partition, "RUN_CELLS", k * max(s, 1))
+            blocks.clear()
+            out = sweep(graph, trajectory, vol_cap)
+            assert (out.best, out.origin, out.work) == (ref.best, ref.origin, ref.work)
+            assert out.step_min_cut == ref.step_min_cut
+            assert sum(rows for rows, _ in blocks) == len(trajectory)
+            run = max(rows for rows, cols in blocks if cols == s)
+            assert run <= k
+            longest.add(run)
+    assert longest == {1, 2, 3}
 
 
 def test_local_query_reuses_plans_and_profiles(monkeypatch):
