@@ -83,7 +83,7 @@ def build_curve(g: Graph, p: np.ndarray | SparseDistribution) -> LSCurve:
     deg = g.degrees[p.support]
     if np.any(deg == 0):
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
-    rank = np.lexsort((p.support, -(p.mass / deg)))
+    rank = (-(p.mass / deg)).argsort(kind="stable")  # ties by id: the support ascends
     order = p.support[rank]
     # a last step of no mass runs the curve flat to the total volume, if short
     xs = np.cumsum(np.concatenate(([0], deg[rank], [0])))

@@ -173,6 +173,7 @@ def _is_connected(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
 
 
 _BLOCK_CHARS = 1 << 20  # a bulk-scan block's size; its arrays take about 12 times this
+_ID_BLOCK = 1 << 14  # ids that the relabel reads or writes at once
 
 
 def _scan_edge_list(text: str) -> np.ndarray | None:
@@ -222,16 +223,21 @@ def _scan_edge_list(text: str) -> np.ndarray | None:
 
 
 def _first_seen_labels(raw: np.ndarray) -> int:
-    """Relabel raw ids in place to 0..n-1 by the rank of each id's first position; return n."""
+    """Relabel raw ids in place to 0..n-1 by the rank of each id's first position; return n.
+    Past the ids and their argsort, it holds a block of ``_ID_BLOCK`` ids and a few of n."""
     flat = raw.reshape(-1)
     order = flat.argsort()  # each id's positions in a run, unordered within it
-    ids = flat[order]
-    heads = np.flatnonzero(np.append(ids[:1] == ids[:1], ids[1:] != ids[:-1]))  # run starts
-    del ids
-    first = np.minimum.reduceat(order, heads)  # each distinct id's first position, by id
+    blocks = range(0, order.size, _ID_BLOCK)
+    heads = [s + 1 + np.flatnonzero(np.diff(flat[order[s : s + _ID_BLOCK + 1]])) for s in blocks]
+    heads = np.concatenate([np.arange(min(order.size, 1)), *heads, [order.size]])  # run bounds
+    first = np.minimum.reduceat(order, heads[:-1])  # each distinct id's first position, by id
     label = np.empty_like(first)
     label[first.argsort()] = np.arange(first.size)
-    flat[order] = label.repeat(np.diff(heads, append=order.size))
+    for s in blocks:  # the runs lo..hi-1 meet the block: each puts its part in it
+        e = min(s + _ID_BLOCK, order.size)
+        lo, hi = heads.searchsorted([s + 1, e]) - [1, 0]
+        parts = np.minimum(heads[lo + 1 : hi + 1], e) - np.maximum(heads[lo:hi], s)
+        flat[order[s:e]] = label[lo:hi].repeat(parts)
     return first.size
 
 
@@ -248,7 +254,7 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> Graph:
     scan declines (errors, but also ``+5`` or 19-digit ids) goes to the
     line-by-line parser, which raises the error or reads the odd line. The
     text is dropped once scanned: a bulk load peaks near text + CSR + one
-    block, or at the relabel's three int64 arrays of the ids, if larger.
+    block, or at the relabel's two int64 arrays of the ids, if larger.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped

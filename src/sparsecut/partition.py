@@ -16,15 +16,15 @@ walks of at most ``BLOCK_ARCS`` cells and swept arcs, a seed a column, each
 step one ``lazy_step`` of the block: every column is its seed's own walk bit
 for bit. Each step takes each row's first c vertices in ``build_curve`` order,
 as no prefix past the c smallest degrees fits the cap: a partition finds each
-row's c-th smallest key -p/d and one lexsort orders the entries up to it, so
-no B x n sort runs. A row whose capped order repeats the previous step's is
-not profiled, as ``sweep`` skips a repeated step: its prefixes are the ones it
-had a step earlier, and being later they lose. A prefix's boundary is its
-volume minus the arcs inside it, and an arc is inside every prefix past its
-later endpoint, so one bincount of the later rank of each swept vertex's arcs
-gives every boundary. Candidates, listed by (prefix, row), go through
-``sweep``'s selection: winner, origin and work equal a sweep of each seed's
-walk.
+row's c-th smallest key -p/d, and one stable argsort along rows orders the
+entries up to it, padded to one width, so no B x n sort runs. A row whose
+capped order repeats the previous step's is not profiled, as ``sweep`` skips a
+repeated step: its prefixes are the ones it had a step earlier, and being later
+they lose. A prefix's boundary is its volume minus the arcs inside it, and an
+arc is inside every prefix past its later endpoint, so one bincount of the
+later rank of each swept vertex's arcs gives every boundary. Candidates, listed
+by (prefix, row), go through ``sweep``'s selection: winner, origin and work
+equal a sweep of each seed's walk.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ __all__ = [
     "find_local_seed",
 ]
 
-# Cells and swept arcs in one n x B global-search block: its arrays take a few times 8x this
-# many bytes, whatever the vertex count.
+# Cells and swept arcs in one n x B global-search block, whose padded B x w blocks have w <= n:
+# its arrays take a few times 8x this many bytes, whatever the vertex count.
 BLOCK_ARCS = 1 << 14
 # Cells, steps times support vertices, in one run of sparse steps that the sweep orders at
 # once: a run's arrays take a few times 8x this many bytes, whatever the horizon.
@@ -314,29 +314,30 @@ def _block_candidates(
     Curve order is by key -p/d, ties by id. A partition finds each row's c-th
     smallest key; a zero mass has key -0.0, at or above every positive entry's
     key, so a row with fewer than c positive entries keeps them all. The
-    positive entries at most that key, ties included, go through one lexsort
-    by (row, key, id), and each row keeps its first c. ``capped`` holds each
-    row's capped order at the previous step, -1 past it, and is updated in
-    place: a row whose order repeats adds no candidate, since each of its
-    prefixes is one it had a step earlier, and loses to it. ``positive`` is
-    ``rows > 0``. Past the key and its partition, the arrays hold the kept
-    entries, B x c cells and the arcs of the rows profiled.
+    positive entries at most that key, ties included, are set out in id order
+    in a B x w block, w = max(c, widest row), padded with +inf keys and -1
+    ids, and one stable argsort along rows orders each row's first c.
+    ``capped`` holds each row's capped order at the previous step, -1 past
+    it, and is updated in place: a row whose order repeats adds no candidate,
+    since each of its prefixes is one it had a step earlier, and loses to it.
+    ``positive`` is ``rows > 0``, row-major. Past the key and its partition,
+    the arrays hold the kept entries, B x w cells and the arcs profiled.
     """
     b, n = rows.shape
-    key = rows / -g.degrees  # -0.0 at zero mass: no positive entry's key is larger
+    key = np.divide(rows, -g.degrees, order="C")  # -0.0 at zero mass: no positive key is larger
     kth = max(c, 1) - 1  # for c = 0 any bound does: no place in a row is below 0
     bound = np.partition(key, kth, axis=1)[:, [kth]]  # a copy: the partitioned array is freed
-    flat = np.flatnonzero(positive & (key <= bound))
-    by_key = np.lexsort((key.ravel()[flat], flat // n))  # stable: ids ascend within a key
-    del key  # no B x n float array outlives the selection
-    row, col = np.divmod(flat[by_key], n)
-    pos = np.arange(row.size) - np.searchsorted(row, row)  # place in the row's order
-    top = pos < c
-    row, pos, col = row[top], pos[top], col[top]
-    order = np.full((b, c), -1)
-    volumes = np.zeros((b, c), dtype=g.degrees.dtype)
-    order[row, pos] = col
-    volumes[row, pos] = g.degrees[col]
+    flat = np.flatnonzero(positive & (key <= bound))  # each row's kept entries, ids ascending
+    row = flat // n
+    kept = np.bincount(row, minlength=b)
+    w = max(c, kept.max(initial=0))
+    starts = np.arange(b) * w
+    slot = (starts - kept.cumsum() + kept)[row] + np.arange(flat.size)  # row * w + place
+    keys, ids = np.full(b * w, np.inf), np.full(b * w, -1)
+    keys[slot], ids[slot] = key.ravel()[flat], flat - row * n
+    del key  # the B x n key does not outlive the selection
+    order = ids[keys.reshape(b, w).argsort(axis=1, kind="stable")[:, :c] + starts[:, None]]
+    volumes = np.append(g.degrees, 0)[order]  # a pad's -1 reads the appended 0
     np.cumsum(volumes, axis=1, out=volumes)
     fits = (order >= 0) & (volumes <= cap)
     order[~fits] = -1
@@ -378,7 +379,7 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
         b = min(block, n - first)
         walks, capped = np.eye(n, b, -first), np.full((b, c), -1)  # a seed a column
         for t in range(params.horizon + 1):
-            positive = walks.T > 0
+            positive = np.greater(walks.T, 0, order="C")
             order, row, size, boundaries, volumes = _block_candidates(
                 g, walks.T, c, cap, capped, positive
             )
@@ -389,7 +390,7 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
                 if _ranks_below(key, best_key):
                     best_key, best_members = key, order[i, :j].copy()
             if t < params.horizon:
-                work += int(np.dot(positive, degrees).sum())
+                work += int(positive.sum(axis=0) @ degrees)
                 walks = walk.lazy_step(g, walks)
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work)

@@ -206,12 +206,12 @@ class WalkTrace:
     """Walk from a single-vertex start: one pass over p_0..p_T, each step taken as it is read.
 
     With truncation 0 it yields dense arrays and the walk is exact; otherwise
-    it yields SparseDistributions with the threshold applied after every step
-    (including to the start distribution). The seed is one vertex id,
-    checked by ``graph._vertex_ids`` and the graph's range before any step.
-    A second pass yields nothing. ``touched_volume[t-1]`` is the support
-    volume that step t had to touch, appended as the step is taken, so
-    ``total_work``, their sum, is complete only after the pass.
+    it yields SparseDistributions thresholded after every step and at the
+    start, and an empty one again to the horizon, unstepped. The seed is one
+    vertex id, checked by ``graph._vertex_ids`` and the graph's range before
+    any step. A second pass yields nothing. ``touched_volume[t-1]`` is the
+    support volume that step t had to touch, appended as the step is taken,
+    so ``total_work``, their sum, is complete only after the pass.
     """
 
     def __init__(self, g: Graph, seed: int, schedule: WalkSchedule) -> None:
@@ -239,8 +239,10 @@ class WalkTrace:
             p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
         yield p
         for _ in range(schedule.horizon):
-            prev, p = p, lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
-            # the step built prev's plan, which holds its support volume
+            prev = p
+            if exact or p.support.size:  # an emptied walk stays as it is, with no step to take
+                p = lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
+            # the step built prev's plan, which holds its support volume; an empty one's is 0
             touched.append(int(g.degrees[prev > 0].sum()) if exact else _plan_of(g, prev).volume)
             yield p
 

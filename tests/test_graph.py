@@ -70,6 +70,47 @@ def test_load_compacts_ids_first_seen():
         assert raw.ravel().tolist() == want
 
 
+def test_relabel_in_blocks_equals_first_seen(monkeypatch):
+    # the relabel reads and writes the sorted ids a block at a time: runs of
+    # one id across block boundaries, 18-digit ids, and blocks of one id
+    rng = np.random.default_rng(8)
+    big = rng.integers(10**17, 10**18, size=6)
+    texts = [
+        rng.integers(0, 4, size=(60, 2)),
+        rng.choice(big, size=(45, 2)),
+        rng.integers(0, 10**18, size=(33, 2)),
+        np.full((9, 2), 10**18 - 1),
+        np.empty((0, 2), dtype=np.int64),
+    ]
+    for block in (1, 2, 7, 64, 1 << 14):
+        monkeypatch.setattr(graph_module, "_ID_BLOCK", block)
+        for text in texts:
+            raw = text.copy()
+            seen = {}
+            want = [seen.setdefault(v, len(seen)) for v in raw.ravel().tolist()]
+            assert _first_seen_labels(raw) == len(seen)
+            assert raw.ravel().tolist() == want
+
+
+def test_relabel_peak_is_the_argsort_and_a_block():
+    # 300,000 pairs of 2,000 ids: past the pairs, the relabel holds their
+    # argsort, one block of ids and a few arrays of the 2,000, not a third
+    # array of the ids (the pairs, the argsort and the sorted ids were 2.25x)
+    rng = np.random.default_rng(4)
+    raw = rng.choice(rng.integers(0, 10**18, size=2000), size=(300_000, 2))
+    seen = {}
+    want = [seen.setdefault(v, len(seen)) for v in raw.ravel().tolist()]
+    _first_seen_labels(raw[:10].copy())  # loads what numpy imports lazily
+    tracemalloc.start()
+    try:
+        n = _first_seen_labels(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == len(seen) and raw.ravel().tolist() == want
+    assert peak < 1.3 * raw.nbytes
+
+
 def test_load_rejects_self_loop_with_line():
     with pytest.raises(GraphFormatError) as err:
         load_edge_list(io.StringIO("0 1\n2 2"))

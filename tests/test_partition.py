@@ -561,20 +561,56 @@ def test_block_candidates_select_the_stable_argsort_prefix():
         rows[0] = 0.0 if trial % 5 == 0 else rows[0]  # a row with no mass
         c = int(rng.choice([0, 1, n, int(rng.integers(0, n + 1))]))
         cap = float(rng.choice([g.total_volume, rng.integers(1, g.total_volume + 1)]))
-        order, row, size, boundaries, volumes = partition._block_candidates(
-            g, rows, c, cap, np.full((b, c), -1), rows > 0
-        )
-        want_order, fits, *want = reference_block_candidates(g, rows, c, cap)
-        assert order.shape == (b, c)
-        assert np.array_equal(order, np.where(fits, want_order, -1))
-        for got, expected in zip((row, size, boundaries, volumes), want):
-            assert np.array_equal(got, expected)
-        if cap == g.total_volume:  # every positive entry among the first c fits
-            positive = (rows > 0).sum(axis=1)
-            assert np.array_equal((order >= 0).sum(axis=1), np.minimum(positive, c))
-            short += int((positive < c).any())
+        short += check_block_candidates(g, rows, c, cap)
         checked += 1
     assert checked >= 100 and short >= 20
+    # the padded block: rows whose positive keys all tie (mass in proportion
+    # to degree), so it is as wide as the row; more ties at the bound than c;
+    # and c above every row's kept count, so it is c wide
+    cycle = Graph.from_edges(12, [(v, (v + 1) % 12) for v in range(12)])
+    other = erdos_renyi(40, 0.2, rng_seed=3)
+    for g, c in ((complete(8), 1), (complete(8), 3), (cycle, 3), (cycle, 5), (other, 4)):
+        n = g.vertex_count
+        rows = np.outer([1e-3, 0.5, 2.0, 1.0], g.degrees)
+        rows[1, ::3] = 0.0  # fewer positive entries, all still tied
+        rows[3, 2:4] *= 3.0  # two tied keys below the others: the bound's tie
+        kept = kept_counts(g, rows, c)
+        assert kept.max() == n and kept[1] == n - len(range(0, n, 3)) and kept[3] > c
+        for cap in (g.total_volume, 3.0 * g.degrees.max()):
+            check_block_candidates(g, rows, c, cap)
+    for g in (complete(8), cycle, other):
+        n = g.vertex_count
+        rows = np.zeros((5, n))
+        for i in range(5):  # two positive entries a row, their keys tied in even rows
+            rows[i, [i, n - 1 - i]] = g.degrees[[i, n - 1 - i]] * [0.25, 0.25 * (1 + i % 2)]
+        for c in (3, n - 1, n):
+            assert kept_counts(g, rows, c).max() == 2 < c
+            assert check_block_candidates(g, rows, c, g.total_volume)
+
+
+def kept_counts(g, rows, c):
+    """Each row's count of positive entries whose key is at most its c-th smallest."""
+    key = rows / -g.degrees
+    return ((rows > 0) & (key <= np.sort(key, axis=1)[:, [c - 1]])).sum(axis=1)
+
+
+def check_block_candidates(g, rows, c, cap):
+    """Assert that the block selection equals the reference. Return whether a row has fewer
+    than c positive entries, when the cap lets every one of them fit."""
+    b = rows.shape[0]
+    order, row, size, boundaries, volumes = partition._block_candidates(
+        g, rows, c, cap, np.full((b, c), -1), rows > 0
+    )
+    want_order, fits, *want = reference_block_candidates(g, rows, c, cap)
+    assert order.shape == (b, c)
+    assert np.array_equal(order, np.where(fits, want_order, -1))
+    for got, expected in zip((row, size, boundaries, volumes), want):
+        assert np.array_equal(got, expected)
+    if cap == g.total_volume:  # every positive entry among the first c fits
+        positive = (rows > 0).sum(axis=1)
+        assert np.array_equal((order >= 0).sum(axis=1), np.minimum(positive, c))
+        return bool((positive < c).any())
+    return False
 
 
 def equivalence_cases():
@@ -821,6 +857,37 @@ def test_walk_trace_is_one_pass_that_sweep_reads_as_it_steps(monkeypatch, barbel
         assert (out.best, out.origin, out.step_min_cut) == (ref.best, ref.origin, ref.step_min_cut)
         assert out.work == stream.total_work == trace.total_work > 0
         assert ref.work == 0  # a list carries no accounting
+
+
+def test_walk_stops_stepping_once_its_support_is_empty(monkeypatch):
+    # the vertex-7 walk of erdos_renyi(2000, 0.004) at threshold 3e-5 is
+    # empty from step 23 of 150: it takes 23 truncated steps, not 150, and
+    # yields and counts what a truncated step every time yields and counts
+    g = erdos_renyi(2000, 0.004, rng_seed=1)
+    schedule = WalkSchedule(150, 3e-5)
+    expected, touched = [SparseDistribution([7], [1.0], 2000)], []
+    for _ in range(150):
+        touched.append(expected[-1].support_volume(g))
+        expected.append(walk.truncated_step(g, expected[-1], 3e-5)[1])
+    assert [d.support.size == 0 for d in expected].index(True) == 23
+    steps = []
+    step = walk.truncated_step
+    monkeypatch.setattr(walk, "truncated_step", lambda *args: steps.append(1) or step(*args))
+    trace = run_walk(g, 7, schedule)
+    for got, want in zip(trace, expected, strict=True):
+        assert np.array_equal(got.support, want.support)
+        assert got.mass.tobytes() == want.mass.tobytes()
+    assert len(steps) == 23
+    assert trace.touched_volume == touched and trace.total_work == 36_963
+    out = sweep(g, run_walk(g, 7, schedule), 5000)
+    ref = reference_sweep(g, run_walk(g, 7, schedule), 5000)
+    assert (out.best, out.origin, out.work) == (ref.best, ref.origin, ref.work)
+    assert out.step_min_cut == ref.step_min_cut
+    # a start that the threshold drops takes no step at all
+    steps.clear()
+    dropped = run_walk(g, 7, WalkSchedule(10, 1.0))
+    assert [d.support.size for d in dropped] == [0] * 11
+    assert not steps and dropped.touched_volume == [0] * 10
 
 
 def test_sweep_matches_reference_on_repeated_orders(monkeypatch):
