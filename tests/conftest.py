@@ -1,6 +1,7 @@
 import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,3 +108,12 @@ def dense_walk(g, p0, steps):
 def raises_message(message):
     """pytest.raises for a ValueError whose message is exactly ``message``."""
     return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

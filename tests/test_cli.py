@@ -1,13 +1,12 @@
 import argparse
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
 
 from sparsecut import cli, load_edge_list
 
-from conftest import cli_env
+from conftest import cli_env, traced_peak
 
 PYTHON = sys.executable
 
@@ -168,19 +167,10 @@ def test_curve_holds_one_distribution(tmp_path):
         cwd=tmp_path,
     )
     assert res.returncode == 0, res.stderr
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert cli.main(["-o", out, "curve", str(graph), "--seed", "0", "--steps", "1"]) == 0
-    load = peak(lambda: load_edge_list(graph))
+    _, load = traced_peak(lambda: load_edge_list(graph))
     argv = ["-o", out, "curve", str(graph), "--seed", "0", "--steps", "500"]
-    assert peak(lambda: cli.main(argv)) <= load + 1_000_000
+    assert traced_peak(lambda: cli.main(argv))[1] <= load + 1_000_000
 
 
 def test_certify_output(tmp_path, ring_file):

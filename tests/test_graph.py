@@ -31,7 +31,7 @@ from sparsecut.graph import (
 )
 from sparsecut.walk import SparseDistribution
 
-from conftest import raises_message
+from conftest import raises_message, traced_peak
 
 
 def test_load_triangle():
@@ -109,6 +109,22 @@ def test_relabel_peak_is_the_argsort_and_a_block():
         tracemalloc.stop()
     assert n == len(seen) and raw.ravel().tolist() == want
     assert peak < 1.3 * raw.nbytes
+
+
+def test_relabel_peak_on_ids_seen_twice():
+    # a shuffled path of 300,000 vertices with 15-digit ids: each id is on
+    # two lines, so an array of the distinct ids is half the pairs' bytes;
+    # past the argsort, the relabel holds three at once and read 2.53x (five
+    # read 3.50x)
+    rng = np.random.default_rng(6)
+    ids = rng.choice(9 * 10**14, size=300_000, replace=False) + 10**14
+    raw = np.stack([ids[:-1], ids[1:]], axis=1)[rng.permutation(ids.size - 1)]
+    seen = {}
+    want = [seen.setdefault(v, len(seen)) for v in raw.ravel().tolist()]
+    _first_seen_labels(raw[:10].copy())  # loads what numpy imports lazily
+    n, peak = traced_peak(lambda: _first_seen_labels(raw))
+    assert n == len(seen) == ids.size and raw.ravel().tolist() == want
+    assert peak < 2.6 * raw.nbytes
 
 
 def test_load_rejects_self_loop_with_line():
@@ -578,33 +594,24 @@ def test_block_scan_matches_the_line_parser(monkeypatch, block):
     assert sum(pairs is None for pairs in whole) == 1  # the self-loop declines
 
 
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_bulk_load_peak_is_text_csr_and_one_block(tmp_path):
     g = ring_of_cliques(2000, 20).graph
     path = tmp_path / "ring.txt"
     with open(path, "w") as sink:
         write_edge_list(g, sink)
     assert _scan_edge_list(path.read_text()) is not None  # the bulk path, no fall-back
-    loaded = []
-    peak = traced_peak(lambda: loaded.append(load_edge_list(path)))
-    assert_same_graph(loaded[0], g)
+    loaded, peak = traced_peak(lambda: load_edge_list(path))
+    assert_same_graph(loaded, g)
     # 382k edges: the scan's text (11 bytes an edge) and pairs (16) and one
-    # block's temporaries read 61 bytes an edge; a whole-text scan read 136
-    assert peak < 85 * g.edge_count
+    # 128 KiB block's temporaries read 41 bytes an edge; 1 MiB blocks read
+    # 61, and a whole-text scan 136
+    assert peak < 47 * g.edge_count
 
 
 def test_write_edge_list_peak_is_one_slice(tmp_path):
     g = ring_of_cliques(1000, 20).graph
     with open(tmp_path / "ring.txt", "w") as sink:
-        peak = traced_peak(lambda: write_edge_list(g, sink))
+        _, peak = traced_peak(lambda: write_edge_list(g, sink))
     # 191k lines: int64 arrays of the edges and one slice of 65k lines'
     # strings read 85 bytes an edge; one join of every line read 166
     assert peak < 120 * g.edge_count
@@ -662,7 +669,7 @@ def test_from_edges_million_random_edges():
 # --- connectivity -------------------------------------------------------------
 
 
-def test_connectivity_matches_dfs():
+def connectivity_cases():
     rng = np.random.default_rng(12)
     cases = [
         Graph.from_edges(0, []),
@@ -683,12 +690,57 @@ def test_connectivity_matches_dfs():
     for trial in range(40):
         n = int(rng.integers(2, 60))
         cases.append(erdos_renyi(n, float(rng.uniform(0.0, 0.15)), rng_seed=trial))
+    return cases
+
+
+def test_connectivity_matches_dfs():
     flags = []
-    for g in cases:
+    for g in connectivity_cases():
         flags.append(_is_connected(g.vertex_count, g.indptr, g.indices))
         assert flags[-1] is g.connected
         assert flags[-1] == dfs_connected(g.vertex_count, g.indptr, g.indices)
     assert 10 < sum(flags) < len(flags) - 10
+
+
+def shuffled_path(n, rng, cut=None):
+    """A path through a random order of n vertices; with ``cut``, less that edge."""
+    perm = rng.permutation(n)
+    pairs = np.stack([perm[:-1], perm[1:]], axis=1)
+    return Graph.from_edges(n, pairs if cut is None else np.delete(pairs, cut, axis=0))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 14])
+def test_blocked_connectivity_matches_dfs(monkeypatch, block):
+    # the first round reads the arcs a block at a time: rows cut by a block's
+    # ends, a hub row over many blocks, and shuffled paths, where a third of
+    # the vertices have no smaller neighbor, so round one leaves a third of
+    # the edges between two trees
+    rng = np.random.default_rng(13)
+    cases = connectivity_cases()
+    for hub in (0, 50, 99):
+        leaves = np.delete(np.arange(100), hub)
+        cases.append(Graph.from_edges(100, np.stack([np.full(99, hub), leaves], axis=1)))
+        cases.append(Graph.from_edges(101, np.stack([np.full(98, hub), leaves[1:]], axis=1)))
+    paths = [shuffled_path(n, rng) for n in (2, 3, 500, 9_000)]
+    paths += [shuffled_path(n, rng, cut=n // 2) for n in (3, 500, 9_000)]
+    for g in paths[2:4] + paths[5:]:
+        least = g.indices[g.indptr[:-1]]  # each vertex's least neighbor
+        assert (least > np.arange(g.vertex_count)).sum() > g.vertex_count // 4
+    monkeypatch.setattr(graph_module, "_ID_BLOCK", block)
+    flags = [_is_connected(g.vertex_count, g.indptr, g.indices) for g in cases + paths]
+    assert flags == [dfs_connected(g.vertex_count, g.indptr, g.indices) for g in cases + paths]
+    assert flags[-7:] == [True] * 4 + [False] * 3
+
+
+def test_connected_peak_is_a_fraction_of_the_arcs():
+    # the check holds n-length arrays and one block of arcs at a time: on
+    # 764k arcs its extra peak read 0.22x the arcs' bytes; all arcs at once,
+    # with their hooks, read 3.1x
+    g = ring_of_cliques(2000, 20).graph
+    fresh = Graph(g.indptr, g.indices)
+    connected, peak = traced_peak(lambda: fresh.connected)
+    assert connected
+    assert peak < 0.5 * g.indices.nbytes
 
 
 # --- writing ------------------------------------------------------------------

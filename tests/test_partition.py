@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +34,7 @@ from sparsecut import graph, partition, spectral, walk
 from sparsecut.graph import Graph, _gather_rows, prefix_cut_profile
 from sparsecut.walk import SparseDistribution
 
-from conftest import raises_message, relabel
+from conftest import raises_message, relabel, traced_peak
 
 
 def stationary(g):
@@ -697,12 +696,7 @@ def test_global_memory_stays_bounded():
     # peak stays far below the 120 x 120 x 97 states the walks visit
     inst = ring_of_cliques(12, 10)
     params = GlobalParams(k=92, epsilon=0.01)
-    tracemalloc.start()
-    try:
-        out = global_sparsest_cut(inst.graph, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: global_sparsest_cut(inst.graph, params))
     assert out.best.exact == inst.phi_planted
     assert out.work == 11_819_232
     assert peak < 1_000_000
@@ -714,12 +708,7 @@ def test_global_memory_stays_bounded_under_a_large_cap():
     g = erdos_renyi(100, 0.5, rng_seed=1)
     params = GlobalParams(k=g.total_volume // 2, epsilon=0.01, horizon_override=3)
     expected = global_sparsest_cut(g, params)  # also loads what numpy imports lazily
-    tracemalloc.start()
-    try:
-        out = global_sparsest_cut(g, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: global_sparsest_cut(g, params))
     assert (out.best, out.origin, out.work) == (expected.best, expected.origin, expected.work)
     assert peak < 1_000_000
 
@@ -781,12 +770,7 @@ def test_load_memory_stays_bounded(tmp_path):
     path = tmp_path / "ring.txt"
     with open(path, "w", encoding="utf-8") as fh:
         write_edge_list(g, fh)
-    tracemalloc.start()
-    try:
-        loaded = load_edge_list(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lambda: load_edge_list(path))
     assert np.array_equal(loaded.indices, g.indices)
     assert peak < 16 * path.stat().st_size
 
@@ -800,12 +784,7 @@ def test_local_query_memory_does_not_grow_with_n():
     for r in (200, 20000):
         n = 20 * r
         g = ring_of_cliques(r, 20).graph
-        tracemalloc.start()
-        try:
-            out = local_partition(g, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: local_partition(g, params))
         # the cut as offsets around the ring from vertex 0
         around = sorted(v if v < n // 2 else v - n for v in out.best.members)
         runs.append(((out.work, around, out.best.boundary, out.best.volume), peak))
@@ -822,12 +801,7 @@ def test_local_query_memory_does_not_grow_with_the_horizon():
     g.degrees  # cached before the count: the graph's own arrays are not the query's
     params = LocalParams(seed=5, k=382, phi=2 / 382 / 32, epsilon=0.2)
     assert params.horizon == 3634
-    tracemalloc.start()
-    try:
-        out = local_partition(g, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: local_partition(g, params))
     assert len(out.step_min_cut) == params.horizon + 1
     assert peak < 2_000_000
 
