@@ -107,8 +107,8 @@ def exact_phi_k(g: Graph, k: int) -> tuple[Fraction, Cut]:
 
     Exact rational arithmetic throughout; the witness is the
     lexicographically smallest member tuple among the minimizers, so reruns
-    and parallel splits agree. Enumeration walks vertices in ascending
-    degree order and prunes any branch whose volume budget is exhausted.
+    agree. Enumeration walks vertices in ascending degree order and prunes
+    any branch whose volume budget is exhausted.
     Refuses graphs of more than 22 vertices.
     """
     n = g.vertex_count

@@ -162,7 +162,7 @@ def _is_connected(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
     # rounds grow like log n, however long the diameter. Round one hooks each
     # vertex under its row's first (least) entry, then keeps each edge between
     # two trees once, reading ``_ID_BLOCK`` arcs at a time: on 764k arcs it
-    # peaks at 8.0 MB with the CSR, where all arcs' hooks at once take 25.4
+    # peaks at 8.0 MB with the CSR
     if n <= 1:
         return True
     parent = np.arange(n, dtype=np.int64)
@@ -189,7 +189,7 @@ def _is_connected(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
 
 
 # a bulk-scan block, the fastest of 64 KiB to 1 MiB; its arrays take 12 times
-# this, so a 4.4 MB text's scan peaks at 12.2 MB with the text and pairs, not 22.4
+# this, so a 4.4 MB text's scan peaks at 12.2 MB with the text and pairs
 _BLOCK_CHARS = 1 << 17
 _ID_BLOCK = 1 << 14  # ids the relabel, or arcs the connectivity check, reads at once
 
@@ -382,10 +382,14 @@ def cut_of(g: Graph, members: Iterable[int]) -> Cut:
     if sel.size == 0:
         raise ValueError("vertex set must be nonempty")
     volumes, boundaries = prefix_cut_profile(g, sel)
-    volume, boundary = int(volumes[-1]), int(boundaries[-1])
+    return _cut(sel, int(volumes[-1]), int(boundaries[-1]))
+
+
+def _cut(members: np.ndarray, volume: int, boundary: int) -> Cut:
+    """The Cut of sorted unique members, given their exact volume and boundary."""
     if volume == 0:
         raise ValueError("vertex set has zero volume; conductance undefined")
-    return Cut(tuple(sel.tolist()), volume, boundary, conductance=boundary / volume)
+    return Cut(tuple(members.tolist()), volume, boundary, conductance=boundary / volume)
 
 
 def prefix_cut_profile(g: Graph, order: Sequence[int], merge: Merge | None = None) -> tuple:

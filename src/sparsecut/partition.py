@@ -38,9 +38,9 @@ import numpy as np
 
 from . import walk
 from .curve import build_curve
-from .graph import Cut, Graph, _count, _gather_rows, _vertex_ids, cut_of, prefix_cut_profile
+from .graph import Cut, Graph, _count, _cut, _gather_rows, cut_of, prefix_cut_profile
 from .spectral import best_seed_vertex
-from .walk import _MAX_HORIZON, WalkSchedule, run_walk
+from .walk import _MAX_HORIZON, WalkSchedule, _seed_id, run_walk
 
 __all__ = [
     "GlobalParams",
@@ -132,7 +132,7 @@ class LocalParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if _vertex_ids(self.seed) < 0:
+        if _seed_id(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
         _count(self.k, "k", 2)
         if not 0.0 < self.phi <= 1.0:
@@ -292,9 +292,9 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     work = int(getattr(trajectory, "total_work", 0))  # complete only after the pass
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work, step_min_cut=step_min)
-    _, _, t, j = best_key
+    bd, vol, t, j = best_key
     origin = Origin(seed=None, step=t, prefix=j)
-    return SweepOutcome(cut_of(g, best_members), origin, work, step_min_cut=step_min)
+    return SweepOutcome(_cut(np.sort(best_members), vol, bd), origin, work, step_min_cut=step_min)
 
 
 def _block_candidates(
@@ -394,10 +394,9 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
                 walks = walk.lazy_step(g, walks)
     if best_key is None:
         return SweepOutcome(best=None, origin=None, work=work)
-    _, _, t, size, seed = best_key
-    return SweepOutcome(
-        best=cut_of(g, best_members), origin=Origin(seed=seed, step=t, prefix=size), work=work
-    )
+    bd, vol, t, size, seed = best_key
+    origin = Origin(seed=seed, step=t, prefix=size)
+    return SweepOutcome(best=_cut(np.sort(best_members), vol, bd), origin=origin, work=work)
 
 
 def tight_volume_exponent(k: int, epsilon: float) -> float:
@@ -453,5 +452,5 @@ def find_local_seed(g: Graph, members, params: LocalParams) -> int:
         raise ValueError("set volume exceeds the budget k")
     if target.conductance > params.phi:
         raise ValueError("set conductance exceeds the target phi")
-    vertex, _ = best_seed_vertex(g, members, params.horizon, _cut=target)
+    vertex, _ = best_seed_vertex(g, members, params.horizon)
     return vertex

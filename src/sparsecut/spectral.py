@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Cut, Graph, _gather_rows, _vertex_ids, cut_of
+from .graph import Graph, _gather_rows, _vertex_ids, cut_of
 from .walk import Reach, _check_horizon, lazy_step
 
 __all__ = [
@@ -257,9 +257,7 @@ def certify_lower_bound(
     )
 
 
-def best_seed_vertex(
-    g: Graph, subset, horizon: int, *, _cut: Cut | None = None
-) -> tuple[int, float]:
+def best_seed_vertex(g: Graph, subset, horizon: int) -> tuple[int, float]:
     """Single start vertex in the subset retaining the most mass at horizon.
 
     The lazy walk is reversible, D W = W^T D, so the mass a start v keeps in
@@ -271,15 +269,14 @@ def best_seed_vertex(
     the arcs into the vertices within min(t + 1, horizon - t - 1) hops of S
     at step t, exact on S. The walk from pi_S also checks the average-start
     escape bound, mass in S >= 1 - t * conductance(S)/2 at each step t; the
-    returned mass must meet (1 - conductance(S)/2)^horizon. A caller that
-    holds the subset's ``cut_of`` passes it as ``_cut``, so it is not made
-    again.
+    returned mass must meet (1 - conductance(S)/2)^horizon, where
+    conductance(S) is (vol(S) - arcs inside S) / vol(S), in exact integers.
     """
     _check_horizon(horizon)
-    members = _restricted_adjacency(g, subset, "subset induces a disconnected subgraph")[0]
-    phi = (_cut or cut_of(g, members)).conductance
+    members, _, inside = _restricted_adjacency(g, subset, "subset induces a disconnected subgraph")
+    vol = int(g.degrees[members].sum())
+    phi = (vol - inside.size) / vol  # the boundary is the arcs leaving S
     deg = g.degrees[members].astype(np.float64)
-    vol = deg.sum()
     reaches, at = _reach(g, members, horizon)
     kept = np.empty(horizon + 1)
     for t, rows in _walk_from(reaches, at, deg / vol, horizon):

@@ -49,6 +49,13 @@ def _check_horizon(horizon: int) -> None:
         raise ValueError(f"horizon exceeds {_MAX_HORIZON} steps")
 
 
+def _seed_id(seed) -> int:
+    """A walk's seed as an int: one vertex id, checked by ``graph._vertex_ids``, not a list."""
+    if (seed := _vertex_ids(seed)).ndim:
+        raise ValueError("seed must be one vertex id")
+    return int(seed)
+
+
 @dataclass(eq=False)
 class SparseDistribution:
     """Walk state carrying only the vertices with surviving mass.
@@ -57,6 +64,8 @@ class SparseDistribution:
     values, except in a step's ``stepped`` output, which lists the whole
     out-support and so may hold underflowed zeros. ``size`` is the ambient
     vertex count, an integer, checked where it is read against an array.
+    Construction refuses a negative or NaN mass; the support's order is
+    checked where a step or a curve reads it.
     """
 
     support: np.ndarray
@@ -70,6 +79,8 @@ class SparseDistribution:
         self.mass = np.asarray(self.mass, dtype=np.float64)
         if self.support.shape != self.mass.shape:
             raise ValueError("support and mass lengths differ")
+        if not (self.mass >= 0).all():  # NaN compares false
+            raise ValueError("masses must be nonnegative")
 
     @classmethod
     def _checked(cls, support, mass, size, plan: Merge | None = None) -> "SparseDistribution":
@@ -82,6 +93,8 @@ class SparseDistribution:
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseDistribution":
         dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != 1:
+            raise ValueError("a dense distribution must be one vector")
         support = np.flatnonzero(dense)
         return cls(support=support, mass=dense[support], size=dense.size)
 
@@ -208,14 +221,14 @@ class WalkTrace:
     With truncation 0 it yields dense arrays and the walk is exact; otherwise
     it yields SparseDistributions thresholded after every step and at the
     start, and an empty one again to the horizon, unstepped. The seed is one
-    vertex id, checked by ``graph._vertex_ids`` and the graph's range before
-    any step. A second pass yields nothing. ``touched_volume[t-1]`` is the
-    support volume that step t had to touch, appended as the step is taken,
-    so ``total_work``, their sum, is complete only after the pass.
+    vertex id, checked by ``_seed_id`` and the graph's range before any step.
+    A second pass yields nothing. ``touched_volume[t-1]`` is the support
+    volume that step t had to touch, appended as the step is taken, so
+    ``total_work``, their sum, is complete only after the pass.
     """
 
     def __init__(self, g: Graph, seed: int, schedule: WalkSchedule) -> None:
-        if not 0 <= (seed := int(_vertex_ids(seed))) < g.vertex_count:
+        if not 0 <= (seed := _seed_id(seed)) < g.vertex_count:
             raise ValueError("seed out of range")
         self.touched_volume: list[int] = []
         self._steps = self._walk(g, seed, schedule, self.touched_volume)

@@ -335,8 +335,8 @@ def test_find_local_seed_validates_budget(barbell3):
 
 
 def test_find_local_seed_makes_the_set_cut_once(monkeypatch):
-    # the cut that checks the set's volume and conductance also gives the
-    # seed search its escape bound: one cut_of per find_local_seed
+    # one cut checks the set's volume and conductance; the seed search counts
+    # its escape bound from the arcs it gathers: one cut_of per find_local_seed
     g = ring_of_cliques(200, 20).graph
     params = LocalParams(seed=0, k=382, phi=2 / 382, epsilon=0.2)
     calls = []
@@ -962,8 +962,9 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
     # over runs of steps and its capped order repeats, so the walk merges a
     # support once per run of equal supports and the sweep profiles an order
     # once per run of equal capped orders, where a step-by-step run makes 114
-    # merges and 115 profiles; every profile reads the walk's plan, so only
-    # the winner's cut_of merges its members outside the walk
+    # merges and 115 profiles; every profile reads the walk's plan, and the
+    # winner is the swept prefix with its profiled pair, so nothing is merged
+    # outside the walk
     g = ring_of_cliques(200, 20).graph
     params = LocalParams(seed=5, k=382, phi=2 / 382, epsilon=0.2)
     counts = {"merge": 0, "profile": 0, "lookup": 0}
@@ -982,7 +983,7 @@ def test_local_query_reuses_plans_and_profiles(monkeypatch):
     )
     out = local_partition(g, params)
     assert params.horizon == 114
-    assert counts == {"merge": 5, "profile": 54, "lookup": 1}
+    assert counts == {"merge": 5, "profile": 54, "lookup": 0}
     assert out.best.exact == Fraction(2, 1146)
     assert out.origin == Origin(seed=5, step=3, prefix=60)
     assert out.work == 132_189

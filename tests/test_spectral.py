@@ -223,14 +223,9 @@ def test_average_start_escape_bound_is_tight_at_one_step(monkeypatch):
     # from S = [0] of K2 the first lazy step moves exactly phi/2 = 1/2 out
     g = complete(2)
     assert best_seed_vertex(g, [0], 1) == (0, 0.5)
-    # a conductance one part in 1e9 lower makes the same step a violation
-    real = spectral.cut_of
-
-    def understated(g, members):
-        cut = real(g, members)
-        return dataclasses.replace(cut, conductance=cut.conductance * (1 - 1e-9))
-
-    monkeypatch.setattr(spectral, "cut_of", understated)
+    # a kept mass one part in 1e9 lower makes the same step a violation
+    real = spectral.lazy_step
+    monkeypatch.setattr(spectral, "lazy_step", lambda g, p: real(g, p) * (1 - 1e-9))
     with pytest.raises(CertificateViolation, match="average start"):
         best_seed_vertex(g, [0], 1)
 
@@ -709,17 +704,16 @@ def test_row_table_keeps_the_dense_bits(monkeypatch):
 
 def test_average_start_escape_names_the_first_failing_step(monkeypatch):
     # the escape bound is checked after the walk, on all its steps at once; the
-    # message names the first step that fails, also when later steps fail too
-    real = spectral.cut_of
-    for scale in (1 - 1e-9, 0.1):  # steps 1, or 1 to 3, fall below 1 - t*phi/2
-        def understated(g, members):
-            cut = real(g, members)
-            return dataclasses.replace(cut, conductance=cut.conductance * scale)
-
-        monkeypatch.setattr(spectral, "cut_of", understated)
-        message = "average start keeps 5.000000e-01 < 1 - t*phi/2 at step 1"
+    # message names the first step that fails, also when later steps fail too:
+    # S = [0, 1] of path(3) has phi = 1/3 and its first step keeps exactly 5/6,
+    # and a walk whose steps scale the mass by 1 - 1e-9, or 0.1, keeps less
+    # than 1 - t*phi/2 at step 1, or at steps 1 to 3
+    real = spectral.lazy_step
+    for scale, kept in ((1 - 1e-9, "8.333333e-01"), (0.1, "8.333333e-02")):
+        monkeypatch.setattr(spectral, "lazy_step", lambda g, p: real(g, p) * scale)
+        message = f"average start keeps {kept} < 1 - t*phi/2 at step 1"
         with pytest.raises(CertificateViolation, match=f"^{re.escape(message)}$"):
-            best_seed_vertex(complete(2), [0], 3)
+            best_seed_vertex(path(3), [0, 1], 3)
 
 
 def test_retention_bound_is_tight_at_one_step(monkeypatch):

@@ -24,6 +24,7 @@ from sparsecut import (
     restricted_eigenpair,
     ring_of_cliques,
     run_walk,
+    sweep,
     tight_volume_exponent,
     truncated_step,
 )
@@ -338,6 +339,26 @@ def test_distribution_size_is_read_as_a_count():
     assert SparseDistribution([0], [1.0], np.int64(2)).to_dense().tolist() == [1.0, 0.0]
 
 
+def test_distribution_refuses_negative_and_nan_masses_and_dense_blocks():
+    # a negative or NaN mass once constructed, and build_curve and sweep then
+    # returned a curve or a cut for it; a 2-D dense array raised IndexError
+    g = path(4)
+    for mass in (-0.25, float("nan")):
+        for make in (
+            lambda: SparseDistribution([0, 1], [0.5, mass], 4),
+            lambda: SparseDistribution.from_dense([0.5, mass, 0.0, 0.0]),
+            lambda: build_curve(g, [0.5, mass, 0.0, 0.0]),
+            lambda: sweep(g, [np.array([0.5, mass, 0.0, 0.0])], 5.0),
+        ):
+            with raises_message("masses must be nonnegative"):
+                make()
+    for dense in (np.ones((2, 2)), np.float64(1.0)):
+        with raises_message("a dense distribution must be one vector"):
+            SparseDistribution.from_dense(dense)
+    # zeros are masses: a stepped output lists underflowed ones
+    assert SparseDistribution([0, 1], [0.0, 1.0], 4).total() == 1.0
+
+
 def walk_cases():
     """(graph, start) pairs: ER graphs, a relabelled ring of cliques, an
     isolated vertex that carries mass, and subnormal masses."""
@@ -447,13 +468,22 @@ def test_walk_checks_pin_their_messages():
 
 NOT_INTS, NO_HORIZON = "vertex ids must be integers", "horizon must be an integer"
 NO_K, NAN = "k must be an integer", float("nan")
+# a seed is one id: a list or an array of one constructed LocalParams, then died in int()
+NOT_ONE = [([3], "seed must be one vertex id"), (np.array([3]), "seed must be one vertex id")]
 # each kind of integer input fed a bool, a float and values out of range, with their messages
 INTEGER_CASES = {
-    "seed": [(True, NOT_INTS), (1.0, NOT_INTS), (1.5, NOT_INTS), (20, "seed out of range")],
+    "seed": [
+        (True, NOT_INTS),
+        (1.0, NOT_INTS),
+        (1.5, NOT_INTS),
+        *NOT_ONE,
+        (20, "seed out of range"),
+    ],
     "params-seed": [
         (True, NOT_INTS),
         (1.0, NOT_INTS),
         (1.5, NOT_INTS),
+        *NOT_ONE,
         (-1, "seed must be nonnegative"),
     ],
     "horizon": [
