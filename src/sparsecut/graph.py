@@ -334,13 +334,18 @@ def _gather_rows(g: Graph, vertices: np.ndarray) -> np.ndarray:
 # A support merge: sorted unique ids, their degrees, their volume and whether one has
 # degree 0; the sorted union of the ids and their arc targets, and its degrees; each
 # id's and arc's slot in the union (arcs row by row). It is the one lookup of every
-# prefix profile, and a sparse walk's plan: its step, its threshold and its work.
+# prefix profile, and a walk's plan: its step, its threshold and its work. Below n arcs
+# one sort finds the union, with no array of length n; from n arcs, a mark a vertex does.
 Merge = namedtuple("Merge", "ids deg volume isolated union union_deg id_slot arc_slot")
 
 
 def _merge(g: Graph, ids: np.ndarray) -> Merge:
-    deg = g.degrees[ids]
-    union, slot = np.unique(np.concatenate([ids, _gather_rows(g, ids)]), return_inverse=True)
+    deg, merged = g.degrees[ids], np.concatenate([ids, _gather_rows(g, ids)])
+    if merged.size - ids.size < g.vertex_count:
+        union, slot = np.unique(merged, return_inverse=True)
+    else:  # a slot is the count of marked vertices before it
+        mark = np.bincount(merged, minlength=g.vertex_count) > 0
+        union, slot = np.flatnonzero(mark), (mark.cumsum() - 1)[merged]
     return Merge(ids, deg, int(deg.sum()), not deg.all(), union, g.degrees[union],
                  slot[: ids.size], slot[ids.size :])
 

@@ -220,10 +220,10 @@ def _ranks_below(key: tuple, best: tuple | None) -> bool:
 def _ordered_runs(g: Graph, trajectory: Iterable) -> Iterator[tuple]:
     """The trajectory's steps in blocks (first step, merge, orders, prefix volumes), a row a step.
 
-    A dense step is a block alone, ordered by its curve, with merge None. A
-    run of sparse steps that share one walk plan, up to ``RUN_CELLS`` cells,
-    is one block ordered at once: one stable argsort of -p/d by rows gives
-    each row ``build_curve``'s order of its step.
+    A run of sparse steps that share one walk plan, up to ``RUN_CELLS``
+    cells, is one block ordered at once: one stable argsort of -p/d by rows
+    gives each row ``build_curve``'s order of its step. A dense step, only
+    ever in a caller's own list, is a block alone, ordered by its curve.
     """
 
     def ordered(end: int) -> tuple:  # the run of the steps before ``end``
@@ -257,10 +257,10 @@ def sweep(g: Graph, trajectory: Iterable, vol_cap: float) -> SweepOutcome:
     Work is the trajectory's ``total_work`` after the pass (0 for a list);
     the outcome records per-step minima. A step whose capped order equals
     the previous step's has the same prefixes, so it repeats that step's
-    minimum without a profile: being later, it cannot win. Sparse steps are
-    read in runs that share one walk plan (built here if a step has none),
-    up to ``RUN_CELLS`` cells, and each run is ordered at once
-    (``build_curve``'s order: a stable sort of -p/d over the ascending
+    minimum without a profile: being later, it cannot win. Sparse steps, all
+    a walk yields, are read in runs that share one walk plan (built here if
+    a step has none), up to ``RUN_CELLS`` cells, and each run is ordered at
+    once (``build_curve``'s order: a stable sort of -p/d over the ascending
     support); each step whose capped order changed is profiled through the
     plan. Memory is the support times the bounded run, plus a pair a step.
     """

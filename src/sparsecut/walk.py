@@ -1,23 +1,24 @@
-"""Lazy random-walk steps, exact (dense) and mass-thresholded (sparse).
+"""Lazy random-walk steps: on a dense array, and sparse, thresholded by mass.
 
 One step of the lazy walk keeps half the mass at each vertex and splits the
-other half equally among its neighbors. The sparse variant zeroes any vertex
+other half equally among its neighbors. The sparse step zeroes any vertex
 whose incoming mass falls strictly below threshold * degree after the step,
 which keeps the support volume at most 1/threshold and makes per-step work
 proportional to the volume of the current support.
 
-The sparse step merges the support with its neighbors in one sort, sums
-each vertex's incoming mass in the dense step's (ascending-source) arc
-order and then adds the kept half; addition commutes and skipped terms are
-exact zeros, so until a truncation fires the two paths agree bit for bit
-and the thresholded walk never exceeds the exact one even in floating
-point. No array of length n is made. The merge (``graph.Merge``) is the
-support's plan, its one record: built once per support array and shared by
-a kept distribution of the same set, it holds all that the step, its
-threshold, the walk's work and the sweep read from the support. A walk is
-one ``WalkTrace``, a pass that takes each step as it is read, so a run
-holds its current distribution, not its history. The exact step also takes
-an (n, B) block, a distribution a column: slot j adds each vertex's j-th
+The sparse step merges the support with its neighbors, sums each vertex's
+incoming mass in the dense step's (ascending-source) arc order and then
+adds the kept half; addition commutes and skipped terms are exact zeros, so
+until a truncation fires the two paths agree bit for bit and the
+thresholded walk never exceeds the exact one even in floating point. The
+merge (``graph.Merge``), which makes an array of length n only once the
+support's arcs number n, is the support's plan: built once per support
+array and shared by a kept distribution of the same set, it holds all that
+the step, its threshold, the walk's work and the sweep read from it. A walk
+is one ``WalkTrace`` of sparse steps, threshold 0 being the exact walk: a
+pass that takes each step as it is read, holding one distribution. The
+dense step, the global search's and the certificates' kernel, also takes an
+(n, B) block, a distribution a column: slot j adds each vertex's j-th
 neighbor's B-row, so a vertex adds its neighbors in ascending order, as
 bincount does, and each column is its own step bit for bit.
 """
@@ -218,9 +219,9 @@ def truncated_step(
 class WalkTrace:
     """Walk from a single-vertex start: one pass over p_0..p_T, each step taken as it is read.
 
-    With truncation 0 it yields dense arrays and the walk is exact; otherwise
-    it yields SparseDistributions thresholded after every step and at the
-    start, and an empty one again to the horizon, unstepped. The seed is one
+    It yields SparseDistributions thresholded after every step and at the
+    start, truncation 0 keeping every positive mass (the exact walk, bit for
+    bit), and an empty one again to the horizon, unstepped. The seed is one
     vertex id, checked by ``_seed_id`` and the graph's range before any step.
     A second pass yields nothing. ``touched_volume[t-1]`` is the support
     volume that step t had to touch, appended as the step is taken, so
@@ -243,20 +244,14 @@ class WalkTrace:
     @staticmethod  # holds the list, not the trace: a trace left unread is freed at once
     def _walk(g: Graph, seed: int, schedule: WalkSchedule, touched: list[int]) -> Iterator:
         threshold = schedule.truncation
-        exact = threshold == 0.0
-        if exact:
-            p = np.zeros(g.vertex_count, dtype=np.float64)
-            p[seed] = 1.0
-        else:
-            live = int(1.0 >= threshold * g.degree(seed))  # the start is thresholded too
-            p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
+        live = int(1.0 >= threshold * g.degree(seed))  # the start is thresholded too
+        p = SparseDistribution([seed][:live], [1.0][:live], g.vertex_count)
         yield p
         for _ in range(schedule.horizon):
-            prev = p
-            if exact or p.support.size:  # an emptied walk stays as it is, with no step to take
-                p = lazy_step(g, p) if exact else truncated_step(g, p, threshold)[1]
-            # the step built prev's plan, which holds its support volume; an empty one's is 0
-            touched.append(int(g.degrees[prev > 0].sum()) if exact else _plan_of(g, prev).volume)
+            # the step's plan, built here, holds the support volume; an empty one's is 0
+            touched.append(_plan_of(g, p).volume)
+            if p.support.size:  # an emptied walk stays as it is, with no step to take
+                p = truncated_step(g, p, threshold)[1]
             yield p
 
 

@@ -313,6 +313,37 @@ def test_prefix_profile_matches_edge_pair_recount():
         assert arcs.dtype == np.int64 and arcs.size == 0
 
 
+def test_merge_by_marks_matches_the_sorted_merge():
+    # from n arcs on, a merge finds its union by marks in place of a sort: the
+    # same union, degrees and slots as np.unique gives, on supports just below,
+    # at and above n arcs and on the full support; the last graph's vertex 25
+    # has no neighbor
+    rng = np.random.default_rng(36)
+    er = erdos_renyi(25, 0.2, rng_seed=3)
+    graphs = [
+        erdos_renyi(int(rng.integers(10, 40)), float(rng.uniform(0.05, 0.4)), rng_seed=s)
+        for s in range(20)
+    ]
+    pairs = [(u, int(w)) for u in range(25) for w in er.neighbors(u) if u < w]
+    graphs.append(Graph.from_edges(26, pairs))
+    sides = set()
+    for g in graphs:
+        n = g.vertex_count
+        order = rng.permutation(n)
+        below = int(np.searchsorted(g.degrees[order].cumsum(), n))  # prefixes under n arcs
+        for size in {below, below + 1, below + 2, n} & set(range(1, n + 1)):
+            ids = np.sort(order[:size])
+            merge = graph_module._merge(g, ids)
+            targets = np.concatenate([g.neighbors(v) for v in ids])
+            union, slot = np.unique(np.concatenate([ids, targets]), return_inverse=True)
+            assert np.array_equal(merge.union, union)
+            assert np.array_equal(merge.union_deg, g.degrees[union])
+            assert np.array_equal(merge.id_slot, slot[:size])
+            assert np.array_equal(merge.arc_slot, slot[size:])
+            sides.add(int(np.sign(merge.volume - n)))
+    assert sides == {-1, 0, 1}
+
+
 def test_prefix_profile_rejects_out_of_range_ids():
     # negative ids must not wrap around to the last vertices
     g = ring_of_cliques(4, 5).graph

@@ -39,7 +39,8 @@ SURVIVING = {
     "returns it at step 4 with conductance 7.6e-4 against the bound 0.49",
     "d": "the local checks' sets have near-uniform degrees, so ordering by p in place of p/d "
     "moves only a few boundary vertices: the ring of random blocks still finds the same "
-    "cut, conductance 1.5e-4 at step 219",
+    "cut, conductance 1.5e-4 at step 219; the exact walks of the two envelope checks are "
+    "ordered so too, and the envelope of their minima still bounds every curve",
 }
 
 
@@ -64,8 +65,16 @@ def first_failure(request) -> str | None:
     return None
 
 
-def mutate(monkeypatch, function, old: str, new: str) -> None:
-    """Run ``function`` with its one ``old`` source text read as ``new``, for every caller."""
+# The mutants that patch source text: (target function, its text replaced once, the new text).
+PATCHES = {
+    "a": (partition.global_sparsest_cut, "if row.size:", "if row.size and t <= 1:"),
+    "d": (partition._ordered_runs, "(-np.array(run) / plan.deg)", "(-np.array(run))"),
+}
+
+
+def mutate(monkeypatch, mutant: str) -> None:
+    """Run the mutant's target with its one old source text read as the new, for every caller."""
+    function, old, new = PATCHES[mutant]
     source = inspect.getsource(function)
     assert source.count(old) == 1, old
     scope = dict(vars(inspect.getmodule(function)))
@@ -126,6 +135,13 @@ def test_theorem_checks_are_the_marked_tests():
     assert next(theorem_checks()) is test_local_guarantee_on_a_ring_of_random_blocks
 
 
+@pytest.mark.parametrize("mutant", sorted(PATCHES))
+def test_each_patch_text_occurs_once_in_its_target(mutant):
+    # a refactor that moves a mutant's text fails here, not only in its unrun xfail
+    function, old, _ = PATCHES[mutant]
+    assert inspect.getsource(function).count(old) == 1
+
+
 def test_sweep_of_steps_0_and_1_misses_the_local_guarantee(monkeypatch, request):
     sweep = partition.sweep
 
@@ -138,8 +154,7 @@ def test_sweep_of_steps_0_and_1_misses_the_local_guarantee(monkeypatch, request)
 
 @pytest.mark.xfail(run=False, reason=SURVIVING["a"])
 def test_global_search_of_steps_0_and_1_is_killed(monkeypatch, request):
-    # mutant (a): the global search takes candidates only at t <= 1
-    mutate(monkeypatch, partition.global_sparsest_cut, "if row.size:", "if row.size and t <= 1:")
+    mutate(monkeypatch, "a")  # the global search takes candidates only at t <= 1
     assert first_failure(request) is not None
 
 
@@ -152,6 +167,5 @@ def test_local_truncation_at_100_times_its_formula_is_killed(monkeypatch, reques
 
 @pytest.mark.xfail(run=False, reason=SURVIVING["d"])
 def test_sweep_ordering_by_mass_alone_is_killed(monkeypatch, request):
-    # mutant (d): a sparse step is ordered by -p, not -p/d
-    mutate(monkeypatch, partition.sweep, "(-dist.mass / merge.deg)", "(-dist.mass)")
+    mutate(monkeypatch, "d")  # a walk's step is ordered by -p, not -p/d
     assert first_failure(request) is not None

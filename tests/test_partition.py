@@ -384,8 +384,8 @@ def test_local_work_matches_trace_accounting():
 
 
 def test_sweep_builds_each_curve_once(monkeypatch, barbell3):
-    # a dense step's order comes from its curve, a sparse walk step's from
-    # its walk plan, with no curve built
+    # a dense step's order comes from its curve, a walk step's from its
+    # walk plan, with no curve built, the exact walk's too
     g = barbell3.graph
     calls = []
 
@@ -394,9 +394,11 @@ def test_sweep_builds_each_curve_once(monkeypatch, barbell3):
         return build_curve(g, p)
 
     monkeypatch.setattr(partition, "build_curve", counting)
-    dense = list(run_walk(g, 0, WalkSchedule(20, 0.0)))
+    exact = list(run_walk(g, 0, WalkSchedule(20, 0.0)))
+    dense = [d.to_dense() for d in exact]
     sparse = list(run_walk(g, 0, WalkSchedule(20, 1e-3)))
-    for trajectory, curves in ((dense, 21), (sparse, 0), (dense[:5] + sparse[5:], 5)):
+    cases = ((dense, 21), (exact, 0), (sparse, 0), (dense[:5] + sparse[5:], 5))
+    for trajectory, curves in cases:
         calls.clear()
         out = sweep(g, trajectory, 7)
         assert out.found

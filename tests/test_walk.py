@@ -31,7 +31,7 @@ from sparsecut import (
 from sparsecut.graph import Graph, Merge, _gather_rows, prefix_cut_profile
 from sparsecut.walk import _plan_of
 
-from conftest import dense_walk, raises_message, relabel
+from conftest import dense_walk, raises_message, relabel, traced_peak
 
 
 def stationary(g):
@@ -131,6 +131,28 @@ def test_truncated_step_zero_threshold_matches_exact():
             assert np.array_equal(stepped.to_dense(), p)
             assert np.array_equal(kept.to_dense(), p)
             sparse = kept
+
+
+def test_exact_sparse_walk_peaks_within_three_dense_walks():
+    # while the support fills ring_of_cliques(200, 20), a merge of n arcs or
+    # more marks an n-length table in place of sorting them, so 500
+    # threshold-0 steps peak within 3x of 500 dense steps (by a sort: 5.3x)
+    g = ring_of_cliques(200, 20).graph
+    dense = np.zeros(g.vertex_count)
+    dense[0] = 1.0
+    sparse = SparseDistribution([0], [1.0], g.vertex_count)
+    lazy_step(g, dense)  # builds the graph's cached arrays outside the trace
+    truncated_step(g, sparse, 0.0)
+
+    def walk(step, p):
+        for _ in range(500):
+            p = step(p)
+        return p
+
+    dense, dense_peak = traced_peak(lambda: walk(lambda p: lazy_step(g, p), dense))
+    sparse, sparse_peak = traced_peak(lambda: walk(lambda d: truncated_step(g, d, 0.0)[1], sparse))
+    assert sparse.to_dense().tobytes() == dense.tobytes()
+    assert sparse_peak <= 3 * dense_peak, (sparse_peak, dense_peak)
 
 
 def test_zero_threshold_support_is_the_dense_nonzeros():
@@ -254,7 +276,7 @@ def test_run_walk_horizon_zero():
     g = complete(4)
     dists = list(run_walk(g, 2, WalkSchedule(0, 0.0)))
     assert len(dists) == 1
-    assert list(dists[0]) == [0.0, 0.0, 1.0, 0.0]
+    assert list(dists[0].to_dense()) == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_run_walk_sandwich_against_dense_oracle():
