@@ -1,15 +1,17 @@
 """Sweep cuts over walk trajectories: global bicriteria and local drivers.
 
 The global driver runs an exact walk from every vertex and keeps the lowest
-conductance level set under a volume cap of k^(1+eps); the local driver runs
-one thresholded walk from a given seed, keeps level sets under 5*k^(1+eps),
-and reports not-found when nothing beats the acceptance threshold
-8*sqrt(phi/eps); both caps stop short of the whole graph. All tie-breaking
-is total, so identical inputs always return the identical outcome. The
-local driver's walk, orders, profiles and cut touch only the walk's support
-and its neighbors. The sweep reads the walk as it steps, orders each run of
-steps that share one walk plan at once and profiles through the plan, so
-memory is the support times a bounded run, plus a pair a step.
+conductance level set under a volume cap of k^(1+eps), unless a component
+fits the cap: then the least-volume one, of conductance 0, is answered with
+no walk. The local driver runs one thresholded walk from a given seed, keeps
+level sets under 5*k^(1+eps), and reports not-found when nothing beats the
+acceptance threshold 8*sqrt(phi/eps); both caps stop short of the whole
+graph. All tie-breaking is total, so identical inputs always return the
+identical outcome. The local driver's walk, orders, profiles and cut touch
+only the walk's support and its neighbors. The sweep reads the walk as it
+steps, orders each run of steps that share one walk plan at once and
+profiles through the plan, so memory is the support times a bounded run,
+plus a pair a step.
 
 The global driver keeps the winner's members and one block of B seeds, n x B
 walks of at most ``BLOCK_ARCS`` cells and swept arcs, a seed a column, each
@@ -79,6 +81,22 @@ class GlobalParams:
     The exponent is clamped to 0.01 for all derived quantities (cap and
     horizon); larger requests only tighten the returned volume, at the price
     of a constant factor in the conductance guarantee.
+
+    The horizon T = ceil(e * k * ln k), e the clamped exponent, follows the
+    Lovasz-Simonovits argument as Oveis Gharan and Trevisan use it. Let U
+    attain phi = phi_k, vol(U) <= k, cap K = k^(1+e), and phi < e/16 (else
+    psi = 4 * sqrt(phi / e) >= 1 bounds every cut). U's best start keeps
+    (1 - phi/2)^t >= exp(-0.503 * phi * t) of its mass in U after t steps
+    (``best_seed_vertex`` checks the first). Were every level set of volume
+    at most K up to step t above psi, ``curve``'s envelope would cap that
+    mass at k/K + sqrt(k) * (1 - psi^2/8)^t, at t* = ceil(e * ln k / phi) at
+    most k^-e + k^-1.5: below the 0.994 * k^(-0.503 e) kept once k >= 23 at
+    e = 0.01. So the search, sweeping every step up to T, meets psi if
+    T >= t*. If no component fits the cap, every set of volume at most k
+    short of the whole graph has a boundary edge: phi >= 1/k and t* <= T.
+    A component that fits has conductance 0, but a walk shows it only once it
+    mixes over it, in order k^2 steps on a path, so ``global_sparsest_cut``
+    answers it before walking.
     """
 
     k: int
@@ -102,8 +120,7 @@ class GlobalParams:
 
     @property
     def _steps(self) -> float:
-        k = float(self.k)  # k * k rounds as k**2 does below 2**53, and cannot wrap or raise
-        return self.epsilon_effective * (k * k) * math.log(self.k) / 4.0
+        return self.epsilon_effective * self.k * math.log(self.k)
 
     @property
     def horizon(self) -> int:
@@ -363,7 +380,11 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     set of volume at most k has conductance phi_k below the (effective)
     exponent, the winner satisfies conductance <= 4 * sqrt(phi_k / eps);
     the volume cap holds always. Candidates from different seeds are ranked
-    by (conductance, volume, step, prefix, seed).
+    by (conductance, volume, step, prefix, seed). A component of volume at
+    most the cap is answered before any walk: the least-volume one, ties to
+    the least member, wins with conductance 0 at ``Origin(least member, 0,
+    size)`` and work 0, as no set ranks below it; the walks' horizon
+    assumes none (see ``GlobalParams``).
     """
     if params.k > g.total_volume:
         raise ValueError("k exceeds the total volume")
@@ -371,6 +392,12 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     cap = min(params.volume_cap, g.total_volume - 1)
     if g.isolated.size:
         raise ValueError("mass on a zero-degree vertex has no volume ordering")
+    spans = np.bincount(g.components, degrees)  # component volumes, 0 but at least members
+    least = int(np.argmin(np.where(spans > 0, spans, np.inf)))  # ties: the first
+    if spans[least] <= cap:
+        members = np.flatnonzero(g.components == least)
+        origin = Origin(seed=least, step=0, prefix=members.size)
+        return SweepOutcome(_cut(members, int(spans[least]), 0), origin, work=0)
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
     block = max(1, BLOCK_ARCS // max(n, int(cap)))  # a row sweeps <= cap arcs
     best_key = best_members = None

@@ -224,8 +224,8 @@ def test_non_finite_parameters_exit_one(tmp_path, ring_file):
     # phi = 1e-320 overflowed the horizon's ceil, 1e-9 asked for 3e8 steps
     tiny = [local[:7] + [phi, "--epsilon", "0.2"] for phi in ("1e-320", "1e-9")]
     horizon = "local horizon exceeds 1000000 steps: raise phi"
-    # k = 100,000 asked for 287,823,137 steps from every vertex
-    large_k = ["global", graph, "--k", "100000", "--epsilon", "0.5"]
+    # k = 10**7 asks for 1,611,810 steps from every vertex
+    large_k = ["global", graph, "--k", "10000000", "--epsilon", "0.5"]
     # a negative --horizon was reported as "horizon_override must be nonnegative"
     negative = ["global", graph, "--k", "2", "--epsilon", "0.5", "--horizon", "-1"]
     # 2,000,000 certificate steps were still walking after 4 s

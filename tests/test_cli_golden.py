@@ -27,19 +27,19 @@ COMMANDS = {
     "global": (
         ["global", "ring.txt", "--k", "22", "--epsilon", "0.01", "--members-out", "members"],
         {
-            "out": "04f2e43d4ab5c839580c905d68330c37b2829406b7ec12c3c08f50ffd645f58d",
+            "out": "a1941f022c74d8a2d7768af52a7c0c023c9d9534b87963981c879ce233b72be9",
             "members": "026d8ad3dfa1f2aa9da7964947ddedd4e83c6fc008206ebf898699dea80f9804",
         },
     ),
     "global-er": (
         ["global", "er.txt", "--k", "30", "--epsilon", "0.01"],
-        {"out": "586da415d9468380134032b29ae8df5ff118a0e5837efe84f4f41d9dec90201e"},
+        {"out": "1ae1663e41b006f1894011938092bbd67c923bed2b6fe13a74adb6c6f762111e"},
     ),
     "global-tight": (
         ["global-tight", "barbell.txt", "--k", "44", "--epsilon", "0.5",
          "--members-out", "members"],
         {
-            "out": "041e425a4fc7b45aef8fe57f715ac364c1744066e2071d489ee02562a91312dc",
+            "out": "ef26ebebd45f74193ea082be5b0e89dca30e5c283e94e42d33bb0e974bad8910",
             "members": "d28a59f6173184f7ca72607394ee0595bd89786b2df86f7495aa7408c87aa872",
         },
     ),

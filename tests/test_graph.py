@@ -23,9 +23,9 @@ from sparsecut import (
 from sparsecut import graph as graph_module
 from sparsecut import walk
 from sparsecut.graph import (
+    _components,
     _first_seen_labels,
     _gather_rows,
-    _is_connected,
     _scan_edge_list,
     prefix_cut_profile,
 )
@@ -424,19 +424,25 @@ def reference_from_edges(n, edges):
     )
 
 
+def dfs_components(n, indptr, indices):
+    """Each vertex's component, labelled by its least vertex, by depth-first search."""
+    label = np.full(n, -1)
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in indices[indptr[v] : indptr[v + 1]]:
+                if label[w] < 0:
+                    label[w] = root
+                    stack.append(int(w))
+    return label
+
+
 def dfs_connected(n, indptr, indices):
-    if n <= 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    return not dfs_components(n, indptr, indices).any()
 
 
 def reference_load(text):
@@ -727,9 +733,11 @@ def connectivity_cases():
 def test_connectivity_matches_dfs():
     flags = []
     for g in connectivity_cases():
-        flags.append(_is_connected(g.vertex_count, g.indptr, g.indices))
+        labels = _components(g.vertex_count, g.indptr, g.indices)
+        assert np.array_equal(labels, dfs_components(g.vertex_count, g.indptr, g.indices))
+        assert np.array_equal(g.components, labels)
+        flags.append(not labels.any())
         assert flags[-1] is g.connected
-        assert flags[-1] == dfs_connected(g.vertex_count, g.indptr, g.indices)
     assert 10 < sum(flags) < len(flags) - 10
 
 
@@ -758,8 +766,11 @@ def test_blocked_connectivity_matches_dfs(monkeypatch, block):
         least = g.indices[g.indptr[:-1]]  # each vertex's least neighbor
         assert (least > np.arange(g.vertex_count)).sum() > g.vertex_count // 4
     monkeypatch.setattr(graph_module, "_ID_BLOCK", block)
-    flags = [_is_connected(g.vertex_count, g.indptr, g.indices) for g in cases + paths]
-    assert flags == [dfs_connected(g.vertex_count, g.indptr, g.indices) for g in cases + paths]
+    flags = []
+    for g in cases + paths:
+        labels = _components(g.vertex_count, g.indptr, g.indices)
+        assert np.array_equal(labels, dfs_components(g.vertex_count, g.indptr, g.indices))
+        flags.append(not labels.any())
     assert flags[-7:] == [True] * 4 + [False] * 3
 
 

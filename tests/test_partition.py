@@ -75,14 +75,38 @@ def two_components():
     return Graph.from_edges(8, [(0, 1), (1, 2), (2, 0)] + k5)
 
 
+def least_component(g, cap):
+    """The least-volume component of volume at most cap, ties to the least member, or None."""
+    seen, best = set(), None
+    for root in range(g.vertex_count):  # each new root is its component's least vertex
+        if root in seen:
+            continue
+        members, stack = {root}, [root]
+        while stack:
+            for w in g.neighbors(stack.pop()).tolist():
+                if w not in members:
+                    members.add(w)
+                    stack.append(w)
+        seen |= members
+        cut = cut_of(g, members)
+        if cut.volume <= cap and (best is None or cut.volume < best.volume):
+            best = cut
+    return best
+
+
 def per_seed_global(g, params):
     """Loop reference for global_sparsest_cut: one sweep of each seed's own walk.
 
     Returns (best, origin, work), the winner taken by (conductance, volume,
     step, prefix, seed), under the driver's cap: the whole graph is no cut.
+    A component under the cap is answered first, with no walk: the least-volume
+    one, ties to the least member, at Origin(least member, 0, size), work 0.
     """
     schedule = WalkSchedule(params.horizon, 0.0)
     cap = min(params.volume_cap, g.total_volume - 1)
+    if (component := least_component(g, cap)) is not None:
+        size = len(component.members)
+        return component, Origin(seed=component.members[0], step=0, prefix=size), 0
     best_key = best = None
     work = 0
     for seed in range(g.vertex_count):
@@ -149,23 +173,22 @@ def test_global_params_clamping_and_derived():
     params = GlobalParams(k=100, epsilon=0.5)
     assert params.epsilon_effective == 0.01
     assert params.volume_cap == pytest.approx(100.0 ** 1.01)
-    assert params.horizon == math.ceil(0.01 * 100**2 * math.log(100) / 4)
+    assert params.horizon == math.ceil(0.01 * 100 * math.log(100)) == 5
     override = GlobalParams(k=100, epsilon=0.5, horizon_override=7)
     assert override.horizon == 7
     assert GlobalParams(k=100, epsilon=0.5, horizon_override=np.int64(7)).horizon == 7
 
 
 def test_global_params_bound_the_horizon():
-    # k = 100,000 asked for 287,823,137 steps from every vertex, 10,000 for
-    # 2,302,586; k = 10**200 overflows k**2 as a float, and a NumPy k past
-    # 3,037,000,499 wrapped k**2 to a negative horizon
-    for k in (10_000, 100_000, 10**200, np.int64(3_037_000_500), np.int64(4_000_000_000)):
+    # k = 10**8 asks for 18,420,681 steps from every vertex, 10**7 for
+    # 1,611,810; k = 10**200 and NumPy ks whose square wraps in int64 too
+    for k in (10**7, 10**8, 10**200, np.int64(3_037_000_500), np.int64(4_000_000_000)):
         with pytest.raises(ValueError, match="global horizon exceeds 1000000 steps"):
             GlobalParams(k=k, epsilon=0.5)
-    edge = 4e6 / (10_000**2 * math.log(10_000))  # the epsilon whose horizon is 1,000,000 steps
-    assert GlobalParams(k=10_000, epsilon=edge * (1 - 1e-12)).horizon == 1_000_000
+    edge = 1e6 / (10**7 * math.log(10**7))  # the epsilon whose horizon is 1,000,000 steps
+    assert GlobalParams(k=10**7, epsilon=edge * (1 - 1e-12)).horizon == 1_000_000
     with pytest.raises(ValueError, match="global horizon"):
-        GlobalParams(k=10_000, epsilon=edge * (1 + 1e-12))
+        GlobalParams(k=10**7, epsilon=edge * (1 + 1e-12))
     assert GlobalParams(k=2, epsilon=0.5, horizon_override=1_000_000).horizon == 1_000_000
     with raises_message("horizon exceeds 1000000 steps"):  # the walk's own horizon check
         GlobalParams(k=2, epsilon=0.5, horizon_override=1_000_001)
@@ -179,6 +202,34 @@ def test_global_returns_zero_conductance_component():
     assert out.found
     assert out.best.conductance == 0.0
     assert set(out.best.members) == {0, 1, 2}
+    assert (out.origin, out.work) == (Origin(seed=0, step=0, prefix=3), 0)
+
+
+def test_global_answers_a_component_under_the_cap_before_walking(monkeypatch):
+    # path(40) beside K10, k = 80: the path, of volume 78 under the cap 83.6,
+    # has conductance 0, but the horizon ceil(0.01 * 80 * ln 80) = 4 is far
+    # below the path's mixing time, and a walk of 4 steps found only 1/17
+    edges = [(v, v + 1) for v in range(39)]
+    edges += [(40 + i, 40 + j) for i in range(10) for j in range(i + 1, 10)]
+    g = Graph.from_edges(50, edges)
+    params = GlobalParams(k=80, epsilon=0.01)
+    assert params.horizon == 4
+    sweeps, steps = record_block_calls(monkeypatch)
+    out = global_sparsest_cut(g, params)
+    assert (out.best.conductance, out.best.members) == (0.0, tuple(range(40)))
+    assert (out.origin, out.work, sweeps, steps) == (Origin(seed=0, step=0, prefix=40), 0, [], [])
+    # the K10 first: the path's least member, 10, names the component
+    moved = Graph.from_edges(50, [((u + 10) % 50, (v + 10) % 50) for u, v in edges])
+    out = global_sparsest_cut(moved, params)
+    assert out.best.members == tuple(range(10, 50))
+    assert out.origin == Origin(seed=10, step=0, prefix=40)
+    # equal volumes tie to the least member; past the cap, the walks run
+    g = Graph.from_edges(6, [(3, 4), (4, 5), (5, 3), (0, 1), (1, 2), (2, 0)])
+    out = global_sparsest_cut(g, GlobalParams(k=6, epsilon=0.01))
+    assert (out.best.members, out.origin) == ((0, 1, 2), Origin(seed=0, step=0, prefix=3))
+    params = GlobalParams(k=5, epsilon=0.01)
+    out = global_sparsest_cut(g, params)
+    assert out.work > 0 and (out.best, out.origin, out.work) == per_seed_global(g, params)
 
 
 def test_global_ring_of_cliques_bound():
@@ -663,11 +714,13 @@ def test_global_equals_per_seed_reference(monkeypatch):
     cases = equivalence_cases()
     assert len(cases) >= 20
     sweeps, steps = record_block_calls(monkeypatch)
-    several_blocks = 0
+    several_blocks = components = 0
     for g, params in cases:
         n = g.vertex_count
         expected = per_seed_global(g, params)
-        width = max(n, int(min(params.volume_cap, g.total_volume - 1)))  # a row's cells
+        cap = min(params.volume_cap, g.total_volume - 1)
+        walked = params.horizon + 1 if least_component(g, cap) is None else 0  # sweeps a block
+        width = max(n, int(cap))  # a row's cells
         q = next(q for q in range(2, n) if n % q)
         # one row a block, a few rows a block, every seed in one block, and
         # blocks of q >= 2 rows, the last one short
@@ -680,11 +733,12 @@ def test_global_equals_per_seed_reference(monkeypatch):
             # one lazy_step of the whole block a step, on the graph itself
             b = max(1, block_arcs // width)
             blocks = [min(b, n - s) for s in range(0, n, b)]
-            assert sweeps == [b for b in blocks for _ in range(params.horizon + 1)]
-            assert steps == [(g, (n, b)) for b in blocks for _ in range(params.horizon)]
-        several_blocks += params.horizon > 0 and blocks == [q] * (n // q) + [n % q]
-    # most cases step several blocks of two rows or more
-    assert several_blocks >= 10
+            assert sweeps == [b for b in blocks for _ in range(walked)]
+            assert steps == [(g, (n, b)) for b in blocks for _ in range(max(walked - 1, 0))]
+        several_blocks += walked > 1 and blocks == [q] * (n // q) + [n % q]
+        components += not walked
+    # most cases step several blocks of two rows or more, and a few are answered by a component
+    assert several_blocks >= 10 and components >= 1
 
 
 def test_global_rejects_mass_on_isolated_vertex():
@@ -697,7 +751,7 @@ def test_global_memory_stays_bounded():
     # the search holds one block of walk rows, never a trajectory: the
     # peak stays far below the 120 x 120 x 97 states the walks visit
     inst = ring_of_cliques(12, 10)
-    params = GlobalParams(k=92, epsilon=0.01)
+    params = GlobalParams(k=92, epsilon=0.01, horizon_override=96)
     out, peak = traced_peak(lambda: global_sparsest_cut(inst.graph, params))
     assert out.best.exact == inst.phi_planted
     assert out.work == 11_819_232
@@ -717,9 +771,9 @@ def test_global_memory_stays_bounded_under_a_large_cap():
 
 def test_global_sweeps_each_step_of_a_block_in_one_call(monkeypatch):
     # ring_of_cliques(12, 10): one 120 x 120 block holds every seed, so a
-    # solve is 97 sweeps and 96 steps of the whole block
+    # 96-step solve is 97 sweeps and 96 steps of the whole block
     g = ring_of_cliques(12, 10).graph
-    params = GlobalParams(k=92, epsilon=0.01)
+    params = GlobalParams(k=92, epsilon=0.01, horizon_override=96)
     sweeps, steps = record_block_calls(monkeypatch)
     out = global_sparsest_cut(g, params)
     n, horizon = g.vertex_count, params.horizon
@@ -727,15 +781,22 @@ def test_global_sweeps_each_step_of_a_block_in_one_call(monkeypatch):
     assert sweeps == [n] * (horizon + 1)
     assert steps == [(g, (n, n))] * horizon
     assert out.work == 11_819_232
+    # the default horizon ceil(0.01 * 92 * ln 92) = 5 finds the same 1/46 cut
+    sweeps.clear()
+    steps.clear()
+    params = GlobalParams(k=92, epsilon=0.01)
+    out = global_sparsest_cut(g, params)
+    assert (params.horizon, sweeps, steps) == (5, [n] * 6, [(g, (n, n))] * 5)
+    assert (out.best.exact, out.origin, out.work) == (Fraction(1, 46), Origin(0, 1, 10), 98_640)
 
 
 def test_global_profiles_only_rows_whose_capped_order_changed(monkeypatch):
     # a row whose capped order repeats the previous step's has the same
     # prefixes a step later, so it adds no candidate: on ring_of_cliques(12,
-    # 10), 1,346 of the 11,640 row-steps are profiled, with the same 97
-    # sweeps, 96 block steps and result
+    # 10), 1,346 of the 11,640 row-steps of a 96-step solve are profiled,
+    # with the same 97 sweeps, 96 block steps and result
     g = ring_of_cliques(12, 10).graph
-    params = GlobalParams(k=92, epsilon=0.01)
+    params = GlobalParams(k=92, epsilon=0.01, horizon_override=96)
     sweeps, steps = record_block_calls(monkeypatch)
     recorded = partition._block_candidates
     profiled = []

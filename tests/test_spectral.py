@@ -21,7 +21,7 @@ from sparsecut import (
     restricted_eigenpair,
     ring_of_cliques,
 )
-from sparsecut.graph import Graph, _is_connected, load_edge_list
+from sparsecut.graph import Graph, _components, load_edge_list
 
 from conftest import raises_message, random_connected_subset, relabel
 
@@ -471,9 +471,9 @@ def test_connectivity_runs_only_where_read(monkeypatch):
 
     def counting(n, indptr, indices):
         sizes.append(n)
-        return _is_connected(n, indptr, indices)
+        return _components(n, indptr, indices)
 
-    monkeypatch.setattr("sparsecut.graph._is_connected", counting)
+    monkeypatch.setattr("sparsecut.graph._components", counting)
     built = Graph.from_edges(4, [(0, 1), (2, 3)])
     loaded = load_edge_list(io.StringIO("0 1\n1 2\n"))
     assert sizes == []
