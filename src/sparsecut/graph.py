@@ -132,7 +132,8 @@ class Graph:
 
     @cached_property
     def connected(self) -> bool:
-        return not self.components.any()
+        labels = self.__dict__.get("components")  # 8 bytes a vertex, held only once read
+        return not (Graph.components.func(self) if labels is None else labels).any()
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

@@ -14,19 +14,20 @@ profiles through the plan, so memory is the support times a bounded run,
 plus a pair a step.
 
 The global driver keeps the winner's members and one block of B seeds, n x B
-walks of at most ``BLOCK_ARCS`` cells and swept arcs, a seed a column, each
-step one ``lazy_step`` of the block: every column is its seed's own walk bit
-for bit. Each step takes each row's first c vertices in ``build_curve`` order,
-as no prefix past the c smallest degrees fits the cap: a partition finds each
-row's c-th smallest key -p/d, and one stable argsort along rows orders the
-entries up to it, padded to one width, so no B x n sort runs. A row whose
-capped order repeats the previous step's is not profiled, as ``sweep`` skips a
-repeated step: its prefixes are the ones it had a step earlier, and being later
-they lose. A prefix's boundary is its volume minus the arcs inside it, and an
-arc is inside every prefix past its later endpoint, so one bincount of the
-later rank of each swept vertex's arcs gives every boundary. Candidates, listed
-by (prefix, row), go through ``sweep``'s selection: winner, origin and work
-equal a sweep of each seed's walk.
+walks of at most ``BLOCK_ARCS`` cells and swept arcs, a seed a column. Step 0's
+candidates are the seeds alone, and step 1 is written from their point masses;
+each later step is one ``lazy_step`` of the block: every column is its seed's
+own walk bit for bit. Each step takes each row's first c vertices in
+``build_curve`` order, as no prefix past the c smallest degrees fits the cap: a
+partition finds each row's c-th smallest key -p/d, and one stable argsort along
+rows orders the entries up to it, padded to one width, so no B x n sort runs. A
+row whose capped order repeats the previous step's is not profiled, as ``sweep``
+skips a repeated step: its prefixes are the ones it had a step earlier, and
+being later they lose. A prefix's boundary is its volume minus the arcs inside
+it, and an arc is inside every prefix past its later endpoint, so one bincount
+of the later rank of each swept vertex's arcs gives every boundary. Candidates,
+listed by (prefix, row), go through ``sweep``'s selection: winner, origin and
+work equal a sweep of each seed's walk.
 """
 
 from __future__ import annotations
@@ -373,18 +374,27 @@ def _block_candidates(
     return order, row, pos + 1, (volumes - inside)[row, pos], volumes[row, pos]
 
 
+def _first_step(g: Graph, seeds: np.ndarray) -> np.ndarray:
+    """``lazy_step`` of the seeds' point masses, a seed a column, bit for bit: a seed keeps 0.5
+    and sends (1/d) * 0.5 to each neighbor, where the step adds it to exact +0.0 terms."""
+    walks, deg, column = np.zeros((g.vertex_count, seeds.size)), g.degrees[seeds], seeds - seeds[0]
+    walks[seeds, column] = 0.5
+    walks[_gather_rows(g, seeds), column.repeat(deg)] = ((1.0 / deg) * 0.5).repeat(deg)
+    return walks
+
+
 def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     """Exact-walk sweep from every start vertex under cap min(k^(1+eps), 2m - 1).
 
-    The whole graph is no cut, as in ``local_partition``. Whenever some
-    set of volume at most k has conductance phi_k below the (effective)
-    exponent, the winner satisfies conductance <= 4 * sqrt(phi_k / eps);
-    the volume cap holds always. Candidates from different seeds are ranked
-    by (conductance, volume, step, prefix, seed). A component of volume at
-    most the cap is answered before any walk: the least-volume one, ties to
-    the least member, wins with conductance 0 at ``Origin(least member, 0,
-    size)`` and work 0, as no set ranks below it; the walks' horizon
-    assumes none (see ``GlobalParams``).
+    The whole graph is no cut, as in ``local_partition``. Whenever some set of
+    volume at most k has conductance phi_k below the (effective) exponent, the
+    winner satisfies conductance <= 4 * sqrt(phi_k / eps); the volume cap holds
+    always. Candidates from different seeds are ranked by (conductance, volume,
+    step, prefix, seed); step 0's are the seeds alone, of conductance 1, and the
+    walks start at step 1. A component of volume at most the cap is answered
+    before any walk: the least-volume one, ties to the least member, wins with
+    conductance 0 at ``Origin(least member, 0, size)`` and work 0, as no set ranks
+    below it; the walks' horizon assumes none (see ``GlobalParams``).
     """
     if params.k > g.total_volume:
         raise ValueError("k exceeds the total volume")
@@ -401,11 +411,15 @@ def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     c = int(np.searchsorted(np.cumsum(np.sort(degrees)), cap, side="right"))
     block = max(1, BLOCK_ARCS // max(n, int(cap)))  # a row sweeps <= cap arcs
     best_key = best_members = None
-    work = 0
+    if degrees[i := int(np.argmin(degrees))] <= cap:  # step 0: a seed alone, conductance 1
+        best_key, best_members = (int(degrees[i]),) * 2 + (0, 1, i), np.array([i])
+    work = g.total_volume if params.horizon else 0  # each seed's step 0 -> 1: its degree
     for first in range(0, n, block):
-        b = min(block, n - first)
-        walks, capped = np.eye(n, b, -first), np.full((b, c), -1)  # a seed a column
-        for t in range(params.horizon + 1):
+        seeds = np.arange(first, min(first + block, n))
+        capped = np.full((seeds.size, c), -1)  # each row's capped order at step 0: its seed
+        capped[:, :1] = np.where(degrees[seeds] <= cap, seeds, -1)[:, None]
+        walks = _first_step(g, seeds)
+        for t in range(1, params.horizon + 1):
             positive = np.greater(walks.T, 0, order="C")
             order, row, size, boundaries, volumes = _block_candidates(
                 g, walks.T, c, cap, capped, positive

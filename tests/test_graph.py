@@ -149,6 +149,17 @@ def test_load_allows_disconnected():
     assert not g.connected
 
 
+def test_connected_holds_no_labels(monkeypatch):
+    # the labels take 8 bytes a vertex: ``connected`` keeps its bool alone,
+    # and reads labels that ``components`` already holds without a second pass
+    g = load_edge_list(io.StringIO("0 1\n2 3"))
+    assert not g.connected and "components" not in vars(g)
+    g = load_edge_list(io.StringIO("0 1\n2 3"))
+    labels = g.components
+    monkeypatch.setattr(graph_module, "_components", None)  # a second pass would raise
+    assert not g.connected and g.components is labels
+
+
 def test_round_trip_through_generator():
     g = ring_of_cliques(4, 5).graph
     buf = io.StringIO()

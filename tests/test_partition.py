@@ -10,6 +10,7 @@ from sparsecut import (
     GlobalParams,
     LocalParams,
     Origin,
+    PlantedInstance,
     WalkSchedule,
     barbell,
     build_curve,
@@ -719,7 +720,8 @@ def test_global_equals_per_seed_reference(monkeypatch):
         n = g.vertex_count
         expected = per_seed_global(g, params)
         cap = min(params.volume_cap, g.total_volume - 1)
-        walked = params.horizon + 1 if least_component(g, cap) is None else 0  # sweeps a block
+        component = least_component(g, cap) is not None
+        walked = 0 if component else params.horizon  # sweeps a block: steps 1..T, step 0 has none
         width = max(n, int(cap))  # a row's cells
         q = next(q for q in range(2, n) if n % q)
         # one row a block, a few rows a block, every seed in one block, and
@@ -735,8 +737,8 @@ def test_global_equals_per_seed_reference(monkeypatch):
             blocks = [min(b, n - s) for s in range(0, n, b)]
             assert sweeps == [b for b in blocks for _ in range(walked)]
             assert steps == [(g, (n, b)) for b in blocks for _ in range(max(walked - 1, 0))]
-        several_blocks += walked > 1 and blocks == [q] * (n // q) + [n % q]
-        components += not walked
+        several_blocks += walked > 0 and blocks == [q] * (n // q) + [n % q]
+        components += component
     # most cases step several blocks of two rows or more, and a few are answered by a component
     assert several_blocks >= 10 and components >= 1
 
@@ -771,30 +773,32 @@ def test_global_memory_stays_bounded_under_a_large_cap():
 
 def test_global_sweeps_each_step_of_a_block_in_one_call(monkeypatch):
     # ring_of_cliques(12, 10): one 120 x 120 block holds every seed, so a
-    # 96-step solve is 97 sweeps and 96 steps of the whole block
+    # 96-step solve is 96 sweeps, steps 1 to 96, and 95 steps of the whole
+    # block: step 0 and the step out of it are written directly
     g = ring_of_cliques(12, 10).graph
     params = GlobalParams(k=92, epsilon=0.01, horizon_override=96)
     sweeps, steps = record_block_calls(monkeypatch)
     out = global_sparsest_cut(g, params)
     n, horizon = g.vertex_count, params.horizon
     assert (n, horizon, partition.BLOCK_ARCS // n) == (120, 96, 136)
-    assert sweeps == [n] * (horizon + 1)
-    assert steps == [(g, (n, n))] * horizon
+    assert sweeps == [n] * horizon
+    assert steps == [(g, (n, n))] * (horizon - 1)
     assert out.work == 11_819_232
     # the default horizon ceil(0.01 * 92 * ln 92) = 5 finds the same 1/46 cut
     sweeps.clear()
     steps.clear()
     params = GlobalParams(k=92, epsilon=0.01)
     out = global_sparsest_cut(g, params)
-    assert (params.horizon, sweeps, steps) == (5, [n] * 6, [(g, (n, n))] * 5)
+    assert (params.horizon, sweeps, steps) == (5, [n] * 5, [(g, (n, n))] * 4)
     assert (out.best.exact, out.origin, out.work) == (Fraction(1, 46), Origin(0, 1, 10), 98_640)
 
 
 def test_global_profiles_only_rows_whose_capped_order_changed(monkeypatch):
     # a row whose capped order repeats the previous step's has the same
     # prefixes a step later, so it adds no candidate: on ring_of_cliques(12,
-    # 10), 1,346 of the 11,640 row-steps of a 96-step solve are profiled,
-    # with the same 97 sweeps, 96 block steps and result
+    # 10), 1,226 of the 11,520 row-steps of steps 1 to 96 are profiled, with
+    # the same 96 sweeps, 95 block steps and result; step 1 profiles every
+    # row, as no row's capped order is its seed alone
     g = ring_of_cliques(12, 10).graph
     params = GlobalParams(k=92, epsilon=0.01, horizon_override=96)
     sweeps, steps = record_block_calls(monkeypatch)
@@ -812,18 +816,59 @@ def test_global_profiles_only_rows_whose_capped_order_changed(monkeypatch):
 
     monkeypatch.setattr(partition, "_block_candidates", tallying)
     out = global_sparsest_cut(g, params)
-    assert sweeps == [120] * 97
-    assert len(steps) == 96
-    assert sum(profiled) == 1346 and profiled[:2] == [120, 120]
+    assert sweeps == [120] * 96
+    assert len(steps) == 95
+    assert sum(profiled) == 1226 and profiled[:2] == [120, 24]
     assert (out.best.exact, out.origin, out.work) == (Fraction(1, 46), Origin(0, 1, 10), 11_819_232)
-    # each block starts from no order: vertex 0 hangs off a triangle, only
-    # one vertex fits the cap, and seed 0's order [0] never changes, yet its
-    # step-0 singleton wins
+    # each block's orders start from its seeds: vertex 0 hangs off a
+    # triangle, only one vertex fits the cap, and seed 0's order [0] never
+    # changes, so no step past 0 adds a candidate, yet its step-0 singleton wins
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
     params = GlobalParams(k=2, epsilon=0.01, horizon_override=3)
     out = global_sparsest_cut(g, params)
     assert out.origin == Origin(seed=0, step=0, prefix=1)
     assert (out.best, out.origin, out.work) == per_seed_global(g, params)
+
+
+def test_global_first_step_is_the_lazy_step_of_point_masses():
+    # a block's step 1 is written directly, equal bit for bit to stepping the
+    # identity block: blocks of 1, 4, 7 and n seeds, from 0 and past 0, each
+    # graph with a short last block
+    def planted(g):
+        return PlantedInstance(g, cut_of(g, [0]), cut_of(g, [0]).exact)
+
+    pendant = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
+    assert pendant.degrees.min() == 1
+    bases = (ring_of_cliques(4, 5), barbell(7), planted(hub_graph()), planted(pendant))
+    for seed, base in enumerate(bases):
+        g = relabel(base, seed).graph
+        n = g.vertex_count
+        for block in (1, 4, 7, n):
+            for first in range(0, n, block):
+                b = min(block, n - first)
+                got = partition._first_step(g, np.arange(first, first + b))
+                want = lazy_step(g, np.eye(n, b, -first))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert {n % block for block in (4, 7)} - {0}
+
+
+def test_global_step_zero_winner(monkeypatch):
+    # only sets of conductance 1 fit the cap, so a seed alone at step 0 wins:
+    # the least degree, then the least id. A star's leaves at k = 2 are
+    # singletons below the center; in K(2, 5) at k = 5 the degree-5 vertices
+    # 0 and 1 fit too, yet lose to the degree-2 vertex 2 on volume
+    star = Graph.from_edges(7, [(0, v) for v in range(1, 7)])
+    k25 = Graph.from_edges(7, [(u, v) for u in (0, 1) for v in range(2, 7)])
+    for g, k, seed in ((star, 2, 1), (k25, 5, 2)):
+        n, params = g.vertex_count, GlobalParams(k=k, epsilon=0.01, horizon_override=4)
+        expected = per_seed_global(g, params)
+        assert expected[1] == Origin(seed=seed, step=0, prefix=1)
+        width = max(n, int(min(params.volume_cap, g.total_volume - 1)))
+        q = next(q for q in range(2, n) if n % q)
+        for block_arcs in (1, 3 * g.total_volume, 1 << 20, (q + 1) * width - 1):
+            monkeypatch.setattr(partition, "BLOCK_ARCS", block_arcs)
+            out = global_sparsest_cut(g, params)
+            assert (out.best, out.origin, out.work) == expected
 
 
 def test_load_memory_stays_bounded(tmp_path):
