@@ -116,7 +116,6 @@ def _cmd_global(args) -> Rows:
         ("k", args.k),
         ("epsilon", repr(args.epsilon)),
         *reduced,
-        ("epsilon_effective", repr(params.epsilon_effective)),
         ("horizon", params.horizon),
         ("volume_cap", repr(params.volume_cap)),
         *_cut_record(outcome),

@@ -63,7 +63,7 @@ class Graph:
         such). One sort of min*n+max keys collapses and counts duplicates,
         one sort of src*n+dst arc keys lays out the sorted rows in place, in
         the array that becomes ``indices``. Past the pairs, the build peaks
-        near 25 bytes an edge, 16 of them that array.
+        near 24 bytes an edge, 16 of them that array.
         """
         n = _count(vertex_count, "vertex_count")
         pairs = _vertex_ids(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -76,6 +76,7 @@ class Graph:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        del bad
         keys = np.minimum(u, v) * n
         keys += np.maximum(u, v)
         keys.sort()

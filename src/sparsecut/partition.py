@@ -79,25 +79,22 @@ def _check_cap(params, formula: str) -> None:
 class GlobalParams:
     """Volume budget k (an integer), tradeoff exponent, and optional horizon override.
 
-    The exponent is clamped to 0.01 for all derived quantities (cap and
-    horizon); larger requests only tighten the returned volume, at the price
-    of a constant factor in the conductance guarantee.
-
-    The horizon T = ceil(e * k * ln k), e the clamped exponent, follows the
-    Lovasz-Simonovits argument as Oveis Gharan and Trevisan use it. Let U
-    attain phi = phi_k, vol(U) <= k, cap K = k^(1+e), and phi < e/16 (else
-    psi = 4 * sqrt(phi / e) >= 1 bounds every cut). U's best start keeps
-    (1 - phi/2)^t >= exp(-0.503 * phi * t) of its mass in U after t steps
-    (``best_seed_vertex`` checks the first). Were every level set of volume
-    at most K up to step t above psi, ``curve``'s envelope would cap that
-    mass at k/K + sqrt(k) * (1 - psi^2/8)^t, at t* = ceil(e * ln k / phi) at
-    most k^-e + k^-1.5: below the 0.994 * k^(-0.503 e) kept once k >= 23 at
-    e = 0.01. So the search, sweeping every step up to T, meets psi if
-    T >= t*. If no component fits the cap, every set of volume at most k
-    short of the whole graph has a boundary edge: phi >= 1/k and t* <= T.
-    A component that fits has conductance 0, but a walk shows it only once it
-    mixes over it, in order k^2 steps on a path, so ``global_sparsest_cut``
-    answers it before walking.
+    The horizon T = ceil(eps * k * ln k) follows the Lovasz-Simonovits
+    argument as Oveis Gharan and Trevisan use it. Let U attain phi = phi_k,
+    vol(U) <= k, cap K = k^(1+eps), and phi < eps/16 <= 1/16 (else
+    psi = 4 * sqrt(phi / eps) >= 1 bounds every cut). U's best start keeps
+    (1 - phi/2)^t >= exp(-0.517 * phi * t) of its mass in U after t steps
+    (``best_seed_vertex`` checks the first; -ln(1 - x) <= 32x/31 for x < 1/32).
+    Were every level set of volume at most K up to step t above psi,
+    ``curve``'s envelope would cap that mass at k/K + sqrt(k) * (1 - psi^2/8)^t,
+    at t* = ceil(eps * ln k / phi) at most k^-eps + k^-1.5, below the
+    exp(-0.033 * eps) * k^(-0.517 eps) kept once k >= 18, 8, 6, 4, 3 at
+    eps = 0.01, 0.05, 0.1, 0.5, 1, and for every eps >= 1/k once k >= 5. So the
+    search, sweeping every step up to T, meets psi if T >= t*. If no component
+    fits the cap, every set of volume at most k short of the whole graph has a
+    boundary edge: phi >= 1/k and t* <= T. A component that fits has
+    conductance 0, but a walk shows it only once it mixes over it, in order
+    k^2 steps on a path, so ``global_sparsest_cut`` answers it before walking.
     """
 
     k: int
@@ -116,12 +113,8 @@ class GlobalParams:
             raise ValueError(f"global horizon exceeds {_MAX_HORIZON} steps")
 
     @property
-    def epsilon_effective(self) -> float:
-        return min(self.epsilon, 0.01)
-
-    @property
     def _steps(self) -> float:
-        return self.epsilon_effective * self.k * math.log(self.k)
+        return self.epsilon * self.k * math.log(self.k)
 
     @property
     def horizon(self) -> int:
@@ -131,7 +124,7 @@ class GlobalParams:
 
     @property
     def volume_cap(self) -> float:
-        return float(self.k) ** (1.0 + self.epsilon_effective)
+        return float(self.k) ** (1.0 + self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -386,15 +379,16 @@ def _first_step(g: Graph, seeds: np.ndarray) -> np.ndarray:
 def global_sparsest_cut(g: Graph, params: GlobalParams) -> SweepOutcome:
     """Exact-walk sweep from every start vertex under cap min(k^(1+eps), 2m - 1).
 
-    The whole graph is no cut, as in ``local_partition``. Whenever some set of
-    volume at most k has conductance phi_k below the (effective) exponent, the
-    winner satisfies conductance <= 4 * sqrt(phi_k / eps); the volume cap holds
-    always. Candidates from different seeds are ranked by (conductance, volume,
-    step, prefix, seed); step 0's are the seeds alone, of conductance 1, and the
-    walks start at step 1. A component of volume at most the cap is answered
-    before any walk: the least-volume one, ties to the least member, wins with
-    conductance 0 at ``Origin(least member, 0, size)`` and work 0, as no set ranks
-    below it; the walks' horizon assumes none (see ``GlobalParams``).
+    The whole graph is no cut, as in ``local_partition``. The winner's
+    conductance is at most 4 * sqrt(phi_k / eps), phi_k the least conductance
+    of a set of volume at most k, wherever ``GlobalParams`` derives it; the
+    volume cap holds always. Candidates from different seeds are ranked by
+    (conductance, volume, step, prefix, seed); step 0's are the seeds alone, of
+    conductance 1, and the walks start at step 1. A component of volume at most
+    the cap is answered before any walk: the least-volume one, ties to the least
+    member, wins with conductance 0 at ``Origin(least member, 0, size)`` and work
+    0, as no set ranks below it; the walks' horizon assumes none (see
+    ``GlobalParams``).
     """
     if params.k > g.total_volume:
         raise ValueError("k exceeds the total volume")
@@ -449,8 +443,8 @@ def global_sparsest_cut_tight_volume(g: Graph, k: int, epsilon: float) -> SweepO
     """Volume-tight variant: cap at most (1+eps)*k.
 
     Requires eps > 2 ln k / k and delegates to the main driver with the
-    reduced exponent; the conductance guarantee relaxes to
-    O(sqrt(phi_k * ln k / eps)).
+    reduced exponent eps / (2 ln k), above 1/k; the main bound at that
+    exponent is the relaxed guarantee 4 * sqrt(2 * phi_k * ln k / eps).
     """
     exponent = tight_volume_exponent(k, epsilon)
     if k > sys.float_info.max:  # the cap, at least k, would not be a float

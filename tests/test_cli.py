@@ -76,7 +76,7 @@ def test_global_record_keys(tmp_path, ring_file):
     record = parse_record(res.stdout)
     assert record["status"] == "ok"
     expected = {
-        "k", "epsilon", "epsilon_effective", "horizon", "volume_cap", "status",
+        "k", "epsilon", "horizon", "volume_cap", "status",
         "conductance", "boundary", "volume", "member_count", "origin_seed",
         "origin_step", "origin_prefix", "work",
     }

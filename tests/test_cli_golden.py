@@ -27,19 +27,19 @@ COMMANDS = {
     "global": (
         ["global", "ring.txt", "--k", "22", "--epsilon", "0.01", "--members-out", "members"],
         {
-            "out": "a1941f022c74d8a2d7768af52a7c0c023c9d9534b87963981c879ce233b72be9",
+            "out": "de3327f99b0acc2e0e59924a404a6b2dcbc0b6c46bcf742c068d6c496bed49ce",
             "members": "026d8ad3dfa1f2aa9da7964947ddedd4e83c6fc008206ebf898699dea80f9804",
         },
     ),
     "global-er": (
         ["global", "er.txt", "--k", "30", "--epsilon", "0.01"],
-        {"out": "1ae1663e41b006f1894011938092bbd67c923bed2b6fe13a74adb6c6f762111e"},
+        {"out": "f9433baa3d770eac25b665fcb08ef0ef1b4d258985f2c65342e87b0ae8e32902"},
     ),
     "global-tight": (
         ["global-tight", "barbell.txt", "--k", "44", "--epsilon", "0.5",
          "--members-out", "members"],
         {
-            "out": "ef26ebebd45f74193ea082be5b0e89dca30e5c283e94e42d33bb0e974bad8910",
+            "out": "c547ca8cb82291780f0a14402c5034e8cd19888e678f045ba91802c892ce556d",
             "members": "d28a59f6173184f7ca72607394ee0595bd89786b2df86f7495aa7408c87aa872",
         },
     ),

@@ -714,6 +714,20 @@ def test_from_edges_million_random_edges():
     assert not g.connected  # 200k vertices, 1M random edges: some isolated
 
 
+def test_from_edges_peak_is_the_arc_array_and_the_keys():
+    g = ring_of_cliques(2000, 20).graph
+    src = np.repeat(np.arange(g.vertex_count), g.degrees)
+    forward = src < g.indices
+    pairs = np.stack([src[forward], g.indices[forward]], axis=1)
+    pairs = pairs[np.random.default_rng(5).permutation(len(pairs))]
+    built, peak = traced_peak(lambda: Graph.from_edges(g.vertex_count, pairs))
+    assert np.array_equal(built.indptr, g.indptr) and np.array_equal(built.indices, g.indices)
+    # 382k distinct edges: the arc array (16 bytes an edge) beside the
+    # distinct keys (8) read 24.0 bytes an edge; the range check's mask,
+    # held to the end, read 25.0
+    assert peak < 24.5 * len(pairs)
+
+
 # --- connectivity -------------------------------------------------------------
 
 

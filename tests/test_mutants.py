@@ -5,7 +5,7 @@ Each mutant is a monkeypatch in the test process, and the checks marked
 under it. A byte pin or a reference-equality test does not count as killing
 it: only a bound the paper proves does. A mutant that every theorem check
 passes is listed in SURVIVING with the reason, and its test is an xfail
-left unrun: one pass of the checks takes about 3 s. ``pytest
+left unrun: one pass of the checks takes about 7 s. ``pytest
 tests/test_mutants.py --runxfail`` runs them, and each survivor fails its
 assert; one that passes there is killed, and leaves the list.
 """
@@ -21,19 +21,21 @@ import pytest
 
 from sparsecut import (
     CertificateViolation,
+    GlobalParams,
     Graph,
     LocalParams,
+    PlantedInstance,
     cut_of,
     erdos_renyi,
     find_local_seed,
+    global_sparsest_cut,
     local_partition,
 )
 from sparsecut import partition
 
+from conftest import relabel
+
 SURVIVING = {
-    "a": "the global search's bound 4*sqrt(phi_k/eps) is below 1 only when phi_k <= 1/1600, "
-    "and every instance of the global checks is solved at step 0 or 1; no check can see it "
-    "until barbell(41), whose cut shows only after the walk has mixed, fits in test time",
     "c": "the threshold's 1/20 is loose: at 100x it still sits far below a mixed set's mass "
     "per degree, about 1/k, and on the ring of random blocks the walk kept inside the block "
     "returns it at step 4 with conductance 7.6e-4 against the bound 0.49",
@@ -82,6 +84,13 @@ def mutate(monkeypatch, mutant: str) -> None:
     monkeypatch.setattr(function, "__code__", scope[function.__name__].__code__)
 
 
+def edges_of(block, offset):
+    """The block's edges (u, v), u < v, with every id moved up by ``offset``."""
+    src = np.repeat(np.arange(block.vertex_count), block.degrees)
+    forward = src < block.indices
+    return np.stack([src[forward], block.indices[forward]], axis=1) + offset
+
+
 def ring_of_blocks(r, s, p):
     """r connected erdos_renyi(s, p) blocks joined in a ring by one edge each.
 
@@ -94,11 +103,7 @@ def ring_of_blocks(r, s, p):
         rng_seed += 1
         if block.connected:
             blocks.append(block)
-    edges = []
-    for i, block in enumerate(blocks):
-        src = np.repeat(np.arange(s), block.degrees)
-        forward = src < block.indices
-        edges.append(np.stack([src[forward], block.indices[forward]], axis=1) + i * s)
+    edges = [edges_of(block, i * s) for i, block in enumerate(blocks)]
     first = np.arange(r) * s
     edges.append(np.stack([first + s - 1, np.roll(first, -1)], axis=1))
     return Graph.from_edges(r * s, np.concatenate(edges))
@@ -122,6 +127,27 @@ def test_local_guarantee_on_a_ring_of_random_blocks():
     assert out.found
     assert out.best.conductance <= 8 * math.sqrt(phi / eps)
     assert out.best.volume <= 5 * k ** (1 + eps)
+
+
+@pytest.mark.theorem
+def test_global_guarantee_on_two_random_blocks():
+    # The global theorem at eps = 0.5: the winner's conductance is at most
+    # 4*sqrt(phi_k/eps), so at most 4*sqrt(phi(block)/eps) = 0.307 here, as
+    # k = vol(block) and phi_k <= phi(block). A sparse random block shows only
+    # as the walks spread over it: the best level set of steps 0 and 1 is 0.467.
+    blocks = [erdos_renyi(40, 0.2, 11), erdos_renyi(40, 0.2, 12)]
+    assert all(block.connected for block in blocks)
+    edges = np.concatenate([edges_of(blocks[0], 0), edges_of(blocks[1], 40), [(0, 40)]])
+    g = Graph.from_edges(80, edges)
+    block = cut_of(g, range(40))
+    assert (block.boundary, block.volume, g.total_volume) == (1, 339, 670)
+    g = relabel(PlantedInstance(graph=g, planted=block, phi_planted=block.exact), 3).graph
+    eps = 0.5
+    params = GlobalParams(k=block.volume, epsilon=eps)
+    out = global_sparsest_cut(g, params)
+    assert out.found
+    assert out.best.volume <= params.volume_cap
+    assert out.best.conductance <= 4 * math.sqrt(block.conductance / eps)
 
 
 def test_theorem_checks_are_the_marked_tests():
@@ -152,10 +178,9 @@ def test_sweep_of_steps_0_and_1_misses_the_local_guarantee(monkeypatch, request)
     assert first_failure(request) == test_local_guarantee_on_a_ring_of_random_blocks.__name__
 
 
-@pytest.mark.xfail(run=False, reason=SURVIVING["a"])
 def test_global_search_of_steps_0_and_1_is_killed(monkeypatch, request):
     mutate(monkeypatch, "a")  # the global search takes candidates only at t <= 1
-    assert first_failure(request) is not None
+    assert first_failure(request) == test_global_guarantee_on_two_random_blocks.__name__
 
 
 @pytest.mark.xfail(run=False, reason=SURVIVING["c"])

@@ -170,9 +170,11 @@ def test_sweep_deterministic_tie_breaking():
     assert out1.best.members == (0,)
 
 
-def test_global_params_clamping_and_derived():
+def test_global_params_derive_from_the_given_epsilon():
     params = GlobalParams(k=100, epsilon=0.5)
-    assert params.epsilon_effective == 0.01
+    assert params.volume_cap == 100.0 ** 1.5 == 1000.0
+    assert params.horizon == math.ceil(0.5 * 100 * math.log(100)) == 231
+    params = GlobalParams(k=100, epsilon=0.01)
     assert params.volume_cap == pytest.approx(100.0 ** 1.01)
     assert params.horizon == math.ceil(0.01 * 100 * math.log(100)) == 5
     override = GlobalParams(k=100, epsilon=0.5, horizon_override=7)
@@ -190,6 +192,10 @@ def test_global_params_bound_the_horizon():
     assert GlobalParams(k=10**7, epsilon=edge * (1 - 1e-12)).horizon == 1_000_000
     with pytest.raises(ValueError, match="global horizon"):
         GlobalParams(k=10**7, epsilon=edge * (1 + 1e-12))
+    # at epsilon = 1 the edge is a k: 87,847 * ln 87,847 steps fit, the next k's do not
+    assert GlobalParams(k=87_847, epsilon=1.0).horizon == 999_994
+    with pytest.raises(ValueError, match="global horizon exceeds 1000000 steps"):
+        GlobalParams(k=87_848, epsilon=1.0)
     assert GlobalParams(k=2, epsilon=0.5, horizon_override=1_000_000).horizon == 1_000_000
     with raises_message("horizon exceeds 1000000 steps"):  # the walk's own horizon check
         GlobalParams(k=2, epsilon=0.5, horizon_override=1_000_001)
